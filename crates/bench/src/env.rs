@@ -39,14 +39,42 @@ use jocl_core::ScheduleMode;
 use jocl_fg::MessageStore;
 use jocl_serve::ListenAddr;
 
-/// `JOCL_SCALE` env var (default 0.02).
+/// `JOCL_SCALE` env var: the dataset scale. Default 0.02;
+/// whitespace-tolerant; anything but a finite positive number aborts
+/// loudly listing the valid form (`1,0` must not silently run 0.02).
 pub fn env_scale() -> f64 {
-    std::env::var("JOCL_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(0.02)
+    match std::env::var("JOCL_SCALE") {
+        Err(_) => 0.02,
+        Ok(v) => {
+            let trimmed = v.trim();
+            if trimmed.is_empty() {
+                return 0.02;
+            }
+            match trimmed.parse::<f64>() {
+                Ok(s) if s.is_finite() && s > 0.0 => s,
+                _ => panic!("JOCL_SCALE must be a positive number (e.g. 0.02), got {v:?}"),
+            }
+        }
+    }
 }
 
-/// `JOCL_SEED` env var (default 42).
+/// `JOCL_SEED` env var: the generator seed. Default 42;
+/// whitespace-tolerant; anything but a non-negative integer aborts
+/// loudly listing the valid form.
 pub fn env_seed() -> u64 {
-    std::env::var("JOCL_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
+    match std::env::var("JOCL_SEED") {
+        Err(_) => 42,
+        Ok(v) => {
+            let trimmed = v.trim();
+            if trimmed.is_empty() {
+                return 42;
+            }
+            match trimmed.parse::<u64>() {
+                Ok(n) => n,
+                _ => panic!("JOCL_SEED must be a non-negative integer, got {v:?}"),
+            }
+        }
+    }
 }
 
 /// `JOCL_SCHEDULE` env var: `residual` selects residual-scheduled message
@@ -600,5 +628,45 @@ mod tests {
         std::env::remove_var("JOCL_MEM_CEILING_MB");
         assert_eq!(env_mem_ceiling_mb(8192), 8192, "per-gate preset is the default");
         assert_eq!(env_mem_ceiling_mb(32_768), 32_768);
+    }
+
+    /// `JOCL_SCALE`/`JOCL_SEED` follow the same contract as every other
+    /// knob: trimmed, blank means unset, garbage is a typed panic naming
+    /// the variable and the value — `JOCL_SCALE=1,0` used to run 0.02.
+    #[test]
+    fn scale_and_seed_reject_garbage() {
+        let panic_msg = |f: fn() -> String| {
+            let err = std::panic::catch_unwind(f).unwrap_err();
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        std::env::set_var("JOCL_SCALE", " 0.5\t");
+        assert_eq!(env_scale(), 0.5);
+        std::env::set_var("JOCL_SCALE", "   ");
+        assert_eq!(env_scale(), 0.02, "blank means unset");
+        for bad in ["1,0", "0", "-0.1", "NaN", "inf", "tiny"] {
+            std::env::set_var("JOCL_SCALE", bad);
+            let msg = panic_msg(|| env_scale().to_string());
+            assert!(
+                msg.contains("JOCL_SCALE") && msg.contains(&format!("{bad:?}")),
+                "{bad:?} must name the variable and the value: {msg}"
+            );
+        }
+        std::env::remove_var("JOCL_SCALE");
+        assert_eq!(env_scale(), 0.02);
+
+        std::env::set_var("JOCL_SEED", " 7 ");
+        assert_eq!(env_seed(), 7);
+        std::env::set_var("JOCL_SEED", "");
+        assert_eq!(env_seed(), 42, "blank means unset");
+        for bad in ["-1", "4.2", "seed"] {
+            std::env::set_var("JOCL_SEED", bad);
+            let msg = panic_msg(|| env_seed().to_string());
+            assert!(
+                msg.contains("JOCL_SEED") && msg.contains(&format!("{bad:?}")),
+                "{bad:?} must name the variable and the value: {msg}"
+            );
+        }
+        std::env::remove_var("JOCL_SEED");
+        assert_eq!(env_seed(), 42);
     }
 }

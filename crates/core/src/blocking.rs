@@ -82,6 +82,13 @@ impl Blocking {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Append `other`'s pairs to the matching family lists (no re-sort).
+    pub fn extend(&mut self, other: Blocking) {
+        self.subj_pairs.extend(other.subj_pairs);
+        self.pred_pairs.extend(other.pred_pairs);
+        self.obj_pairs.extend(other.obj_pairs);
+    }
 }
 
 /// Generate blocked pairs for an OKB under `config`: a full replay of
@@ -109,30 +116,6 @@ fn blocking_ns() -> &'static std::sync::Arc<jocl_obs::Histogram> {
 /// considered a non-discriminative hub and skipped during candidate pair
 /// retrieval (IDF would score such pairs near zero anyway).
 const MAX_TOKEN_DF: usize = 100;
-
-/// The new pairs one appended triple created, per variable family.
-/// Each list is ordered (`t_i < t_j`), sorted and duplicate-free.
-#[derive(Debug, Clone, Default)]
-pub struct BlockingDelta {
-    /// New subject–subject pairs.
-    pub subj_pairs: Vec<(TripleId, TripleId)>,
-    /// New predicate–predicate pairs.
-    pub pred_pairs: Vec<(TripleId, TripleId)>,
-    /// New object–object pairs.
-    pub obj_pairs: Vec<(TripleId, TripleId)>,
-}
-
-impl BlockingDelta {
-    /// Total new pairs across the three families.
-    pub fn len(&self) -> usize {
-        self.subj_pairs.len() + self.pred_pairs.len() + self.obj_pairs.len()
-    }
-
-    /// True when the appended triple created no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Append-only blocking state for the three variable families.
 ///
@@ -168,7 +151,8 @@ impl BlockingIndex {
         }
     }
 
-    /// Append one triple; returns the pairs it newly creates. Subjects
+    /// Append one triple; returns the pairs it newly creates (each list
+    /// ordered `t_i < t_j`, sorted and duplicate-free). Subjects
     /// and objects block on the lowercase phrase; predicates block on
     /// their morphological normal form (tense, auxiliaries, determiners
     /// and modifiers stripped): OIE relation phrases are conventionally
@@ -176,18 +160,13 @@ impl BlockingIndex {
     /// input is "morphological normalized OIE triples", §3.1.4), and raw
     /// IDF overlap between function words would otherwise dominate the
     /// blocking decision.
-    pub fn append_triple(
-        &mut self,
-        t: TripleId,
-        triple: &Triple,
-        signals: &Signals,
-    ) -> BlockingDelta {
+    pub fn append_triple(&mut self, t: TripleId, triple: &Triple, signals: &Signals) -> Blocking {
         let caps = Caps {
             threshold: self.blocking_threshold,
             clique: self.max_group_clique,
             cross: self.cross_cap,
         };
-        BlockingDelta {
+        Blocking {
             subj_pairs: self.subj.append(
                 t,
                 triple.subject.to_lowercase(),
@@ -828,10 +807,7 @@ mod tests {
         let mut index = BlockingIndex::new(&config);
         let mut collected = Blocking::default();
         for (t, triple) in okb.triples() {
-            let delta = index.append_triple(t, triple, &s);
-            collected.subj_pairs.extend(delta.subj_pairs);
-            collected.pred_pairs.extend(delta.pred_pairs);
-            collected.obj_pairs.extend(delta.obj_pairs);
+            collected.extend(index.append_triple(t, triple, &s));
         }
         let replayed = index.blocking();
         assert_eq!(replayed.subj_pairs, batch.subj_pairs);

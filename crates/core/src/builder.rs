@@ -18,13 +18,17 @@
 //! Candidate sets and feature vectors are cached per distinct phrase, so
 //! the cost scales with distinct surface forms rather than mentions.
 //!
+//! There is **one** construction path, [`GraphBuilder::extend`], which
+//! appends a blocking delta to a plan. [`build_graph`] is one extend over
+//! an empty plan with the whole OKB as the delta; the incremental session
+//! (`crate::incremental`) keeps a [`GraphBuilder`] across deltas.
+//!
 //! Construction is **sharded**: the expensive per-distinct-key work
 //! (candidate retrieval, similarity features, two-level tables) is split
 //! into deterministic chunks and computed on a [`jocl_exec`] worker pool,
 //! then the graph is assembled serially from the precomputed caches with
 //! [`FactorGraph::reserve`] + batched factor insertion. Shard boundaries
-//! never influence values, and the assembly order matches the historical
-//! serial insert loop exactly, so the built graph is identical for any
+//! never influence values, so the built graph is identical for any
 //! `JoclConfig::build_threads`.
 
 use crate::blocking::Blocking;
@@ -36,7 +40,7 @@ use jocl_fg::{FactorGraph, Params, Potential, VarId};
 use jocl_kb::{
     CandidateGen, Ckb, EntityId, NpMention, NpSlot, Okb, RelationId, RpMention, TripleId,
 };
-use jocl_text::fx::FxHashMap;
+use jocl_text::fx::{FxHashMap, FxHashSet};
 
 /// Parameter-group ids for every factor family.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +68,7 @@ pub struct ParamGroups {
 }
 
 /// Build statistics (reported in diagnostics).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Number of transitivity triangles added (U1+U2+U3).
     pub triangles: usize,
@@ -104,6 +108,23 @@ pub struct GraphPlan {
 }
 
 impl GraphPlan {
+    /// A plan with no variables or factors yet, under `params`.
+    pub(crate) fn empty(params: Params, groups: ParamGroups) -> Self {
+        GraphPlan {
+            graph: FactorGraph::new(),
+            params,
+            groups,
+            np_link_vars: Vec::new(),
+            np_candidates: Vec::new(),
+            rp_link_vars: Vec::new(),
+            rp_candidates: Vec::new(),
+            subj_pair_vars: Vec::new(),
+            pred_pair_vars: Vec::new(),
+            obj_pair_vars: Vec::new(),
+            stats: BuildStats::default(),
+        }
+    }
+
     /// Resident heap bytes of the plan: the factor graph (structure +
     /// potential tables) plus the link/candidate maps and pair
     /// registries. Capacity-based.
@@ -456,11 +477,10 @@ pub fn transitivity_scores() -> Vec<f64> {
         .collect()
 }
 
-/// Build the factor graph for `config.variant`.
-///
-/// Spawns the build pool (`config.build_threads`, `0` = all hardware
-/// threads) and delegates to the sharded construction; the result is
-/// identical for any thread count.
+/// Build the factor graph for `config.variant`: one
+/// [`GraphBuilder::extend`] pass over an empty plan, with the whole
+/// `blocking` as the delta. The result is identical for any
+/// `config.build_threads`.
 pub fn build_graph(
     okb: &Okb,
     ckb: &Ckb,
@@ -468,13 +488,10 @@ pub fn build_graph(
     blocking: &Blocking,
     config: &JoclConfig,
 ) -> GraphPlan {
-    let sw = jocl_obs::Stopwatch::start();
-    let _span = jocl_obs::span!("graph_build");
-    let threads = jocl_exec::effective_threads(config.build_threads);
-    let plan = jocl_exec::with_pool(threads, |pool| {
-        build_graph_sharded(okb, ckb, signals, blocking, config, pool)
-    });
-    graph_build_ns().record(sw.ns());
+    let (params, groups) = init_params(config.features);
+    let mut plan = GraphPlan::empty(params, groups);
+    let input = BuildInput { okb, ckb, signals, config, live: &[] };
+    GraphBuilder::new(config).extend(&mut plan, &input, blocking);
     plan
 }
 
@@ -485,9 +502,12 @@ fn graph_build_ns() -> &'static std::sync::Arc<jocl_obs::Histogram> {
     H.get_or_init(|| jocl_obs::registry().histogram("jocl_graph_build_ns", &[]))
 }
 
+/// Smallest shard of pooled per-key computation.
+const MIN_SHARD: usize = 8;
+
 /// Shard size for pooled per-key computation: ~4 shards per worker.
 fn shard_size(n: usize, pool: &Pool<'_>) -> usize {
-    n.div_ceil(pool.threads() * 4).max(8)
+    n.div_ceil(pool.threads() * 4).max(MIN_SHARD)
 }
 
 /// Compute `work` over every element of `items` on the pool, preserving
@@ -509,26 +529,18 @@ fn sharded_map<T: Sync, R: Send>(
     )
 }
 
-/// Distinct-key collector preserving first-seen order: returns the list
-/// of `(key, payload-of-first-occurrence)` and a key → index map.
-fn distinct_keys<K, P>(items: impl Iterator<Item = (K, P)>) -> (Vec<(K, P)>, FxHashMap<K, usize>)
+/// The distinct `keys` that `cache` lacks, in first-seen order.
+fn missing_keys<K, V>(cache: &FxHashMap<K, V>, keys: impl Iterator<Item = K>) -> Vec<K>
 where
     K: std::hash::Hash + Eq + Clone,
 {
-    let mut order: Vec<(K, P)> = Vec::new();
-    let mut index: FxHashMap<K, usize> = FxHashMap::default();
-    for (key, payload) in items {
-        if !index.contains_key(&key) {
-            index.insert(key.clone(), order.len());
-            order.push((key, payload));
-        }
-    }
-    (order, index)
+    let mut seen: FxHashSet<K> = FxHashSet::default();
+    keys.filter(|k| !cache.contains_key(k) && seen.insert(k.clone())).collect()
 }
 
 /// Initial parameters (α = β = 2.0) and group handles for a feature set.
-/// Shared by the batch builder and the incremental session so both
-/// address the identical group layout.
+/// Shared by [`build_graph`], the incremental session and snapshot
+/// import so all address the identical group layout.
 pub(crate) fn init_params(fs: FeatureSet) -> (Params, ParamGroups) {
     let mut params = Params::new();
     let groups = ParamGroups {
@@ -564,20 +576,23 @@ fn side_lookup<'a>(side: &'a jocl_kb::SideKb, key: &str, entity: bool) -> &'a [j
     links
 }
 
-/// Resolve imported side links into candidate-space probabilities:
-/// append resolved targets missing from `cands` (imported evidence may
-/// introduce candidates retrieval missed), then score every candidate —
-/// imported targets at `0.5 + w/2`, the rest at `0.5 - wmax/2`. `None`
-/// (no table, no row for this surface, or nothing resolvable against
-/// the CKB) means **no factor**, leaving the graph untouched.
+/// Resolve the imported side links of `key` (see [`side_lookup`]) into
+/// candidate-space probabilities: append resolved targets missing from
+/// `cands` (imported evidence may introduce candidates retrieval missed),
+/// then score every candidate — imported targets at `0.5 + w/2`, the rest
+/// at `0.5 - wmax/2`. `None` (no table, no row for this surface, or
+/// nothing resolvable against the CKB) means **no factor**, leaving the
+/// graph untouched.
 fn side_probs<T: Copy + PartialEq>(
-    links: &[jocl_kb::SideLink],
-    side: &jocl_kb::SideKb,
+    side: Option<&jocl_kb::SideKb>,
+    key: &str,
+    entity: bool,
     resolve: impl Fn(&str) -> Option<T>,
     cands: &mut Vec<T>,
 ) -> Option<Vec<f64>> {
+    let side = side?;
     let mut matched: Vec<(T, f64)> = Vec::new();
-    for l in links {
+    for l in side_lookup(side, key, entity) {
         if let Some(id) = resolve(side.resolve(l.target)) {
             if !matched.iter().any(|&(e, _)| e == id) {
                 matched.push((id, l.weight));
@@ -604,399 +619,587 @@ fn side_probs<T: Copy + PartialEq>(
     )
 }
 
-/// NP-side injection: see [`side_probs`]. Shared verbatim by the batch
-/// builder and the incremental session so their per-key caches stay
-/// bit-identical.
-pub(crate) fn entity_side_probs(
-    side: Option<&jocl_kb::SideKb>,
-    ckb: &Ckb,
-    key: &str,
-    cands: &mut Vec<EntityId>,
-) -> Option<Vec<f64>> {
-    let side = side?;
-    let links = side_lookup(side, key, true);
-    if links.is_empty() {
-        return None;
-    }
-    side_probs(links, side, |name| ckb.entity_by_name(name), cands)
-}
-
-/// RP-side injection: see [`side_probs`].
-pub(crate) fn relation_side_probs(
-    side: Option<&jocl_kb::SideKb>,
-    ckb: &Ckb,
-    key: &str,
-    cands: &mut Vec<RelationId>,
-) -> Option<Vec<f64>> {
-    let side = side?;
-    let links = side_lookup(side, key, false);
-    if links.is_empty() {
-        return None;
-    }
-    side_probs(links, side, |name| ckb.relation_by_name(name), cands)
-}
-
 /// The active side-information table of a config: `None` when unset
 /// **or empty** — an empty table must leave inference bitwise-identical
 /// to the side-info-free pipeline.
-pub(crate) fn active_side_info(config: &JoclConfig) -> Option<&jocl_kb::SideKb> {
+fn active_side_info(config: &JoclConfig) -> Option<&jocl_kb::SideKb> {
     config.side_info.as_deref().filter(|s| !s.is_empty())
 }
 
-fn build_graph_sharded(
-    okb: &Okb,
-    ckb: &Ckb,
-    signals: &Signals,
-    blocking: &Blocking,
-    config: &JoclConfig,
-    pool: &Pool<'_>,
-) -> GraphPlan {
-    let mut graph = FactorGraph::new();
-    let fs = config.features;
-    let (params, groups) = init_params(fs);
-    let mut stats = BuildStats::default();
+/// The read-only inputs of one [`GraphBuilder::extend`] pass.
+pub(crate) struct BuildInput<'a> {
+    pub(crate) okb: &'a Okb,
+    pub(crate) ckb: &'a Ckb,
+    pub(crate) signals: &'a Signals,
+    pub(crate) config: &'a JoclConfig,
+    /// Liveness per triple id (`false` = retracted); ids past its end are
+    /// live.
+    pub(crate) live: &'a [bool],
+}
 
-    let with_linking =
-        matches!(config.variant, Variant::Full | Variant::LinkOnly | Variant::NoConsistency);
-    let with_canon =
-        matches!(config.variant, Variant::Full | Variant::CanoOnly | Variant::NoConsistency);
-    let with_consistency = matches!(config.variant, Variant::Full);
+/// Per-family pair-variable adjacency for incremental transitivity
+/// closure: `edges[(i, j)]` (i < j) is the pair variable, `adj` the
+/// undirected neighbor lists.
+#[derive(Debug, Clone, Default)]
+struct TriangleIndex {
+    edges: FxHashMap<(u32, u32), VarId>,
+    adj: FxHashMap<u32, Vec<u32>>,
+}
 
-    // ---------------- linking variables + F4/F5/F6 -----------------------
-    let mut np_link_vars: Vec<Option<VarId>> = vec![None; okb.num_np_mentions()];
-    let mut np_candidates: Vec<Vec<EntityId>> = vec![Vec::new(); okb.num_np_mentions()];
-    let mut rp_link_vars: Vec<Option<VarId>> = vec![None; okb.num_rp_mentions()];
-    let mut rp_candidates: Vec<Vec<RelationId>> = vec![Vec::new(); okb.num_rp_mentions()];
-    if with_linking {
-        let gen = CandidateGen::new(ckb, config.candidates.clone());
-        let side = active_side_info(config);
-        // Candidates + features per distinct phrase, computed **from the
-        // lowercase key itself**: every signal is case-insensitive (the
-        // cache conflates case variants by construction), and deriving
-        // the value from the canonical key — never from whichever
-        // occurrence happened to fill the cache first — is what makes
-        // feature vectors an intrinsic property of the phrase. The
-        // incremental session and a restored snapshot recompute cache
-        // entries at different times; only a canonical input keeps them
-        // bit-for-bit reproducible.
-        let (np_keys, np_index) = distinct_keys(okb.np_mentions().map(|m| {
-            let phrase = okb.np_phrase(m);
-            (phrase.to_lowercase(), ())
-        }));
-        let np_values: Vec<LinkValues<EntityId>> = sharded_map(pool, &np_keys, |(key, ())| {
-            let scored = gen.entity_candidates(key);
-            let mut cands: Vec<EntityId> = scored.iter().map(|s| s.id).collect();
-            let side_probs = entity_side_probs(side, ckb, key, &mut cands);
-            let feats: Vec<Vec<f64>> =
-                cands.iter().map(|&e| entity_link_features(signals, ckb, key, e, fs)).collect();
-            (cands, feats, side_probs)
-        });
-        graph.reserve(okb.num_np_mentions(), okb.num_np_mentions());
-        for m in okb.np_mentions() {
-            let key = okb.np_phrase(m).to_lowercase();
-            let (cands, feats, side_probs) = &np_values[np_index[&key]];
-            if cands.is_empty() {
-                continue;
-            }
-            let var = graph.add_var_with_class(cands.len() as u32, classes::VAR_LINK);
-            let (group, class) = match m.slot {
-                NpSlot::Subject => (groups.alpha4, classes::F4),
-                NpSlot::Object => (groups.alpha6, classes::F6),
-            };
-            graph.add_factor(&[var], Potential::Features { group, feats: feats.clone() }, class);
-            if let Some(probs) = side_probs {
-                graph.add_factor(
-                    &[var],
-                    Potential::from_probs(groups.gamma, probs.clone()),
-                    classes::S1,
-                );
-            }
-            np_link_vars[m.dense()] = Some(var);
-            np_candidates[m.dense()] = cands.clone();
+impl TriangleIndex {
+    fn insert(&mut self, a: TripleId, b: TripleId, v: VarId) {
+        self.edges.insert((a.0, b.0), v);
+        self.adj.entry(a.0).or_default().push(b.0);
+        self.adj.entry(b.0).or_default().push(a.0);
+    }
+
+    /// Insert the new `pairs` (variable `vars[i]` for pair `i`) and return
+    /// every triangle that gained an edge, as `[v_ij, v_jk, v_ik]` in
+    /// sorted `(i, j, k)` order. A retracted third vertex closes nothing:
+    /// its two edges are tombstoned pair variables, and the reference
+    /// batch run on the survivors has no such triangle.
+    fn close(
+        &mut self,
+        pairs: &[(TripleId, TripleId)],
+        vars: &[VarId],
+        live: &[bool],
+    ) -> Vec<[VarId; 3]> {
+        for (&(a, b), &v) in pairs.iter().zip(vars) {
+            self.insert(a, b, v);
         }
-        // RP linking runs in three pooled passes: (1) candidate retrieval
-        // per distinct phrase; (2) per-surface-form contexts (raw +
-        // morphologically normalized) for exactly the relations some
-        // phrase shortlisted — not the whole CKB inventory, which a
-        // serving-style run against a large CKB would otherwise pay for
-        // on every build; (3) feature vectors from the cached contexts.
-        let (rp_keys, rp_index) = distinct_keys(okb.rp_mentions().map(|m| {
-            let phrase = okb.rp_phrase(m);
-            (phrase.to_lowercase(), ())
-        }));
-        let rp_cands: Vec<(Vec<RelationId>, Option<Vec<f64>>)> =
-            sharded_map(pool, &rp_keys, |(key, ())| {
+        let mut found: Vec<[u32; 3]> = Vec::new();
+        for &(TripleId(a), TripleId(b)) in pairs {
+            let (na, nb) = (&self.adj[&a], &self.adj[&b]);
+            for &c in if na.len() <= nb.len() { na } else { nb } {
+                if c == a || c == b || !live.get(c as usize).copied().unwrap_or(true) {
+                    continue;
+                }
+                let e1 = (a.min(c), a.max(c));
+                let e2 = (b.min(c), b.max(c));
+                if self.edges.contains_key(&e1) && self.edges.contains_key(&e2) {
+                    let mut t = [a, b, c];
+                    t.sort_unstable();
+                    found.push(t);
+                }
+            }
+        }
+        found.sort_unstable();
+        found.dedup();
+        found
+            .into_iter()
+            .map(|[i, j, k]| [self.edges[&(i, j)], self.edges[&(j, k)], self.edges[&(i, k)]])
+            .collect()
+    }
+}
+
+/// The build state that outlives one [`GraphBuilder::extend`] pass: the
+/// per-distinct-key caches, the per-family triangle indexes and the
+/// transitivity-triangle budget. A batch build uses it for one pass; a
+/// streaming session keeps it across deltas.
+#[derive(Clone, Default)]
+pub(crate) struct GraphBuilder {
+    /// Candidate + feature (+ side-information probability) cache per
+    /// distinct lowercase NP phrase.
+    np_values: FxHashMap<String, LinkValues<EntityId>>,
+    /// Candidate + feature (+ side-information probability) cache per
+    /// distinct lowercase RP phrase.
+    rp_values: FxHashMap<String, LinkValues<RelationId>>,
+    /// F1/F3 similarity cache per ordered lowercase phrase pair.
+    np_pair_sims: FxHashMap<(String, String), Vec<f64>>,
+    /// F2 similarity cache per ordered lowercase phrase pair.
+    rp_pair_sims: FxHashMap<(String, String), Vec<f64>>,
+    /// Pair-graph adjacency per family (subject, predicate, object).
+    tri: [TriangleIndex; 3],
+    /// Remaining transitivity-triangle budget (`config.max_triangles`).
+    triangle_budget: usize,
+    /// Set once a triangle was actually dropped for lack of budget (an
+    /// exactly-consumed budget with nothing skipped keeps parity).
+    triangles_skipped: bool,
+}
+
+impl GraphBuilder {
+    /// Empty caches and indexes, with the full `config.max_triangles`
+    /// budget.
+    pub(crate) fn new(config: &JoclConfig) -> Self {
+        Self { triangle_budget: config.max_triangles, ..Self::default() }
+    }
+
+    /// The build state behind `plan`: triangle indexes rebuilt from its
+    /// pair registries, the given budget, and empty caches (they refill
+    /// on demand with bitwise-identical values).
+    pub(crate) fn restore(
+        plan: &GraphPlan,
+        triangle_budget: usize,
+        triangles_skipped: bool,
+    ) -> Self {
+        let mut builder = Self { triangle_budget, triangles_skipped, ..Self::default() };
+        let registries = [&plan.subj_pair_vars, &plan.pred_pair_vars, &plan.obj_pair_vars];
+        for (tri, list) in builder.tri.iter_mut().zip(registries) {
+            for &(a, b, v) in list {
+                tri.insert(a, b, v);
+            }
+        }
+        builder
+    }
+
+    /// Take over `other`'s per-key caches (pure functions of the frozen
+    /// signals, so they stay valid for any plan).
+    pub(crate) fn adopt_caches(&mut self, other: &mut GraphBuilder) {
+        self.np_values = std::mem::take(&mut other.np_values);
+        self.rp_values = std::mem::take(&mut other.rp_values);
+        self.np_pair_sims = std::mem::take(&mut other.np_pair_sims);
+        self.rp_pair_sims = std::mem::take(&mut other.rp_pair_sims);
+    }
+
+    /// Remaining transitivity-triangle budget.
+    pub(crate) fn triangle_budget(&self) -> usize {
+        self.triangle_budget
+    }
+
+    /// Whether a triangle was ever dropped for lack of budget.
+    pub(crate) fn triangles_skipped(&self) -> bool {
+        self.triangles_skipped
+    }
+
+    /// Pair variables of all three families with `t` as an endpoint.
+    pub(crate) fn pair_vars_of(&self, t: TripleId) -> impl Iterator<Item = VarId> + '_ {
+        self.tri.iter().flat_map(move |tri| {
+            tri.adj
+                .get(&t.0)
+                .into_iter()
+                .flatten()
+                .map(move |&n| tri.edges[&(t.0.min(n), t.0.max(n))])
+        })
+    }
+
+    /// Append `delta`'s variables and factors to `plan`: link variables
+    /// for every live triple the plan's mention maps do not cover yet,
+    /// and pair variables for every pair in `delta`. Ids and adjacency
+    /// of existing nodes are never disturbed.
+    ///
+    /// Per-key values (candidates, link features, pair similarities)
+    /// missing from the caches are computed on a [`jocl_exec`] pool sized
+    /// by how many there are, in deterministic shards; the graph is then
+    /// assembled in a fixed order — NP link variables with F4/F6/S1, RP
+    /// link variables with F5/S2, pair variables with F1–F3 per family,
+    /// U1–U3 triangles that gained an edge, U4, then U5–U7 — so the
+    /// result is identical for any `config.build_threads`, and one pass
+    /// over a whole OKB is exactly the batch graph.
+    pub(crate) fn extend(
+        &mut self,
+        plan: &mut GraphPlan,
+        input: &BuildInput<'_>,
+        delta: &Blocking,
+    ) {
+        let sw = jocl_obs::Stopwatch::start();
+        let _span = jocl_obs::span!("graph_build");
+        let threads = jocl_exec::effective_threads(input.config.build_threads);
+        self.extend_on(plan, input, delta, threads);
+        graph_build_ns().record(sw.ns());
+    }
+
+    /// [`GraphBuilder::extend`] with at most `threads` workers.
+    fn extend_on(
+        &mut self,
+        plan: &mut GraphPlan,
+        input: &BuildInput<'_>,
+        delta: &Blocking,
+        threads: usize,
+    ) {
+        let BuildInput { okb, config, live, .. } = *input;
+        let (with_linking, with_canon, _) = parts(config.variant);
+        let new_ids: Vec<TripleId> = (plan.rp_link_vars.len()..okb.len())
+            .map(|i| TripleId(i as u32))
+            .filter(|t| live.get(t.idx()).copied().unwrap_or(true))
+            .collect();
+        plan.np_link_vars.resize(okb.num_np_mentions(), None);
+        plan.np_candidates.resize(okb.num_np_mentions(), Vec::new());
+        plan.rp_link_vars.resize(okb.num_rp_mentions(), None);
+        plan.rp_candidates.resize(okb.num_rp_mentions(), Vec::new());
+
+        // Keys missing from the caches, in first-seen order.
+        let (np_keys, rp_keys) = if with_linking {
+            (
+                missing_keys(
+                    &self.np_values,
+                    np_mentions(&new_ids).map(|m| okb.np_phrase(m).to_lowercase()),
+                ),
+                missing_keys(
+                    &self.rp_values,
+                    new_ids.iter().map(|&t| okb.rp_phrase(RpMention(t)).to_lowercase()),
+                ),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let (np_pair_keys, rp_pair_keys) = if with_canon {
+            let [subj, pred, obj] = families(delta).map(|family| pair_keys(okb, family));
+            (
+                missing_keys(&self.np_pair_sims, subj.chain(obj)),
+                missing_keys(&self.rp_pair_sims, pred),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let missing = np_keys.len() + rp_keys.len() + np_pair_keys.len() + rp_pair_keys.len();
+        // A small delta's keys fit one shard: run inline, no pool spawn.
+        let threads = if missing <= MIN_SHARD { 1 } else { threads };
+        jocl_exec::with_pool(threads, |pool| {
+            self.fill_caches(pool, input, np_keys, rp_keys, np_pair_keys, rp_pair_keys);
+            self.assemble(pool, plan, input, delta, &new_ids);
+        });
+    }
+
+    /// Compute the missing per-key values on the pool and cache them. Link
+    /// values are computed **from the lowercase key itself**: every signal
+    /// is case-insensitive, and deriving the value from the canonical key
+    /// — never from whichever occurrence happened to fill the cache first
+    /// — makes feature vectors an intrinsic property of the phrase, so a
+    /// refill after a snapshot restore is bit-for-bit reproducible.
+    fn fill_caches(
+        &mut self,
+        pool: &Pool<'_>,
+        input: &BuildInput<'_>,
+        np_keys: Vec<String>,
+        rp_keys: Vec<String>,
+        np_pair_keys: Vec<(String, String)>,
+        rp_pair_keys: Vec<(String, String)>,
+    ) {
+        let BuildInput { ckb, signals, config, .. } = *input;
+        let fs = config.features;
+        // Candidate generation indexes the CKB's relation surfaces up
+        // front: pay for it only when some link key is missing.
+        if !np_keys.is_empty() || !rp_keys.is_empty() {
+            let gen = CandidateGen::new(ckb, config.candidates.clone());
+            let side = active_side_info(config);
+            let values = sharded_map(pool, &np_keys, |key| {
+                let scored = gen.entity_candidates(key);
+                let mut cands: Vec<EntityId> = scored.iter().map(|s| s.id).collect();
+                let side_probs =
+                    side_probs(side, key, true, |name| ckb.entity_by_name(name), &mut cands);
+                let feats: Vec<Vec<f64>> =
+                    cands.iter().map(|&e| entity_link_features(signals, ckb, key, e, fs)).collect();
+                (cands, feats, side_probs)
+            });
+            self.np_values.extend(np_keys.into_iter().zip(values));
+
+            // RP linking runs in three pooled passes: (1) candidate retrieval
+            // per key; (2) per-surface-form contexts (raw + morphologically
+            // normalized) for exactly the relations some key shortlisted — not
+            // the whole CKB inventory; (3) feature vectors from the cached
+            // contexts.
+            let rp_cands = sharded_map(pool, &rp_keys, |key| {
                 let mut cands: Vec<RelationId> =
                     gen.relation_candidates(key).iter().map(|s| s.id).collect();
-                let side_probs = relation_side_probs(side, ckb, key, &mut cands);
-                (cands, side_probs)
+                let side_probs =
+                    side_probs(side, key, false, |name| ckb.relation_by_name(name), &mut cands);
+                (cands, Vec::new(), side_probs)
             });
-        let mut used_rels: Vec<u32> = rp_cands.iter().flat_map(|(c, _)| c).map(|r| r.0).collect();
-        used_rels.sort_unstable();
-        used_rels.dedup();
-        let used_ctx: Vec<Vec<(PhraseCtx, PhraseCtx)>> = sharded_map(pool, &used_rels, |&rid| {
-            ckb.relation(RelationId(rid))
-                .surface_forms
-                .iter()
-                .map(|sf| {
-                    let normed = jocl_text::normalize::morph_normalize_rp(sf);
-                    (signals.phrase_ctx(sf), signals.phrase_ctx(&normed))
-                })
-                .collect()
-        });
-        let ctx_of = |r: RelationId| -> &Vec<(PhraseCtx, PhraseCtx)> {
-            &used_ctx[used_rels.binary_search(&r.0).expect("candidate relation has a context")]
-        };
-        let rp_values: Vec<LinkValues<RelationId>> = sharded_map(
-            pool,
-            &rp_cands.iter().zip(&rp_keys).collect::<Vec<_>>(),
-            |((cands, side_probs), (key, ()))| {
+            let mut rp_new: Vec<(String, LinkValues<RelationId>)> =
+                rp_keys.into_iter().zip(rp_cands).collect();
+            let mut used_rels: Vec<u32> =
+                rp_new.iter().flat_map(|(_, (c, _, _))| c).map(|r| r.0).collect();
+            used_rels.sort_unstable();
+            used_rels.dedup();
+            let used_ctx: Vec<Vec<(PhraseCtx, PhraseCtx)>> =
+                sharded_map(pool, &used_rels, |&rid| {
+                    ckb.relation(RelationId(rid))
+                        .surface_forms
+                        .iter()
+                        .map(|sf| {
+                            let normed = jocl_text::normalize::morph_normalize_rp(sf);
+                            (signals.phrase_ctx(sf), signals.phrase_ctx(&normed))
+                        })
+                        .collect()
+                });
+            let ctx_of = |r: RelationId| -> &Vec<(PhraseCtx, PhraseCtx)> {
+                &used_ctx[used_rels.binary_search(&r.0).expect("candidate relation has a context")]
+            };
+            let feats = sharded_map(pool, &rp_new, |(key, (cands, _, _))| {
                 let pctx = signals.phrase_ctx(key);
                 let nctx = signals.phrase_ctx(&jocl_text::normalize::morph_normalize_rp(key));
-                let feats: Vec<Vec<f64>> = cands
+                cands
                     .iter()
                     .map(|&r| relation_link_features_ctx(signals, &pctx, &nctx, ctx_of(r), fs))
-                    .collect();
-                ((*cands).clone(), feats, (*side_probs).clone())
-            },
-        );
-        graph.reserve(okb.num_rp_mentions(), okb.num_rp_mentions());
-        for m in okb.rp_mentions() {
-            let key = okb.rp_phrase(m).to_lowercase();
-            let (cands, feats, side_probs) = &rp_values[rp_index[&key]];
-            if cands.is_empty() {
-                continue;
-            }
-            let var = graph.add_var_with_class(cands.len() as u32, classes::VAR_LINK);
-            graph.add_factor(
-                &[var],
-                Potential::Features { group: groups.alpha5, feats: feats.clone() },
-                classes::F5,
-            );
-            if let Some(probs) = side_probs {
-                graph.add_factor(
-                    &[var],
-                    Potential::from_probs(groups.gamma, probs.clone()),
-                    classes::S2,
-                );
-            }
-            rp_link_vars[m.dense()] = Some(var);
-            rp_candidates[m.dense()] = cands.clone();
-        }
-    }
-
-    // ---------------- canonicalization variables + F1/F2/F3 --------------
-    let mut subj_pair_vars = Vec::new();
-    let mut pred_pair_vars = Vec::new();
-    let mut obj_pair_vars = Vec::new();
-    if with_canon {
-        // Distinct phrase pairs, similarities computed from the
-        // canonical key (lexicographically ordered lowercase forms):
-        // similarity functions are symmetric semantically but not to the
-        // last ulp (summation order), so only a canonical argument order
-        // keeps a cache refill — batch, incremental, or restored from a
-        // snapshot — bit-for-bit identical.
-        let np_pair_items =
-            blocking
-                .subj_pairs
-                .iter()
-                .map(|&(ti, tj)| (okb.triple(ti).subject.as_str(), okb.triple(tj).subject.as_str()))
-                .chain(blocking.obj_pairs.iter().map(|&(ti, tj)| {
-                    (okb.triple(ti).object.as_str(), okb.triple(tj).object.as_str())
-                }));
-        let (np_pair_keys, np_pair_index) =
-            distinct_keys(np_pair_items.map(|(a, b)| (ordered_key(a, b), ())));
-        let np_pair_sims: Vec<Vec<f64>> = sharded_map(pool, &np_pair_keys, |(key, ())| {
-            np_canon_features(signals, &key.0, &key.1, fs)
-        });
-        let (rp_pair_keys, rp_pair_index) =
-            distinct_keys(blocking.pred_pairs.iter().map(|&(ti, tj)| {
-                (ordered_key(&okb.triple(ti).predicate, &okb.triple(tj).predicate), ())
-            }));
-        let rp_pair_sims: Vec<Vec<f64>> = sharded_map(pool, &rp_pair_keys, |(key, ())| {
-            rp_canon_features(signals, &key.0, &key.1, fs)
-        });
-
-        // Per family: pre-allocate the pair variables, build the factor
-        // batch in shards, merge in order.
-        for (pairs, group, class, out, sims, index, phrase_of) in [
-            (
-                &blocking.subj_pairs,
-                groups.alpha1,
-                classes::F1,
-                &mut subj_pair_vars,
-                &np_pair_sims,
-                &np_pair_index,
-                (|t: &jocl_kb::Triple| t.subject.as_str()) as fn(&jocl_kb::Triple) -> &str,
-            ),
-            (
-                &blocking.pred_pairs,
-                groups.alpha2,
-                classes::F2,
-                &mut pred_pair_vars,
-                &rp_pair_sims,
-                &rp_pair_index,
-                |t: &jocl_kb::Triple| t.predicate.as_str(),
-            ),
-            (
-                &blocking.obj_pairs,
-                groups.alpha3,
-                classes::F3,
-                &mut obj_pair_vars,
-                &np_pair_sims,
-                &np_pair_index,
-                |t: &jocl_kb::Triple| t.object.as_str(),
-            ),
-        ] {
-            let vars = graph.add_vars(pairs.len(), 2, classes::VAR_CANON);
-            let potentials: Vec<Potential> = sharded_map(pool, pairs, |&(ti, tj)| {
-                let key = ordered_key(phrase_of(okb.triple(ti)), phrase_of(okb.triple(tj)));
-                pair_potential(group, &sims[index[&key]])
+                    .collect()
             });
-            graph.add_factor_batch(
-                vars.iter().zip(potentials).map(|(&v, p)| FactorSpec::new(vec![v], p, class)),
-            );
-            *out = pairs.iter().zip(vars).map(|(&(ti, tj), v)| (ti, tj, v)).collect();
+            for ((_, values), f) in rp_new.iter_mut().zip(feats) {
+                values.1 = f;
+            }
+            self.rp_values.extend(rp_new);
         }
 
-        // U1–U3 transitivity triangles.
-        let tables = transitivity_scores();
-        let mut budget = config.max_triangles;
-        for (pairs, class, beta_idx) in [
-            (&subj_pair_vars, classes::U1, 0usize),
-            (&pred_pair_vars, classes::U2, 1),
-            (&obj_pair_vars, classes::U3, 2),
-        ] {
-            let added = add_triangles(
-                &mut graph,
-                pairs,
-                groups.beta[beta_idx],
-                &tables,
-                class,
-                &mut budget,
-            );
-            stats.triangles += added;
-        }
+        let sims = sharded_map(pool, &np_pair_keys, |(a, b)| np_canon_features(signals, a, b, fs));
+        self.np_pair_sims.extend(np_pair_keys.into_iter().zip(sims));
+        let sims = sharded_map(pool, &rp_pair_keys, |(a, b)| rp_canon_features(signals, a, b, fs));
+        self.rp_pair_sims.extend(rp_pair_keys.into_iter().zip(sims));
     }
 
-    // ---------------- U4 fact inclusion ----------------------------------
-    if with_linking {
-        // Triples whose three linking variables all exist, in triple
-        // order; the candidate-product fact probes run sharded.
-        let u4_items: Vec<(VarId, VarId, VarId, usize, usize, usize)> = okb
-            .triples()
-            .filter_map(|(t, _)| {
-                let sm = NpMention { triple: t, slot: NpSlot::Subject }.dense();
-                let om = NpMention { triple: t, slot: NpSlot::Object }.dense();
-                let rm = RpMention(t).dense();
-                match (np_link_vars[sm], rp_link_vars[rm], np_link_vars[om]) {
-                    (Some(sv), Some(rv), Some(ov)) => Some((sv, rv, ov, sm, rm, om)),
-                    _ => None,
+    /// Append the variables and factors of `new_ids` and `delta` to
+    /// `plan` from the filled caches, in the fixed order of
+    /// [`GraphBuilder::extend`].
+    fn assemble(
+        &mut self,
+        pool: &Pool<'_>,
+        plan: &mut GraphPlan,
+        input: &BuildInput<'_>,
+        delta: &Blocking,
+        new_ids: &[TripleId],
+    ) {
+        let BuildInput { okb, ckb, live, config, .. } = *input;
+        let (with_linking, with_canon, with_consistency) = parts(config.variant);
+        let groups = plan.groups;
+        let families = families(delta);
+
+        // ---------------- linking variables + F4/F5/F6 ------------------
+        if with_linking {
+            plan.graph.reserve(2 * new_ids.len(), 2 * new_ids.len());
+            for m in np_mentions(new_ids) {
+                let values = &self.np_values[&okb.np_phrase(m).to_lowercase()];
+                let (group, class) = match m.slot {
+                    NpSlot::Subject => (groups.alpha4, classes::F4),
+                    NpSlot::Object => (groups.alpha6, classes::F6),
+                };
+                let side = (classes::S1, groups.gamma);
+                if let Some(var) = add_link_var(&mut plan.graph, values, group, class, side) {
+                    plan.np_link_vars[m.dense()] = Some(var);
+                    plan.np_candidates[m.dense()] = values.0.clone();
                 }
-            })
-            .collect();
-        let specs: Vec<FactorSpec> = sharded_map(pool, &u4_items, |&(sv, rv, ov, sm, rm, om)| {
-            let cs = &np_candidates[sm];
-            let cr = &rp_candidates[rm];
-            let co = &np_candidates[om];
-            let (ks, kr, ko) = (cs.len(), cr.len(), co.len());
-            let mut high = Vec::new();
-            for (oi, &o) in co.iter().enumerate() {
-                for (ri, &r) in cr.iter().enumerate() {
-                    for (si, &s) in cs.iter().enumerate() {
-                        if ckb.has_fact(s, r, o) {
-                            high.push((si + ks * ri + ks * kr * oi) as u32);
+            }
+            plan.graph.reserve(new_ids.len(), new_ids.len());
+            for &t in new_ids {
+                let m = RpMention(t);
+                let values = &self.rp_values[&okb.rp_phrase(m).to_lowercase()];
+                let side = (classes::S2, groups.gamma);
+                if let Some(var) =
+                    add_link_var(&mut plan.graph, values, groups.alpha5, classes::F5, side)
+                {
+                    plan.rp_link_vars[m.dense()] = Some(var);
+                    plan.rp_candidates[m.dense()] = values.0.clone();
+                }
+            }
+        }
+
+        // ---------------- canonicalization variables + F1/F2/F3 ---------
+        let mut pair_vars: [Vec<VarId>; 3] = Default::default();
+        if with_canon {
+            let canon = [
+                (groups.alpha1, classes::F1, &self.np_pair_sims),
+                (groups.alpha2, classes::F2, &self.rp_pair_sims),
+                (groups.alpha3, classes::F3, &self.np_pair_sims),
+            ];
+            for (fam, (group, class, sims)) in canon.into_iter().enumerate() {
+                let (pairs, phrase) = families[fam];
+                let vars = plan.graph.add_vars(pairs.len(), 2, classes::VAR_CANON);
+                let potentials: Vec<Potential> = sharded_map(pool, pairs, |&(ti, tj)| {
+                    let key = ordered_key(phrase(okb.triple(ti)), phrase(okb.triple(tj)));
+                    pair_potential(group, &sims[&key])
+                });
+                plan.graph.add_factor_batch(
+                    vars.iter().zip(potentials).map(|(&v, p)| FactorSpec::new(vec![v], p, class)),
+                );
+                pair_vars[fam] = vars;
+            }
+
+            // U1–U3 transitivity: triangles that gained ≥1 new edge, in
+            // sorted (i, j, k) order, against the budget.
+            let tables = transitivity_scores();
+            for (fam, class) in [classes::U1, classes::U2, classes::U3].into_iter().enumerate() {
+                for vars in self.tri[fam].close(families[fam].0, &pair_vars[fam], live) {
+                    if self.triangle_budget == 0 {
+                        self.triangles_skipped = true;
+                        break;
+                    }
+                    self.triangle_budget -= 1;
+                    plan.graph.add_factor(
+                        &vars,
+                        Potential::Scores { group: groups.beta[fam], scores: tables.clone() },
+                        class,
+                    );
+                    plan.stats.triangles += 1;
+                }
+            }
+        }
+
+        // ---------------- U4 fact inclusion -----------------------------
+        if with_linking {
+            // New triples whose three linking variables all exist, in
+            // triple order; the candidate-product fact probes run sharded.
+            let items: Vec<(VarId, VarId, VarId, usize, usize, usize)> = new_ids
+                .iter()
+                .filter_map(|&t| {
+                    let sm = NpMention { triple: t, slot: NpSlot::Subject }.dense();
+                    let om = NpMention { triple: t, slot: NpSlot::Object }.dense();
+                    let rm = RpMention(t).dense();
+                    let (sv, rv) = (plan.np_link_vars[sm]?, plan.rp_link_vars[rm]?);
+                    Some((sv, rv, plan.np_link_vars[om]?, sm, rm, om))
+                })
+                .collect();
+            let specs: Vec<FactorSpec> = sharded_map(pool, &items, |&(sv, rv, ov, sm, rm, om)| {
+                let cs = &plan.np_candidates[sm];
+                let cr = &plan.rp_candidates[rm];
+                let co = &plan.np_candidates[om];
+                let (ks, kr, ko) = (cs.len(), cr.len(), co.len());
+                let mut high = Vec::new();
+                for (oi, &o) in co.iter().enumerate() {
+                    for (ri, &r) in cr.iter().enumerate() {
+                        for (si, &s) in cs.iter().enumerate() {
+                            if ckb.has_fact(s, r, o) {
+                                high.push((si + ks * ri + ks * kr * oi) as u32);
+                            }
                         }
                     }
                 }
-            }
-            FactorSpec::new(
-                vec![sv, rv, ov],
-                Potential::two_level(groups.beta[3], ks * kr * ko, high, 0.9, 0.1),
-                classes::U4,
-            )
-        });
-        stats.fact_factors = specs.len();
-        graph.add_factor_batch(specs);
-    }
+                FactorSpec::new(
+                    vec![sv, rv, ov],
+                    Potential::two_level(groups.beta[3], ks * kr * ko, high, 0.9, 0.1),
+                    classes::U4,
+                )
+            });
+            plan.stats.fact_factors += specs.len();
+            plan.graph.add_factor_batch(specs);
+        }
 
-    // ---------------- U5–U7 consistency ----------------------------------
-    if with_consistency {
-        for (pairs, class, beta_idx, slot) in [
-            (&subj_pair_vars, classes::U5, 4usize, Some(NpSlot::Subject)),
-            (&pred_pair_vars, classes::U6, 5, None),
-            (&obj_pair_vars, classes::U7, 6, Some(NpSlot::Object)),
-        ] {
-            // Applicable pairs (both mentions have linking variables), in
-            // pair order; equality tables are built in shards.
-            let items: Vec<(VarId, VarId, VarId, usize, usize)> = pairs
-                .iter()
-                .filter_map(|&(ti, tj, pair_var)| {
-                    let (ma, mb) = match slot {
-                        Some(s) => (
-                            NpMention { triple: ti, slot: s }.dense(),
-                            NpMention { triple: tj, slot: s }.dense(),
-                        ),
-                        None => (RpMention(ti).dense(), RpMention(tj).dense()),
-                    };
-                    let (va, vb) = match slot {
-                        Some(_) => (np_link_vars[ma], np_link_vars[mb]),
-                        None => (rp_link_vars[ma], rp_link_vars[mb]),
-                    };
-                    match (va, vb) {
-                        (Some(va), Some(vb)) => Some((va, vb, pair_var, ma, mb)),
-                        _ => None,
-                    }
-                })
-                .collect();
-            let specs: Vec<FactorSpec> =
-                sharded_map(pool, &items, |&(va, vb, pair_var, ma, mb)| {
-                    let same_fn: EqualityTable = match slot {
-                        Some(_) => equality_table(&np_candidates[ma], &np_candidates[mb]),
-                        None => equality_table(&rp_candidates[ma], &rp_candidates[mb]),
-                    };
-                    let ka = graph.cardinality(va) as usize;
-                    let kb = graph.cardinality(vb) as usize;
-                    // Config (a, b, x): high when (cand_a == cand_b) ⟺ (x == 1).
-                    let mut high = Vec::with_capacity(ka * kb);
-                    for &(a, b, same) in &same_fn {
-                        let x = usize::from(same); // the agreeing state
-                        high.push((a + ka * b + ka * kb * x) as u32);
-                    }
-                    FactorSpec::new(
-                        vec![va, vb, pair_var],
-                        Potential::two_level(groups.beta[beta_idx], ka * kb * 2, high, 0.7, 0.3),
-                        class,
-                    )
-                });
-            stats.consistency_factors += specs.len();
-            graph.add_factor_batch(specs);
+        // ---------------- U5–U7 consistency -----------------------------
+        if with_consistency {
+            let slots = [Some(NpSlot::Subject), None, Some(NpSlot::Object)];
+            for (fam, class) in [classes::U5, classes::U6, classes::U7].into_iter().enumerate() {
+                let slot = slots[fam];
+                // New pair variables whose mentions both have linking
+                // variables, in pair order; equality tables are built in
+                // shards.
+                let items: Vec<(VarId, VarId, VarId, usize, usize)> = families[fam]
+                    .0
+                    .iter()
+                    .zip(&pair_vars[fam])
+                    .filter_map(|(&(ti, tj), &pair_var)| {
+                        let (ma, mb, va, vb) = match slot {
+                            Some(s) => {
+                                let ma = NpMention { triple: ti, slot: s }.dense();
+                                let mb = NpMention { triple: tj, slot: s }.dense();
+                                (ma, mb, plan.np_link_vars[ma], plan.np_link_vars[mb])
+                            }
+                            None => {
+                                let (ma, mb) = (RpMention(ti).dense(), RpMention(tj).dense());
+                                (ma, mb, plan.rp_link_vars[ma], plan.rp_link_vars[mb])
+                            }
+                        };
+                        Some((va?, vb?, pair_var, ma, mb))
+                    })
+                    .collect();
+                let specs: Vec<FactorSpec> =
+                    sharded_map(pool, &items, |&(va, vb, pair_var, ma, mb)| {
+                        let same_fn: EqualityTable = match slot {
+                            Some(_) => {
+                                equality_table(&plan.np_candidates[ma], &plan.np_candidates[mb])
+                            }
+                            None => {
+                                equality_table(&plan.rp_candidates[ma], &plan.rp_candidates[mb])
+                            }
+                        };
+                        let ka = plan.graph.cardinality(va) as usize;
+                        let kb = plan.graph.cardinality(vb) as usize;
+                        // Config (a, b, x): high when (cand_a == cand_b) ⟺ (x == 1).
+                        let mut high = Vec::with_capacity(ka * kb);
+                        for &(a, b, same) in &same_fn {
+                            let x = usize::from(same); // the agreeing state
+                            high.push((a + ka * b + ka * kb * x) as u32);
+                        }
+                        let beta = groups.beta[4 + fam];
+                        FactorSpec::new(
+                            vec![va, vb, pair_var],
+                            Potential::two_level(beta, ka * kb * 2, high, 0.7, 0.3),
+                            class,
+                        )
+                    });
+                plan.stats.consistency_factors += specs.len();
+                plan.graph.add_factor_batch(specs);
+            }
+        }
+
+        // Record the pair variables, keeping each registry sorted by
+        // triple pair (conflict resolution in `decode` is sensitive to the
+        // order).
+        let registries =
+            [&mut plan.subj_pair_vars, &mut plan.pred_pair_vars, &mut plan.obj_pair_vars];
+        for ((out, (pairs, _)), vars) in registries.into_iter().zip(families).zip(&pair_vars) {
+            out.extend(pairs.iter().zip(vars).map(|(&(a, b), &v)| (a, b, v)));
+            out.sort_unstable_by_key(|&(a, b, _)| (a, b));
         }
     }
+}
 
-    GraphPlan {
-        graph,
-        params,
-        groups,
-        np_link_vars,
-        np_candidates,
-        rp_link_vars,
-        rp_candidates,
-        subj_pair_vars,
-        pred_pair_vars,
-        obj_pair_vars,
-        stats,
+/// The factor families `variant` builds: (linking, canonicalization,
+/// consistency).
+fn parts(variant: Variant) -> (bool, bool, bool) {
+    (
+        matches!(variant, Variant::Full | Variant::LinkOnly | Variant::NoConsistency),
+        matches!(variant, Variant::Full | Variant::CanoOnly | Variant::NoConsistency),
+        matches!(variant, Variant::Full),
+    )
+}
+
+/// One family's delta pairs and the triple slot its phrases come from.
+type PairFamily<'a> = (&'a [(TripleId, TripleId)], fn(&jocl_kb::Triple) -> &str);
+
+/// The subject, predicate and object families of `delta`.
+fn families(delta: &Blocking) -> [PairFamily<'_>; 3] {
+    [
+        (&delta.subj_pairs, |t| t.subject.as_str()),
+        (&delta.pred_pairs, |t| t.predicate.as_str()),
+        (&delta.obj_pairs, |t| t.object.as_str()),
+    ]
+}
+
+/// The canonical similarity key of every pair in `family`: the
+/// lexicographically ordered lowercase forms. Similarity functions are
+/// symmetric semantically but not to the last ulp (summation order), so
+/// only a canonical argument order keeps a cache refill bit-for-bit
+/// identical.
+fn pair_keys<'a>(
+    okb: &'a Okb,
+    (pairs, phrase): PairFamily<'a>,
+) -> impl Iterator<Item = (String, String)> + 'a {
+    pairs.iter().map(move |&(a, b)| ordered_key(phrase(okb.triple(a)), phrase(okb.triple(b))))
+}
+
+/// The subject and object mentions of `ids`, in dense order.
+fn np_mentions(ids: &[TripleId]) -> impl Iterator<Item = NpMention> + '_ {
+    ids.iter().flat_map(|&triple| {
+        [NpSlot::Subject, NpSlot::Object].map(|slot| NpMention { triple, slot })
+    })
+}
+
+/// Append one linking variable over `values`' candidates with its
+/// feature factor (`group`/`class`) and, when the phrase has imported
+/// side information, its `(class, group)` prior `side`. `None` (and
+/// nothing appended) for a phrase without candidates.
+fn add_link_var<Id>(
+    graph: &mut FactorGraph,
+    (cands, feats, side_probs): &LinkValues<Id>,
+    group: usize,
+    class: u8,
+    (side_class, side_group): (u8, usize),
+) -> Option<VarId> {
+    if cands.is_empty() {
+        return None;
     }
+    let var = graph.add_var_with_class(cands.len() as u32, classes::VAR_LINK);
+    graph.add_factor(&[var], Potential::Features { group, feats: feats.clone() }, class);
+    if let Some(probs) = side_probs {
+        graph.add_factor(&[var], Potential::from_probs(side_group, probs.clone()), side_class);
+    }
+    Some(var)
 }
 
 /// Per-phrase linking cache entry: candidate ids, per-candidate feature
 /// vectors, and the optional side-information probability row.
-pub(crate) type LinkValues<Id> = (Vec<Id>, Vec<Vec<f64>>, Option<Vec<f64>>);
+type LinkValues<Id> = (Vec<Id>, Vec<Vec<f64>>, Option<Vec<f64>>);
 
 /// `(a_state, b_state, equal?)` for all candidate combinations.
-pub(crate) type EqualityTable = Vec<(usize, usize, bool)>;
+type EqualityTable = Vec<(usize, usize, bool)>;
 
-pub(crate) fn equality_table<T: PartialEq>(a: &[T], b: &[T]) -> EqualityTable {
+fn equality_table<T: PartialEq>(a: &[T], b: &[T]) -> EqualityTable {
     let mut out = Vec::with_capacity(a.len() * b.len());
     for (ai, av) in a.iter().enumerate() {
         for (bi, bv) in b.iter().enumerate() {
@@ -1007,13 +1210,13 @@ pub(crate) fn equality_table<T: PartialEq>(a: &[T], b: &[T]) -> EqualityTable {
 }
 
 /// F1/F2/F3 potential: state 0 features are `1 − s`, state 1 features `s`.
-pub(crate) fn pair_potential(group: usize, sims: &[f64]) -> Potential {
+fn pair_potential(group: usize, sims: &[f64]) -> Potential {
     let state0: Vec<f64> = sims.iter().map(|s| 1.0 - s).collect();
     let state1 = sims.to_vec();
     Potential::Features { group, feats: vec![state0, state1] }
 }
 
-pub(crate) fn ordered_key(a: &str, b: &str) -> (String, String) {
+fn ordered_key(a: &str, b: &str) -> (String, String) {
     let (a, b) = (a.to_lowercase(), b.to_lowercase());
     if a <= b {
         (a, b)
@@ -1069,13 +1272,14 @@ pub fn entity_link_features(
     v
 }
 
-/// [`relation_link_features`] over precomputed contexts: `p` is the
-/// phrase, `pn` its morph-normalized form, `surfaces` the candidate
-/// relation's `(surface, normalized-surface)` contexts. Produces the
-/// identical vector without re-tokenizing/normalizing per candidate —
-/// the sharded builder's hot path (the uncached function below is the
-/// reference implementation, kept for one-off callers and the
-/// equivalence test).
+/// Relation linking feature vector ⟨f_ngram, f_LD, f'_emb, f'_PPDB⟩
+/// (§3.2.4) over precomputed contexts: `p` is the phrase, `pn` its
+/// morph-normalized form, `surfaces` the candidate relation's
+/// `(surface, normalized-surface)` contexts. RP comparisons run on raw
+/// and morphologically normalized forms and keep the best score against
+/// the best-matching surface form (OIE pipelines conventionally
+/// normalize RPs, and the CKB's surface inventory stores base forms). A
+/// test keeps it equal to an uncached reference implementation.
 fn relation_link_features_ctx(
     signals: &Signals,
     p: &PhraseCtx,
@@ -1102,88 +1306,44 @@ fn relation_link_features_ctx(
     v
 }
 
-/// Relation linking feature vector ⟨f_ngram, f_LD, f'_emb, f'_PPDB⟩
-/// (§3.2.4). String similarity is taken against the best-matching surface
-/// form of the candidate relation.
-pub fn relation_link_features(
-    signals: &Signals,
-    ckb: &Ckb,
-    phrase: &str,
-    r: RelationId,
-    fs: FeatureSet,
-) -> Vec<f64> {
-    let rel = ckb.relation(r);
-    // RP comparisons run on raw and morphologically normalized forms and
-    // keep the best score (OIE pipelines conventionally normalize RPs,
-    // and the CKB's surface inventory stores base forms).
-    let normed = jocl_text::normalize::morph_normalize_rp(phrase);
-    let best = |f: &dyn Fn(&str, &str) -> f64| -> f64 {
-        rel.surface_forms
-            .iter()
-            .map(|sf| f(phrase, sf).max(f(&normed, &jocl_text::normalize::morph_normalize_rp(sf))))
-            .fold(0.0, f64::max)
-    };
-    let mut v = vec![best(&|a, b| signals.sim_ngram(a, b))];
-    if fs != FeatureSet::Single {
-        v.push(best(&|a, b| signals.sim_ld(a, b)));
-    }
-    if fs == FeatureSet::All {
-        v.push(best(&|a, b| signals.sim_emb(a, b)));
-        v.push(best(&|a, b| signals.sim_ppdb(a, b)));
-    }
-    v
-}
-
-/// Add transitivity factors for all triangles in a pair-variable family,
-/// up to `budget`. Returns the number added.
-fn add_triangles(
-    graph: &mut FactorGraph,
-    pairs: &[(TripleId, TripleId, VarId)],
-    group: usize,
-    scores: &[f64],
-    class: u8,
-    budget: &mut usize,
-) -> usize {
-    // Edge map (i, j) -> var.
-    let mut edge: FxHashMap<(u32, u32), VarId> = FxHashMap::default();
-    let mut adj: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for &(a, b, v) in pairs {
-        edge.insert((a.0, b.0), v);
-        adj.entry(a.0).or_default().push(b.0);
-        adj.entry(b.0).or_default().push(a.0);
-    }
-    let mut nodes: Vec<u32> = adj.keys().copied().collect();
-    nodes.sort_unstable();
-    let mut added = 0usize;
-    'outer: for &i in &nodes {
-        let mut nbrs: Vec<u32> = adj[&i].iter().copied().filter(|&n| n > i).collect();
-        nbrs.sort_unstable();
-        for (a_idx, &j) in nbrs.iter().enumerate() {
-            for &k in &nbrs[a_idx + 1..] {
-                let (Some(&vij), Some(&vjk), Some(&vik)) =
-                    (edge.get(&(i, j)), edge.get(&(j, k)), edge.get(&(i, k)))
-                else {
-                    continue;
-                };
-                if *budget == 0 {
-                    break 'outer;
-                }
-                *budget -= 1;
-                graph.add_factor(
-                    &[vij, vjk, vik],
-                    Potential::Scores { group, scores: scores.to_vec() },
-                    class,
-                );
-                added += 1;
-            }
-        }
-    }
-    added
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference relation linking feature vector ⟨f_ngram, f_LD, f'_emb,
+    /// f'_PPDB⟩ (§3.2.4): string similarity against the best-matching
+    /// surface form of the candidate relation, recomputing every
+    /// normalization — the oracle for [`relation_link_features_ctx`].
+    fn relation_link_features(
+        signals: &Signals,
+        ckb: &Ckb,
+        phrase: &str,
+        r: RelationId,
+        fs: FeatureSet,
+    ) -> Vec<f64> {
+        let rel = ckb.relation(r);
+        // RP comparisons run on raw and morphologically normalized forms and
+        // keep the best score (OIE pipelines conventionally normalize RPs,
+        // and the CKB's surface inventory stores base forms).
+        let normed = jocl_text::normalize::morph_normalize_rp(phrase);
+        let best = |f: &dyn Fn(&str, &str) -> f64| -> f64 {
+            rel.surface_forms
+                .iter()
+                .map(|sf| {
+                    f(phrase, sf).max(f(&normed, &jocl_text::normalize::morph_normalize_rp(sf)))
+                })
+                .fold(0.0, f64::max)
+        };
+        let mut v = vec![best(&|a, b| signals.sim_ngram(a, b))];
+        if fs != FeatureSet::Single {
+            v.push(best(&|a, b| signals.sim_ld(a, b)));
+        }
+        if fs == FeatureSet::All {
+            v.push(best(&|a, b| signals.sim_emb(a, b)));
+            v.push(best(&|a, b| signals.sim_ppdb(a, b)));
+        }
+        v
+    }
 
     #[test]
     fn transitivity_table_matches_paper() {
@@ -1266,41 +1426,77 @@ mod tests {
         }
     }
 
+    /// Grow a plan from `okb` in `deltas` contiguous arrival batches on
+    /// a `threads`-worker pool (unclamped: `effective_threads` would cap
+    /// it at the hardware).
+    fn grow(
+        okb: &Okb,
+        ckb: &Ckb,
+        signals: &Signals,
+        config: &JoclConfig,
+        deltas: usize,
+        threads: usize,
+    ) -> GraphPlan {
+        let config = JoclConfig { build_threads: threads, ..config.clone() };
+        let (params, groups) = init_params(config.features);
+        let mut plan = GraphPlan::empty(params, groups);
+        let mut builder = GraphBuilder::new(&config);
+        let mut index = crate::blocking::BlockingIndex::new(&config);
+        let mut prefix = Okb::new();
+        let triples: Vec<jocl_kb::Triple> = okb.triples().map(|(_, t)| t.clone()).collect();
+        for chunk in triples.chunks(triples.len().div_ceil(deltas)) {
+            let mut delta = Blocking::default();
+            for t in chunk {
+                let id = prefix.add_triple(t.clone());
+                delta.extend(index.append_triple(id, t, signals));
+            }
+            for pairs in [&mut delta.subj_pairs, &mut delta.pred_pairs, &mut delta.obj_pairs] {
+                pairs.sort_unstable();
+            }
+            let input = BuildInput { okb: &prefix, ckb, signals, config: &config, live: &[] };
+            builder.extend_on(&mut plan, &input, &delta, threads);
+        }
+        plan
+    }
+
     /// Sharding must not influence the built graph: any `build_threads`
     /// produces an identical structure, identical potentials, and
-    /// identical plan indexes.
+    /// identical plan indexes — for a whole-OKB build and for a warm
+    /// plan grown by three deltas alike.
     #[test]
     fn build_is_identical_for_any_thread_count() {
+        let sgns = jocl_embed::SgnsOptions { dim: 8, epochs: 2, ..Default::default() };
         let ex = crate::example::figure1();
-        let signals = crate::signals::build_signals(
-            &ex.okb,
-            &ex.ckb,
-            &ex.ppdb,
-            &ex.corpus,
-            &jocl_embed::SgnsOptions { dim: 8, epochs: 2, ..Default::default() },
-        );
-        let build = |threads: usize| {
-            // `effective_threads` clamps to the hardware, so drive the
-            // sharded path directly with an unclamped pool.
-            let config = JoclConfig { build_threads: threads, ..ex.config() };
-            let blocking = crate::blocking::block_pairs(&ex.okb, &signals, &config);
-            jocl_exec::with_pool(threads, |pool| {
-                build_graph_sharded(&ex.okb, &ex.ckb, &signals, &blocking, &config, pool)
-            })
-        };
-        let base = build(1);
-        for threads in [2usize, 4] {
-            let plan = build(threads);
-            assert_eq!(plan.graph.num_vars(), base.graph.num_vars());
-            assert_eq!(plan.graph.num_factors(), base.graph.num_factors());
-            // Debug output covers cardinalities, adjacency, classes, and
-            // every potential value — a full structural fingerprint.
-            assert_eq!(format!("{:?}", plan.graph), format!("{:?}", base.graph));
-            assert_eq!(plan.np_candidates, base.np_candidates);
-            assert_eq!(plan.rp_candidates, base.rp_candidates);
-            assert_eq!(plan.subj_pair_vars, base.subj_pair_vars);
-            assert_eq!(plan.pred_pair_vars, base.pred_pair_vars);
-            assert_eq!(plan.obj_pair_vars, base.obj_pair_vars);
+        let ex_signals =
+            crate::signals::build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &sgns);
+        let world = jocl_datagen::reverb45k_like(3, 0.002);
+        let mut okb = Okb::new();
+        for (_, t) in world.okb.triples() {
+            okb.ingest_triple(t.clone());
+        }
+        let signals =
+            crate::signals::build_signals(&okb, &world.ckb, &world.ppdb, &world.corpus, &sgns);
+        let world_config = JoclConfig::default();
+        for (what, okb, ckb, signals, config, deltas) in [
+            ("figure 1", &ex.okb, &ex.ckb, &ex_signals, &ex.config(), 1),
+            ("world batch", &okb, &world.ckb, &signals, &world_config, 1),
+            ("world warm", &okb, &world.ckb, &signals, &world_config, 3),
+        ] {
+            let base = grow(okb, ckb, signals, config, deltas, 1);
+            assert!(base.graph.num_factors() > 0, "{what}: nothing built");
+            for threads in [2usize, 4] {
+                let plan = grow(okb, ckb, signals, config, deltas, threads);
+                // Debug output covers cardinalities, adjacency, classes,
+                // and every potential value — a full structural
+                // fingerprint.
+                assert_eq!(format!("{:?}", plan.graph), format!("{:?}", base.graph), "{what}");
+                assert_eq!(plan.np_candidates, base.np_candidates, "{what}");
+                assert_eq!(plan.rp_candidates, base.rp_candidates, "{what}");
+                assert_eq!(plan.subj_pair_vars, base.subj_pair_vars, "{what}");
+                assert_eq!(plan.pred_pair_vars, base.pred_pair_vars, "{what}");
+                assert_eq!(plan.obj_pair_vars, base.obj_pair_vars, "{what}");
+                assert_eq!(plan.stats, base.stats, "{what}");
+            }
         }
     }
 }

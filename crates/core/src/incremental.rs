@@ -19,9 +19,11 @@
 //!    of the arrival sequence, so batch and incremental blocking agree
 //!    by construction;
 //! 3. **appends** the new linking/pair variables and their F1–F6, U1–U7
-//!    factors to the factor graph (ids and adjacency of existing nodes
-//!    are never disturbed), reusing the same per-distinct-phrase feature
-//!    caches across deltas;
+//!    factors through the one graph-construction path,
+//!    `builder::GraphBuilder::extend` — the same pass that
+//!    [`crate::build_graph`] runs once over a whole OKB. Ids and adjacency
+//!    of existing nodes are never disturbed, and the builder's
+//!    per-distinct-key caches and triangle indexes persist across deltas;
 //! 4. **warm-starts LBP** via [`LbpEngine::resume`]: prior messages are
 //!    seeded and only the *dirty* factor blocks — the ones this delta
 //!    appended — are primed into the residual queue, so convergence work
@@ -110,25 +112,18 @@
 //! file-level wrapper in `jocl_serve` fingerprints the config to catch
 //! mismatches.
 
-use crate::blocking::{BlockingDelta, BlockingIndex};
-use crate::builder::{
-    entity_link_features, equality_table, init_params, np_canon_features, ordered_key,
-    pair_potential, relation_link_features, rp_canon_features, transitivity_scores, BuildStats,
-    GraphPlan, LinkValues,
-};
-use crate::config::{classes, JoclConfig, Variant};
+use crate::blocking::{Blocking, BlockingIndex};
+use crate::builder::{init_params, BuildInput, GraphBuilder, GraphPlan};
+use crate::config::JoclConfig;
 use crate::decode::{decode_live, Diagnostics, JoclOutput};
 use crate::pipeline::lbp_options;
 use crate::signals::Signals;
 use jocl_cluster::UnionFind;
 use jocl_fg::lbp::LbpEngine;
-use jocl_fg::{FactorGraph, FactorId, LbpMessages, LbpResult, Marginals, Potential, VarId};
+use jocl_fg::{FactorId, LbpMessages, LbpResult, Marginals, VarId};
 use jocl_kb::snap::{SnapReader, SnapWriter};
-use jocl_kb::{
-    CandidateGen, Ckb, EntityId, KbError, NpMention, NpSlot, Okb, RelationId, RpMention, Triple,
-    TripleId,
-};
-use jocl_text::fx::{FxHashMap, FxHashSet};
+use jocl_kb::{Ckb, KbError, NpMention, NpSlot, Okb, RpMention, Triple, TripleId};
+use jocl_text::fx::FxHashSet;
 
 /// Cached handles for the incremental-engine metrics, registered once
 /// so `apply_ops`/`compact` never touch the registry mutex. Purely
@@ -231,23 +226,6 @@ pub struct DeltaOutput {
     pub stats: DeltaStats,
 }
 
-/// Per-family pair-variable adjacency for incremental transitivity
-/// closure: `edges[(i, j)]` (i < j) is the pair variable, `adj` the
-/// undirected neighbor lists.
-#[derive(Debug, Clone, Default)]
-struct TriangleIndex {
-    edges: FxHashMap<(u32, u32), VarId>,
-    adj: FxHashMap<u32, Vec<u32>>,
-}
-
-impl TriangleIndex {
-    fn insert(&mut self, a: TripleId, b: TripleId, v: VarId) {
-        self.edges.insert((a.0, b.0), v);
-        self.adj.entry(a.0).or_default().push(b.0);
-        self.adj.entry(b.0).or_default().push(a.0);
-    }
-}
-
 /// A persistent canonicalization + linking session over a streaming OKB.
 ///
 /// Borrows the CKB and the frozen [`Signals`] (they are shared,
@@ -274,18 +252,9 @@ pub struct IncrementalJocl<'a> {
     marginals: Vec<Vec<f64>>,
     /// Connected components over variables (factors union their vars).
     components: UnionFind,
-    /// Candidate + feature (+ side-information probability) cache per
-    /// distinct lowercase NP phrase.
-    np_values: FxHashMap<String, LinkValues<EntityId>>,
-    /// Candidate + feature (+ side-information probability) cache per
-    /// distinct lowercase RP phrase.
-    rp_values: FxHashMap<String, LinkValues<RelationId>>,
-    /// F1/F3 similarity cache per ordered lowercase phrase pair.
-    np_pair_sims: FxHashMap<(String, String), Vec<f64>>,
-    /// F2 similarity cache per ordered lowercase phrase pair.
-    rp_pair_sims: FxHashMap<(String, String), Vec<f64>>,
-    /// Pair-graph adjacency per family (subject, predicate, object).
-    tri: [TriangleIndex; 3],
+    /// Cross-delta build state: per-key caches, triangle indexes and the
+    /// transitivity-triangle budget.
+    builder: GraphBuilder,
     /// Liveness per triple id (`false` = retracted). Always sized to the
     /// OKB after a delta.
     live: Vec<bool>,
@@ -295,11 +264,6 @@ pub struct IncrementalJocl<'a> {
     num_dead_factors: usize,
     /// Count of retracted triples still physically present.
     num_dead_triples: usize,
-    /// Remaining transitivity-triangle budget (`config.max_triangles`).
-    triangle_budget: usize,
-    /// Set once a triangle was actually dropped for lack of budget (an
-    /// exactly-consumed budget with nothing skipped keeps parity).
-    triangles_skipped: bool,
     /// Message updates across the whole session (all deltas).
     pub total_message_updates: u64,
 }
@@ -341,41 +305,22 @@ impl<'a> IncrementalJocl<'a> {
             }
             params = pre.clone();
         }
-        let plan = GraphPlan {
-            graph: FactorGraph::new(),
-            params,
-            groups,
-            np_link_vars: Vec::new(),
-            np_candidates: Vec::new(),
-            rp_link_vars: Vec::new(),
-            rp_candidates: Vec::new(),
-            subj_pair_vars: Vec::new(),
-            pred_pair_vars: Vec::new(),
-            obj_pair_vars: Vec::new(),
-            stats: BuildStats::default(),
-        };
         Self {
             blocking: BlockingIndex::new(&config),
-            triangle_budget: config.max_triangles,
+            builder: GraphBuilder::new(&config),
             config,
             ckb,
             signals,
             okb: Okb::new(),
-            plan,
+            plan: GraphPlan::empty(params, groups),
             messages: None,
             prior_converged: true,
             marginals: Vec::new(),
             components: UnionFind::new(0),
-            np_values: FxHashMap::default(),
-            rp_values: FxHashMap::default(),
-            np_pair_sims: FxHashMap::default(),
-            rp_pair_sims: FxHashMap::default(),
-            tri: [TriangleIndex::default(), TriangleIndex::default(), TriangleIndex::default()],
             live: Vec::new(),
             dead_factors: Vec::new(),
             num_dead_factors: 0,
             num_dead_triples: 0,
-            triangles_skipped: false,
             total_message_updates: 0,
         }
     }
@@ -467,23 +412,15 @@ impl<'a> IncrementalJocl<'a> {
             self.live[id.idx()] = false;
         }
         self.num_dead_triples += retracted_ids.len();
-        // Triples both added and retracted within this delta never get
-        // variables at all; the rest of the fresh set does.
-        let live_new_ids: Vec<TripleId> =
-            new_ids.iter().copied().filter(|id| self.live[id.idx()]).collect();
 
         // --- 2. incremental blocking -------------------------------------
         // Every fresh triple enters the blocking index (its id exists and
         // the index is the arrival log), but pairs with a tombstoned
         // endpoint are dropped before they can become variables: the
         // reference batch run on the survivors has no such pair either.
-        let mut delta = BlockingDelta::default();
+        let mut delta = Blocking::default();
         for &id in &new_ids {
-            let triple = self.okb.triple(id).clone();
-            let d = self.blocking.append_triple(id, &triple, self.signals);
-            delta.subj_pairs.extend(d.subj_pairs);
-            delta.pred_pairs.extend(d.pred_pairs);
-            delta.obj_pairs.extend(d.obj_pairs);
+            delta.extend(self.blocking.append_triple(id, self.okb.triple(id), self.signals));
         }
         for pairs in [&mut delta.subj_pairs, &mut delta.pred_pairs, &mut delta.obj_pairs] {
             pairs.retain(|&(a, b)| self.live[a.idx()] && self.live[b.idx()]);
@@ -491,9 +428,19 @@ impl<'a> IncrementalJocl<'a> {
         }
 
         // --- 3. append-only graph growth + tombstoning -------------------
+        // Triples both added and retracted within this delta never get
+        // variables at all (the builder skips dead ids); the rest of the
+        // fresh set does.
         let first_new_var = self.plan.graph.num_vars();
         let first_new_factor = self.plan.graph.num_factors();
-        self.extend_plan(&live_new_ids, &delta);
+        let input = BuildInput {
+            okb: &self.okb,
+            ckb: self.ckb,
+            signals: self.signals,
+            config: &self.config,
+            live: &self.live,
+        };
+        self.builder.extend(&mut self.plan, &input, &delta);
         let num_vars = self.plan.graph.num_vars();
         let num_factors = self.plan.graph.num_factors();
         self.dead_factors.resize(num_factors, false);
@@ -629,7 +576,7 @@ impl<'a> IncrementalJocl<'a> {
                 affected_components: affected.len(),
                 total_components: self.components.num_components(),
                 refreshed_vars: refreshed,
-                triangle_budget_exhausted: self.triangles_skipped,
+                triangle_budget_exhausted: self.builder.triangles_skipped(),
                 warm_started,
                 lbp,
             },
@@ -654,16 +601,7 @@ impl<'a> IncrementalJocl<'a> {
             if let Some(v) = self.plan.rp_link_vars[RpMention(t).dense()] {
                 dead_vars.push(v);
             }
-            for tri in &self.tri {
-                if let Some(nbrs) = tri.adj.get(&t.0) {
-                    for &n in nbrs {
-                        let key = (t.0.min(n), t.0.max(n));
-                        if let Some(&v) = tri.edges.get(&key) {
-                            dead_vars.push(v);
-                        }
-                    }
-                }
-            }
+            dead_vars.extend(self.builder.pair_vars_of(t));
         }
         dead_vars.sort_unstable();
         dead_vars.dedup();
@@ -769,10 +707,7 @@ impl<'a> IncrementalJocl<'a> {
         let _span = jocl_obs::span!("compaction");
         let survivors = self.live_triples();
         let mut fresh = IncrementalJocl::new(self.config.clone(), self.ckb, self.signals);
-        fresh.np_values = std::mem::take(&mut self.np_values);
-        fresh.rp_values = std::mem::take(&mut self.rp_values);
-        fresh.np_pair_sims = std::mem::take(&mut self.np_pair_sims);
-        fresh.rp_pair_sims = std::mem::take(&mut self.rp_pair_sims);
+        fresh.builder.adopt_caches(&mut self.builder);
         fresh.total_message_updates = self.total_message_updates;
         let mut out = fresh.apply_delta(&survivors);
         out.stats.compacted = true;
@@ -817,8 +752,8 @@ impl<'a> IncrementalJocl<'a> {
         w.usize(components);
         w.bool_slice_packed(&self.live);
         w.bool_slice_packed(&self.dead_factors);
-        w.usize(self.triangle_budget);
-        w.bool(self.triangles_skipped);
+        w.usize(self.builder.triangle_budget());
+        w.bool(self.builder.triangles_skipped());
         w.u64(self.total_message_updates);
         w.into_bytes()
     }
@@ -941,18 +876,8 @@ impl<'a> IncrementalJocl<'a> {
 
         // Rebuild the pair-graph adjacency from the plan's registries
         // (pure function of them; insertion order does not influence any
-        // decision downstream — triangle candidates are collected into a
-        // sorted set).
-        let mut tri =
-            [TriangleIndex::default(), TriangleIndex::default(), TriangleIndex::default()];
-        for (fam, list) in [&plan.subj_pair_vars, &plan.pred_pair_vars, &plan.obj_pair_vars]
-            .into_iter()
-            .enumerate()
-        {
-            for &(a, b, v) in list {
-                tri[fam].insert(a, b, v);
-            }
-        }
+        // decision downstream — triangle candidates are sorted).
+        let builder = GraphBuilder::restore(&plan, triangle_budget, triangles_skipped);
         let num_dead_triples = live.iter().filter(|&&l| !l).count();
         let num_dead_factors = dead_factors.iter().filter(|&&d| d).count();
         Ok(Self {
@@ -966,17 +891,11 @@ impl<'a> IncrementalJocl<'a> {
             prior_converged,
             marginals,
             components,
-            np_values: FxHashMap::default(),
-            rp_values: FxHashMap::default(),
-            np_pair_sims: FxHashMap::default(),
-            rp_pair_sims: FxHashMap::default(),
-            tri,
+            builder,
             live,
             dead_factors,
             num_dead_factors,
             num_dead_triples,
-            triangle_budget,
-            triangles_skipped,
             total_message_updates,
         })
     }
@@ -1004,312 +923,6 @@ impl<'a> IncrementalJocl<'a> {
     /// cannot change.
     pub fn message_heap_bytes(&self) -> usize {
         self.messages.as_ref().map_or(0, |m| m.heap_bytes())
-    }
-
-    /// Append the delta's variables and factors to the plan. Mirrors the
-    /// batch builder factor by factor: every potential value is computed
-    /// by the same functions over the same frozen signals, so the grown
-    /// graph carries the identical factors as a batch build on the union
-    /// (only node *ids* differ, which decoding never observes).
-    fn extend_plan(&mut self, new_ids: &[TripleId], delta: &BlockingDelta) {
-        let fs = self.config.features;
-        let with_linking = matches!(
-            self.config.variant,
-            Variant::Full | Variant::LinkOnly | Variant::NoConsistency
-        );
-        let with_canon = matches!(
-            self.config.variant,
-            Variant::Full | Variant::CanoOnly | Variant::NoConsistency
-        );
-        let with_consistency = matches!(self.config.variant, Variant::Full);
-        let groups = self.plan.groups;
-
-        self.plan.np_link_vars.resize(self.okb.num_np_mentions(), None);
-        self.plan.np_candidates.resize(self.okb.num_np_mentions(), Vec::new());
-        self.plan.rp_link_vars.resize(self.okb.num_rp_mentions(), None);
-        self.plan.rp_candidates.resize(self.okb.num_rp_mentions(), Vec::new());
-
-        // ---------------- linking variables + F4/F5/F6 -------------------
-        if with_linking {
-            let gen = CandidateGen::new(self.ckb, self.config.candidates.clone());
-            for &t in new_ids {
-                for slot in [NpSlot::Subject, NpSlot::Object] {
-                    let m = NpMention { triple: t, slot };
-                    // Cache values are computed from the canonical
-                    // (lowercase) key, exactly like the batch builder —
-                    // see its comment: only canonical inputs keep cache
-                    // refills (including after a snapshot restore)
-                    // bit-for-bit reproducible.
-                    let key = self.okb.np_phrase(m).to_lowercase();
-                    let side = crate::builder::active_side_info(&self.config);
-                    let (cands, feats, side_probs) =
-                        self.np_values.entry(key.clone()).or_insert_with(|| {
-                            let scored = gen.entity_candidates(&key);
-                            let mut cands: Vec<EntityId> = scored.iter().map(|s| s.id).collect();
-                            let side_probs =
-                                crate::builder::entity_side_probs(side, self.ckb, &key, &mut cands);
-                            let feats: Vec<Vec<f64>> = cands
-                                .iter()
-                                .map(|&e| entity_link_features(self.signals, self.ckb, &key, e, fs))
-                                .collect();
-                            (cands, feats, side_probs)
-                        });
-                    if cands.is_empty() {
-                        continue;
-                    }
-                    let var =
-                        self.plan.graph.add_var_with_class(cands.len() as u32, classes::VAR_LINK);
-                    let (group, class) = match slot {
-                        NpSlot::Subject => (groups.alpha4, classes::F4),
-                        NpSlot::Object => (groups.alpha6, classes::F6),
-                    };
-                    self.plan.graph.add_factor(
-                        &[var],
-                        Potential::Features { group, feats: feats.clone() },
-                        class,
-                    );
-                    if let Some(probs) = side_probs {
-                        // An appended factor lands in the dirty range
-                        // `first_new_factor..`, so new side info primes
-                        // only dirty blocks — exactly like F4/F6.
-                        self.plan.graph.add_factor(
-                            &[var],
-                            Potential::from_probs(groups.gamma, probs.clone()),
-                            classes::S1,
-                        );
-                    }
-                    self.plan.np_link_vars[m.dense()] = Some(var);
-                    self.plan.np_candidates[m.dense()] = cands.clone();
-                }
-                let m = RpMention(t);
-                let key = self.okb.rp_phrase(m).to_lowercase();
-                let side = crate::builder::active_side_info(&self.config);
-                let (cands, feats, side_probs) =
-                    self.rp_values.entry(key.clone()).or_insert_with(|| {
-                        let scored = gen.relation_candidates(&key);
-                        let mut cands: Vec<RelationId> = scored.iter().map(|s| s.id).collect();
-                        let side_probs =
-                            crate::builder::relation_side_probs(side, self.ckb, &key, &mut cands);
-                        let feats: Vec<Vec<f64>> = cands
-                            .iter()
-                            .map(|&r| relation_link_features(self.signals, self.ckb, &key, r, fs))
-                            .collect();
-                        (cands, feats, side_probs)
-                    });
-                if !cands.is_empty() {
-                    let var =
-                        self.plan.graph.add_var_with_class(cands.len() as u32, classes::VAR_LINK);
-                    self.plan.graph.add_factor(
-                        &[var],
-                        Potential::Features { group: groups.alpha5, feats: feats.clone() },
-                        classes::F5,
-                    );
-                    if let Some(probs) = side_probs {
-                        self.plan.graph.add_factor(
-                            &[var],
-                            Potential::from_probs(groups.gamma, probs.clone()),
-                            classes::S2,
-                        );
-                    }
-                    self.plan.rp_link_vars[m.dense()] = Some(var);
-                    self.plan.rp_candidates[m.dense()] = cands.clone();
-                }
-            }
-        }
-
-        // ---------------- canonicalization variables + F1/F2/F3 ----------
-        if with_canon {
-            let tables = transitivity_scores();
-            for (fam, new_pairs) in
-                [&delta.subj_pairs, &delta.pred_pairs, &delta.obj_pairs].into_iter().enumerate()
-            {
-                let (group, class, u_class, beta_idx, slot) = match fam {
-                    0 => (groups.alpha1, classes::F1, classes::U1, 0usize, Some(NpSlot::Subject)),
-                    1 => (groups.alpha2, classes::F2, classes::U2, 1, None),
-                    _ => (groups.alpha3, classes::F3, classes::U3, 2, Some(NpSlot::Object)),
-                };
-                // Pair variables and their feature factors.
-                let mut new_vars: Vec<VarId> = Vec::with_capacity(new_pairs.len());
-                for &(ti, tj) in new_pairs {
-                    let (pa, pb) = {
-                        let (ta, tb) = (self.okb.triple(ti), self.okb.triple(tj));
-                        match slot {
-                            Some(NpSlot::Subject) => (ta.subject.clone(), tb.subject.clone()),
-                            Some(NpSlot::Object) => (ta.object.clone(), tb.object.clone()),
-                            None => (ta.predicate.clone(), tb.predicate.clone()),
-                        }
-                    };
-                    let cache = if slot.is_some() {
-                        &mut self.np_pair_sims
-                    } else {
-                        &mut self.rp_pair_sims
-                    };
-                    // Similarities from the canonical ordered key, as in
-                    // the batch builder (cache refills must be bit-exact).
-                    let key = ordered_key(&pa, &pb);
-                    let sims = cache.entry(key.clone()).or_insert_with(|| {
-                        if slot.is_some() {
-                            np_canon_features(self.signals, &key.0, &key.1, fs)
-                        } else {
-                            rp_canon_features(self.signals, &key.0, &key.1, fs)
-                        }
-                    });
-                    let var = self.plan.graph.add_var_with_class(2, classes::VAR_CANON);
-                    self.plan.graph.add_factor(&[var], pair_potential(group, sims), class);
-                    new_vars.push(var);
-                }
-
-                // U1–U3 transitivity: close triangles that gained ≥1 new
-                // edge, in sorted (i, j, k) order, against the session
-                // budget.
-                let tri = &mut self.tri[fam];
-                for (&(ti, tj), &v) in new_pairs.iter().zip(&new_vars) {
-                    tri.insert(ti, tj, v);
-                }
-                let mut found: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
-                for &(ti, tj) in new_pairs {
-                    let (a, b) = (ti.0, tj.0);
-                    let (na, nb) = match (tri.adj.get(&a), tri.adj.get(&b)) {
-                        (Some(na), Some(nb)) => (na, nb),
-                        _ => continue,
-                    };
-                    let smaller = if na.len() <= nb.len() { na } else { nb };
-                    for &c in smaller {
-                        // A third vertex that has been retracted must not
-                        // close a triangle: its two edges are tombstoned
-                        // pair variables, and the reference batch run on
-                        // the survivors has no such triangle.
-                        if c == a || c == b || !self.live.get(c as usize).copied().unwrap_or(true) {
-                            continue;
-                        }
-                        let e1 = (a.min(c), a.max(c));
-                        let e2 = (b.min(c), b.max(c));
-                        if tri.edges.contains_key(&e1) && tri.edges.contains_key(&e2) {
-                            let mut t3 = [a, b, c];
-                            t3.sort_unstable();
-                            found.insert((t3[0], t3[1], t3[2]));
-                        }
-                    }
-                }
-                let mut found: Vec<(u32, u32, u32)> = found.into_iter().collect();
-                found.sort_unstable();
-                for (i, j, k) in found {
-                    if self.triangle_budget == 0 {
-                        self.triangles_skipped = true;
-                        break;
-                    }
-                    let (vij, vjk, vik) =
-                        (tri.edges[&(i, j)], tri.edges[&(j, k)], tri.edges[&(i, k)]);
-                    self.triangle_budget -= 1;
-                    self.plan.graph.add_factor(
-                        &[vij, vjk, vik],
-                        Potential::Scores { group: groups.beta[beta_idx], scores: tables.clone() },
-                        u_class,
-                    );
-                    self.plan.stats.triangles += 1;
-                }
-
-                // U5–U7 consistency for pair variables whose mentions
-                // both carry linking variables.
-                if with_consistency {
-                    let (con_class, con_beta) = match fam {
-                        0 => (classes::U5, 4usize),
-                        1 => (classes::U6, 5),
-                        _ => (classes::U7, 6),
-                    };
-                    for (&(ti, tj), &pair_var) in new_pairs.iter().zip(&new_vars) {
-                        let (ma, mb) = match slot {
-                            Some(s) => (
-                                NpMention { triple: ti, slot: s }.dense(),
-                                NpMention { triple: tj, slot: s }.dense(),
-                            ),
-                            None => (RpMention(ti).dense(), RpMention(tj).dense()),
-                        };
-                        let (va, vb) = match slot {
-                            Some(_) => (self.plan.np_link_vars[ma], self.plan.np_link_vars[mb]),
-                            None => (self.plan.rp_link_vars[ma], self.plan.rp_link_vars[mb]),
-                        };
-                        let (Some(va), Some(vb)) = (va, vb) else { continue };
-                        let table = match slot {
-                            Some(_) => equality_table(
-                                &self.plan.np_candidates[ma],
-                                &self.plan.np_candidates[mb],
-                            ),
-                            None => equality_table(
-                                &self.plan.rp_candidates[ma],
-                                &self.plan.rp_candidates[mb],
-                            ),
-                        };
-                        let ka = self.plan.graph.cardinality(va) as usize;
-                        let kb = self.plan.graph.cardinality(vb) as usize;
-                        let mut high = Vec::with_capacity(ka * kb);
-                        for &(a, b, same) in &table {
-                            let x = usize::from(same);
-                            high.push((a + ka * b + ka * kb * x) as u32);
-                        }
-                        self.plan.graph.add_factor(
-                            &[va, vb, pair_var],
-                            Potential::two_level(
-                                groups.beta[con_beta],
-                                ka * kb * 2,
-                                high,
-                                0.7,
-                                0.3,
-                            ),
-                            con_class,
-                        );
-                        self.plan.stats.consistency_factors += 1;
-                    }
-                }
-
-                // Record the pair variables and restore the batch order
-                // (sorted by triple pair), which conflict resolution in
-                // `decode` is sensitive to.
-                let out = match fam {
-                    0 => &mut self.plan.subj_pair_vars,
-                    1 => &mut self.plan.pred_pair_vars,
-                    _ => &mut self.plan.obj_pair_vars,
-                };
-                out.extend(new_pairs.iter().zip(&new_vars).map(|(&(a, b), &v)| (a, b, v)));
-                out.sort_unstable_by_key(|&(a, b, _)| (a, b));
-            }
-        }
-
-        // ---------------- U4 fact inclusion ------------------------------
-        if with_linking {
-            for &t in new_ids {
-                let sm = NpMention { triple: t, slot: NpSlot::Subject }.dense();
-                let om = NpMention { triple: t, slot: NpSlot::Object }.dense();
-                let rm = RpMention(t).dense();
-                let (Some(sv), Some(rv), Some(ov)) = (
-                    self.plan.np_link_vars[sm],
-                    self.plan.rp_link_vars[rm],
-                    self.plan.np_link_vars[om],
-                ) else {
-                    continue;
-                };
-                let cs = &self.plan.np_candidates[sm];
-                let cr = &self.plan.rp_candidates[rm];
-                let co = &self.plan.np_candidates[om];
-                let (ks, kr, ko) = (cs.len(), cr.len(), co.len());
-                let mut high = Vec::new();
-                for (oi, &o) in co.iter().enumerate() {
-                    for (ri, &r) in cr.iter().enumerate() {
-                        for (si, &s) in cs.iter().enumerate() {
-                            if self.ckb.has_fact(s, r, o) {
-                                high.push((si + ks * ri + ks * kr * oi) as u32);
-                            }
-                        }
-                    }
-                }
-                self.plan.graph.add_factor(
-                    &[sv, rv, ov],
-                    Potential::two_level(groups.beta[3], ks * kr * ko, high, 0.9, 0.1),
-                    classes::U4,
-                );
-                self.plan.stats.fact_factors += 1;
-            }
-        }
     }
 }
 
@@ -1368,6 +981,58 @@ fn read_arena(r: &mut SnapReader, config: &JoclConfig) -> Result<jocl_fg::Messag
             let q = jocl_fg::QuantArena::from_state(anchors, residuals)
                 .map_err(|msg| KbError::Snapshot { offset: at, msg })?;
             Ok(jocl_fg::MessageArena::Quantized(q))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blocking::block_pairs;
+    use crate::builder::build_graph;
+    use crate::signals::build_signals;
+    use jocl_fg::ScheduleMode;
+
+    /// One graph builder: a session whose first delta is the whole OKB
+    /// holds exactly the plan `build_graph` produces on that OKB — same
+    /// node order, potentials, candidates, pair registries and stats.
+    #[test]
+    fn whole_okb_delta_holds_the_batch_plan() {
+        let sgns = jocl_embed::SgnsOptions { dim: 8, epochs: 2, ..Default::default() };
+        let ex = crate::example::figure1();
+        let ex_signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &sgns);
+        let world = jocl_datagen::reverb45k_like(5, 0.002);
+        let mut okb = Okb::new();
+        for (_, t) in world.okb.triples() {
+            okb.ingest_triple(t.clone());
+        }
+        let signals = build_signals(&okb, &world.ckb, &world.ppdb, &world.corpus, &sgns);
+        let world_config = JoclConfig { train_epochs: 0, ..JoclConfig::default() };
+        for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
+            for (what, okb, ckb, signals, base) in [
+                ("figure 1", &ex.okb, &ex.ckb, &ex_signals, ex.config()),
+                ("reverb45k_like", &okb, &world.ckb, &signals, world_config.clone()),
+            ] {
+                let mut config = base;
+                config.lbp.mode = mode;
+                let blocking = block_pairs(okb, signals, &config);
+                let batch = build_graph(okb, ckb, signals, &blocking, &config);
+                let triples: Vec<Triple> = okb.triples().map(|(_, t)| t.clone()).collect();
+                let mut session = IncrementalJocl::new(config, ckb, signals);
+                session.apply_delta(&triples);
+                let plan = &session.plan;
+                let what = format!("{what} {mode:?}");
+                assert!(plan.graph.num_factors() > 0, "{what}: nothing built");
+                assert_eq!(format!("{:?}", plan.graph), format!("{:?}", batch.graph), "{what}");
+                assert_eq!(plan.np_link_vars, batch.np_link_vars, "{what}");
+                assert_eq!(plan.np_candidates, batch.np_candidates, "{what}");
+                assert_eq!(plan.rp_link_vars, batch.rp_link_vars, "{what}");
+                assert_eq!(plan.rp_candidates, batch.rp_candidates, "{what}");
+                assert_eq!(plan.subj_pair_vars, batch.subj_pair_vars, "{what}");
+                assert_eq!(plan.pred_pair_vars, batch.pred_pair_vars, "{what}");
+                assert_eq!(plan.obj_pair_vars, batch.obj_pair_vars, "{what}");
+                assert_eq!(plan.stats, batch.stats, "{what}");
+            }
         }
     }
 }

@@ -40,7 +40,7 @@ pub mod persist;
 pub mod pipeline;
 pub mod signals;
 
-pub use blocking::{block_pairs, Blocking, BlockingDelta, BlockingIndex};
+pub use blocking::{block_pairs, Blocking, BlockingIndex};
 pub use builder::{build_graph, GraphPlan};
 pub use config::{FeatureSet, JoclConfig, Variant};
 pub use decode::JoclOutput;
