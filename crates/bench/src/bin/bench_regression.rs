@@ -1,7 +1,7 @@
 //! **bench-regression** — the CI perf gate.
 //!
-//! Re-times the six hot-path metrics the project optimizes for
-//! (`lbp_sweep`, `graph_build`, `end_to_end`, `delta_ingest`,
+//! Re-times the seven hot-path metrics the project optimizes for
+//! (`lbp_sweep`, `graph_build`, `end_to_end`, `train`, `delta_ingest`,
 //! `snapshot_restore`, `replica_catchup`) with criterion-style
 //! median-of-N wall-clock sampling, then compares them against the
 //! checked-in `BENCH_BASELINE.json` at the repository root. Any metric
@@ -39,12 +39,14 @@
 //! `JOCL_BENCH_BASELINE` (alternate baseline path). Refresh the
 //! baseline deliberately via the script, never by hand-editing.
 
+use jocl_bench::runner::validation_labels;
+use jocl_core::config::paper_schedule;
 use jocl_core::signals::build_signals;
 use jocl_core::{block_pairs, build_graph, Jocl, JoclConfig};
 use jocl_datagen::reverb45k_like;
 use jocl_embed::SgnsOptions;
 use jocl_fg::lbp::LbpEngine;
-use jocl_fg::{FactorGraph, LbpOptions, Params, Potential, VarId};
+use jocl_fg::{train, FactorGraph, LbpOptions, Params, Potential, TrainOptions, VarId};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -166,6 +168,34 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
         "end_to_end",
         median_ns(7, || {
             black_box(Jocl::new(e2e_config.clone()).run_with_signals(input, &signals, None));
+        }),
+    ));
+
+    // train: weight learning (paper §3.4) on the end_to_end graph, which
+    // `end_to_end` itself skips (`train_epochs: 0`). Two epochs of one
+    // clamped + one free residual LBP run each, clamped to the gold
+    // labels of a 20% validation split; `grad_tol: 0` keeps the epoch
+    // count fixed. Every sample starts from the built weights.
+    let plan = build_graph(&dataset.okb, &dataset.ckb, &signals, &blocking, &config);
+    let (validation, _) = dataset.entity_split(0.2, 5);
+    let clamps = validation_labels(&dataset, &validation).clamps(&dataset.okb, &plan);
+    assert!(!clamps.is_empty(), "the train metric needs labeled variables to clamp");
+    let train_opts = TrainOptions {
+        learning_rate: config.learning_rate,
+        max_epochs: 2,
+        grad_tol: 0.0,
+        l2: 1e-3,
+        lbp: LbpOptions {
+            schedule: paper_schedule(),
+            mode: jocl_core::ScheduleMode::Residual,
+            ..config.lbp.clone()
+        },
+    };
+    metrics.push_calibrated((
+        "train",
+        median_ns(7, || {
+            let mut params = plan.params.clone();
+            black_box(train(&plan.graph, &mut params, &clamps, &train_opts));
         }),
     ));
 

@@ -11,7 +11,7 @@
 //! ```
 
 use crate::blocking::block_pairs;
-use crate::builder::build_graph;
+use crate::builder::{build_graph, GraphPlan};
 use crate::config::{paper_schedule, JoclConfig};
 use crate::decode::{decode, Diagnostics, JoclOutput};
 use crate::signals::{build_signals, Signals};
@@ -64,6 +64,63 @@ impl ValidationLabels {
             + self.rp_relation.iter().flatten().count()
             + self.np_cluster.iter().flatten().count()
             + self.rp_cluster.iter().flatten().count()
+    }
+
+    /// The labels as variable clamps on `plan`, the graph built for `okb`
+    /// (the clamped half of weight learning, paper §3.4). A link variable
+    /// clamps to its gold candidate's index when the gold item is a
+    /// candidate; a pair variable clamps to gold same (1) / different (0)
+    /// where both mentions are labeled.
+    pub fn clamps(&self, okb: &Okb, plan: &GraphPlan) -> Vec<(VarId, u32)> {
+        let mut clamps = Vec::new();
+        // Linking variables: clamp to the gold candidate index when present.
+        for m in okb.np_mentions() {
+            let d = m.dense();
+            let (Some(var), Some(gold)) =
+                (plan.np_link_vars[d], self.np_entity.get(d).copied().flatten())
+            else {
+                continue;
+            };
+            if let Some(idx) = plan.np_candidates[d].iter().position(|&e| e == gold) {
+                clamps.push((var, idx as u32));
+            }
+        }
+        for m in okb.rp_mentions() {
+            let d = m.dense();
+            let (Some(var), Some(gold)) =
+                (plan.rp_link_vars[d], self.rp_relation.get(d).copied().flatten())
+            else {
+                continue;
+            };
+            if let Some(idx) = plan.rp_candidates[d].iter().position(|&r| r == gold) {
+                clamps.push((var, idx as u32));
+            }
+        }
+        // Pair variables: clamp to gold same/different where both mentions are
+        // labeled.
+        let np_label = |m: NpMention| self.np_cluster.get(m.dense()).copied().flatten();
+        for &(ti, tj, var) in &plan.subj_pair_vars {
+            let a = np_label(NpMention { triple: ti, slot: NpSlot::Subject });
+            let b = np_label(NpMention { triple: tj, slot: NpSlot::Subject });
+            if let (Some(a), Some(b)) = (a, b) {
+                clamps.push((var, u32::from(a == b)));
+            }
+        }
+        for &(ti, tj, var) in &plan.obj_pair_vars {
+            let a = np_label(NpMention { triple: ti, slot: NpSlot::Object });
+            let b = np_label(NpMention { triple: tj, slot: NpSlot::Object });
+            if let (Some(a), Some(b)) = (a, b) {
+                clamps.push((var, u32::from(a == b)));
+            }
+        }
+        for &(ti, tj, var) in &plan.pred_pair_vars {
+            let a = self.rp_cluster.get(RpMention(ti).dense()).copied().flatten();
+            let b = self.rp_cluster.get(RpMention(tj).dense()).copied().flatten();
+            if let (Some(a), Some(b)) = (a, b) {
+                clamps.push((var, u32::from(a == b)));
+            }
+        }
+        clamps
     }
 }
 
@@ -125,7 +182,7 @@ impl Jocl {
             plan.params = pre.clone();
         } else if config.train_epochs > 0 {
             if let Some(labels) = labels {
-                let clamp_list = collect_clamps(input.okb, &plan, labels);
+                let clamp_list = labels.clamps(input.okb, &plan);
                 if !clamp_list.is_empty() {
                     let opts = TrainOptions {
                         learning_rate: config.learning_rate,
@@ -166,63 +223,6 @@ impl Jocl {
 /// incremental session so warm runs converge the identical system.
 pub(crate) fn lbp_options(config: &JoclConfig) -> jocl_fg::LbpOptions {
     jocl_fg::LbpOptions { schedule: paper_schedule(), ..config.lbp.clone() }
-}
-
-/// Convert sparse gold labels into variable clamps.
-fn collect_clamps(
-    okb: &Okb,
-    plan: &crate::builder::GraphPlan,
-    labels: &ValidationLabels,
-) -> Vec<(VarId, u32)> {
-    let mut clamps = Vec::new();
-    // Linking variables: clamp to the gold candidate index when present.
-    for m in okb.np_mentions() {
-        let d = m.dense();
-        let (Some(var), Some(gold)) =
-            (plan.np_link_vars[d], labels.np_entity.get(d).copied().flatten())
-        else {
-            continue;
-        };
-        if let Some(idx) = plan.np_candidates[d].iter().position(|&e| e == gold) {
-            clamps.push((var, idx as u32));
-        }
-    }
-    for m in okb.rp_mentions() {
-        let d = m.dense();
-        let (Some(var), Some(gold)) =
-            (plan.rp_link_vars[d], labels.rp_relation.get(d).copied().flatten())
-        else {
-            continue;
-        };
-        if let Some(idx) = plan.rp_candidates[d].iter().position(|&r| r == gold) {
-            clamps.push((var, idx as u32));
-        }
-    }
-    // Pair variables: clamp to gold same/different where both mentions are
-    // labeled.
-    let np_label = |m: NpMention| labels.np_cluster.get(m.dense()).copied().flatten();
-    for &(ti, tj, var) in &plan.subj_pair_vars {
-        let a = np_label(NpMention { triple: ti, slot: NpSlot::Subject });
-        let b = np_label(NpMention { triple: tj, slot: NpSlot::Subject });
-        if let (Some(a), Some(b)) = (a, b) {
-            clamps.push((var, u32::from(a == b)));
-        }
-    }
-    for &(ti, tj, var) in &plan.obj_pair_vars {
-        let a = np_label(NpMention { triple: ti, slot: NpSlot::Object });
-        let b = np_label(NpMention { triple: tj, slot: NpSlot::Object });
-        if let (Some(a), Some(b)) = (a, b) {
-            clamps.push((var, u32::from(a == b)));
-        }
-    }
-    for &(ti, tj, var) in &plan.pred_pair_vars {
-        let a = labels.rp_cluster.get(RpMention(ti).dense()).copied().flatten();
-        let b = labels.rp_cluster.get(RpMention(tj).dense()).copied().flatten();
-        if let (Some(a), Some(b)) = (a, b) {
-            clamps.push((var, u32::from(a == b)));
-        }
-    }
-    clamps
 }
 
 #[cfg(test)]

@@ -54,3 +54,49 @@ fn residual_mode_counter_survives_training() {
     assert!(out.diagnostics.train_epochs > 0, "fixture must actually train");
     assert!(out.diagnostics.lbp.message_updates > 0);
 }
+
+#[test]
+fn training_is_thread_invariant_through_the_pipeline() {
+    // Learning runs its clamped and free LBP halves concurrently once
+    // the thread budget is ≥ 2; the learned weights and everything
+    // decoded from them must not depend on that budget.
+    use jocl_core::pipeline::ValidationLabels;
+    use jocl_kb::{NpMention, NpSlot, RpMention, TripleId};
+
+    let ex = figure1();
+    let mut labels = ValidationLabels::empty(&ex.okb);
+    for (t, e) in [(0, ex.e_umd), (1, ex.e_umd)] {
+        let m = NpMention { triple: TripleId(t), slot: NpSlot::Subject };
+        labels.np_entity[m.dense()] = Some(e);
+        labels.np_cluster[m.dense()] = Some(0);
+    }
+    labels.rp_relation[RpMention(TripleId(0)).dense()] = Some(ex.r_location);
+
+    for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
+        let run = |threads: usize| {
+            let mut config = ex.config();
+            config.train_epochs = 2;
+            config.lbp.mode = mode;
+            config.lbp.threads = threads;
+            config.lbp.exact_threads = true;
+            Jocl::new(config).run(ex.input(), Some(&labels))
+        };
+        let (serial, pooled) = (run(1), run(4));
+        assert!(serial.diagnostics.train_epochs > 0, "{mode:?}: fixture must actually train");
+        let bits = |out: &jocl_core::JoclOutput| {
+            let p = out.learned_params.as_ref().expect("learned params");
+            (0..p.num_groups())
+                .map(|g| p.group(g).iter().map(|w| w.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&pooled), bits(&serial), "{mode:?}: learned weights differ");
+        assert_eq!(pooled.np_links, serial.np_links, "{mode:?}");
+        assert_eq!(pooled.rp_links, serial.rp_links, "{mode:?}");
+        assert_eq!(pooled.np_clustering.assignment(), serial.np_clustering.assignment());
+        assert_eq!(pooled.rp_clustering.assignment(), serial.rp_clustering.assignment());
+        assert_eq!(
+            pooled.diagnostics.lbp.message_updates, serial.diagnostics.lbp.message_updates,
+            "{mode:?}"
+        );
+    }
+}

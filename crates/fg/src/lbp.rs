@@ -529,7 +529,7 @@ impl<'g> LbpEngine<'g> {
     }
 
     /// Worker count for a run, honoring `exact_threads`.
-    fn run_threads(opts: &LbpOptions) -> usize {
+    pub(crate) fn run_threads(opts: &LbpOptions) -> usize {
         if opts.exact_threads {
             opts.threads.max(1)
         } else {
@@ -1286,20 +1286,36 @@ impl<'g> LbpEngine<'g> {
     /// `b_f(c) ∝ φ(c) · Π_v m_{v→f}(c_v)`. Used to compute the feature
     /// expectations of the learning gradient (paper Eq. 6).
     pub fn factor_belief(&self, params: &Params, f: FactorId) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.factor_belief_into(params, f, &mut Scratch::default(), &mut out);
+        out
+    }
+
+    /// [`LbpEngine::factor_belief`] into a caller-owned buffer: `out` is
+    /// overwritten with the belief, `scratch` is reused, so a loop over
+    /// every factor allocates nothing once the buffers have grown.
+    pub fn factor_belief_into(
+        &self,
+        params: &Params,
+        f: FactorId,
+        scratch: &mut Scratch,
+        out: &mut Vec<f64>,
+    ) {
         let fd = &self.graph.factors[f.idx()];
         let arity = fd.vars.len();
         let edge_start = self.factor_edge_start[f.idx()] as usize;
-        let offsets: Vec<usize> =
-            (edge_start..edge_start + arity).map(|e| self.edge_offset[e]).collect();
-        let mut states = vec![0u32; arity];
-        let mut log_b = Vec::with_capacity(fd.table_size);
+        scratch.edge_offsets.clear();
+        scratch.edge_offsets.extend((edge_start..edge_start + arity).map(|e| self.edge_offset[e]));
+        scratch.states.clear();
+        scratch.states.resize(arity, 0);
+        out.clear();
         for flat in 0..fd.table_size {
             let mut lp = fd.potential.log_phi(params, flat);
-            for (k, &st) in states.iter().enumerate() {
-                lp += self.vf[offsets[k] + st as usize];
+            for (&off, &st) in scratch.edge_offsets.iter().zip(&scratch.states) {
+                lp += self.vf[off + st as usize];
             }
-            log_b.push(lp);
-            for (k, st) in states.iter_mut().enumerate() {
+            out.push(lp);
+            for (k, st) in scratch.states.iter_mut().enumerate() {
                 *st += 1;
                 if (*st as usize) < self.graph.cardinality(fd.vars[k]) as usize {
                     break;
@@ -1307,12 +1323,14 @@ impl<'g> LbpEngine<'g> {
                 *st = 0;
             }
         }
-        let z = logsumexp(&log_b);
+        let z = logsumexp(out);
         if z == f64::NEG_INFINITY {
-            let u = 1.0 / fd.table_size as f64;
-            return vec![u; fd.table_size];
+            out.fill(1.0 / fd.table_size as f64);
+            return;
         }
-        log_b.into_iter().map(|x| (x - z).exp()).collect()
+        for x in out.iter_mut() {
+            *x = (*x - z).exp();
+        }
     }
 }
 
@@ -1491,9 +1509,10 @@ impl BucketQueue {
     }
 }
 
-/// Reusable per-thread scratch buffers for the factor sweep.
-#[derive(Default)]
-struct Scratch {
+/// Reusable per-thread scratch buffers for the factor sweep and
+/// [`LbpEngine::factor_belief_into`].
+#[derive(Debug, Default)]
+pub struct Scratch {
     edge_offsets: Vec<usize>,
     states: Vec<u32>,
     /// Per-slot logsumexp of the incoming message (two-level kernel).
@@ -1688,6 +1707,19 @@ mod tests {
         assert_eq!(belief.len(), 6);
         assert!((belief.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(belief.iter().all(|&p| p >= 0.0));
+
+        // The buffered form is the same computation: reused buffers
+        // (grown by a larger factor first) give bitwise-equal beliefs.
+        let u = g.add_factor(&[b], Potential::Scores { group: grp, scores: vec![0.0; 3] }, 0);
+        let mut eng = LbpEngine::new(&g);
+        eng.run(&params, &LbpOptions::default());
+        let (mut scratch, mut out) = (Scratch::default(), Vec::new());
+        for fid in [f, u, f] {
+            eng.factor_belief_into(&params, fid, &mut scratch, &mut out);
+            let fresh = eng.factor_belief(&params, fid);
+            assert_eq!(out.len(), fresh.len());
+            assert!(out.iter().zip(&fresh).all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
     }
 
     #[test]

@@ -14,9 +14,24 @@
 //! the factor belief. Weights are updated by gradient ascent (the paper's
 //! learning rate is 0.05); convergence is declared when the gradient norm
 //! falls below `grad_tol`.
+//!
+//! The clamped and free runs of one epoch share nothing but the graph
+//! and the weights, so [`train`] runs them concurrently: with a thread
+//! budget of 2 or more (see [`LbpOptions::threads`] and
+//! [`LbpOptions::exact_threads`]) the free half runs on a scoped helper
+//! thread while the clamped half runs on the caller, each with half the
+//! budget for its own LBP workers; with a budget of 1 they run one after
+//! the other on the caller. Each engine's trajectory is thread-invariant
+//! and the gradient is combined in a fixed order, so the learned weights
+//! are bitwise-identical for any thread count.
+//!
+//! Tracing: `train` opens one `learn` span whose count is the number of
+//! epochs run. The clamped half's `lbp_sweep` spans are its children;
+//! the helper thread's free-half `lbp_sweep` spans are roots on that
+//! thread (the span stack is per thread).
 
 use crate::graph::{FactorGraph, FactorId, Potential, VarId};
-use crate::lbp::{LbpEngine, LbpOptions};
+use crate::lbp::{LbpEngine, LbpOptions, Scratch};
 use crate::params::Params;
 
 /// Options for [`train`].
@@ -30,7 +45,8 @@ pub struct TrainOptions {
     pub grad_tol: f64,
     /// L2 regularization strength (subtracts `l2 · ω` from the gradient).
     pub l2: f64,
-    /// LBP configuration used for both runs.
+    /// LBP configuration used for both runs. Its thread budget is split
+    /// between the two concurrent runs.
     pub lbp: LbpOptions,
 }
 
@@ -59,44 +75,50 @@ pub struct TrainReport {
     pub grad_norms: Vec<f64>,
 }
 
-/// Accumulate `Σ_c b(c) · h(c)` for one factor into `acc`.
-fn accumulate_expectation(
-    graph: &FactorGraph,
-    engine: &LbpEngine,
-    params: &Params,
-    f: FactorId,
-    acc: &mut Params,
-) {
-    let belief = engine.factor_belief(params, f);
-    let potential = graph.factor_potential(f);
-    match potential {
-        Potential::Features { group, feats } => {
-            let out = acc.group_mut(*group);
-            for (flat, b) in belief.iter().enumerate() {
-                for (o, x) in out.iter_mut().zip(&feats[flat]) {
-                    *o += b * x;
+/// One half of an epoch's gradient: an LBP engine (clamped or free) and
+/// the belief buffers it reuses across factors and epochs.
+struct Half<'g> {
+    engine: LbpEngine<'g>,
+    scratch: Scratch,
+    belief: Vec<f64>,
+}
+
+impl<'g> Half<'g> {
+    fn new(engine: LbpEngine<'g>) -> Self {
+        Self { engine, scratch: Scratch::default(), belief: Vec::new() }
+    }
+
+    /// Run LBP, then return the expected total feature vector
+    /// `Σ_j Σ_c b_j(c) · h_j(c)` under the resulting messages.
+    fn expectation(&mut self, graph: &FactorGraph, params: &Params, lbp: &LbpOptions) -> Params {
+        self.engine.run(params, lbp);
+        let mut acc = params.zeros_like();
+        for fi in 0..graph.num_factors() {
+            let f = FactorId(fi as u32);
+            self.engine.factor_belief_into(params, f, &mut self.scratch, &mut self.belief);
+            let belief = &self.belief;
+            let potential = graph.factor_potential(f);
+            match potential {
+                Potential::Features { group, feats } => {
+                    let out = acc.group_mut(*group);
+                    for (flat, b) in belief.iter().enumerate() {
+                        for (o, x) in out.iter_mut().zip(&feats[flat]) {
+                            *o += b * x;
+                        }
+                    }
+                }
+                Potential::Scores { group, .. } | Potential::TwoLevelScores { group, .. } => {
+                    let e: f64 = belief
+                        .iter()
+                        .enumerate()
+                        .map(|(flat, b)| b * potential.score(flat).expect("score potential"))
+                        .sum();
+                    acc.group_mut(*group)[0] += e;
                 }
             }
         }
-        Potential::Scores { group, .. } | Potential::TwoLevelScores { group, .. } => {
-            let out = acc.group_mut(*group);
-            let e: f64 = belief
-                .iter()
-                .enumerate()
-                .map(|(flat, b)| b * potential.score(flat).expect("score potential"))
-                .sum();
-            out[0] += e;
-        }
+        acc
     }
-}
-
-/// Expected total feature vector under the current messages of `engine`.
-fn expected_features(graph: &FactorGraph, engine: &LbpEngine, params: &Params) -> Params {
-    let mut acc = params.zeros_like();
-    for fi in 0..graph.num_factors() {
-        accumulate_expectation(graph, engine, params, FactorId(fi as u32), &mut acc);
-    }
-    acc
 }
 
 /// Train `params` in place to maximize the likelihood of `labels`
@@ -107,11 +129,17 @@ pub fn train(
     labels: &[(VarId, u32)],
     opts: &TrainOptions,
 ) -> TrainReport {
+    let mut span = jocl_obs::span!("learn");
     let mut clamped = LbpEngine::new(graph);
     for &(v, s) in labels {
         clamped.set_clamp(v, Some(s));
     }
-    let mut free = LbpEngine::new(graph);
+    let mut clamped = Half::new(clamped);
+    let mut free = Half::new(LbpEngine::new(graph));
+    // Split the thread budget between the two concurrent halves, so the
+    // pair never asks for more workers than one run would have.
+    let budget = LbpEngine::run_threads(&opts.lbp);
+    let half_lbp = LbpOptions { threads: (budget / 2).max(1), ..opts.lbp.clone() };
     let mut report = TrainReport {
         epochs: 0,
         final_grad_norm: f64::INFINITY,
@@ -119,10 +147,21 @@ pub fn train(
         grad_norms: Vec::new(),
     };
     for epoch in 0..opts.max_epochs {
-        clamped.run(params, &opts.lbp);
-        let e_clamped = expected_features(graph, &clamped, params);
-        free.run(params, &opts.lbp);
-        let e_free = expected_features(graph, &free, params);
+        let weights: &Params = params;
+        let (e_clamped, e_free) = if budget >= 2 {
+            std::thread::scope(|s| {
+                let helper = s.spawn(|| free.expectation(graph, weights, &half_lbp));
+                let e_clamped = clamped.expectation(graph, weights, &half_lbp);
+                let e_free =
+                    helper.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                (e_clamped, e_free)
+            })
+        } else {
+            (
+                clamped.expectation(graph, weights, &half_lbp),
+                free.expectation(graph, weights, &half_lbp),
+            )
+        };
 
         // grad = E_clamped − E_free − l2·ω
         let mut grad = e_clamped;
@@ -140,6 +179,7 @@ pub fn train(
         }
         params.step(&grad, opts.learning_rate);
     }
+    span.add_count(report.epochs as u64);
     report
 }
 
@@ -263,6 +303,61 @@ mod tests {
         let w = params.group(grp);
         assert!(w[0].abs() < 1e-9, "constant feature moved: {}", w[0]);
         assert!(w[1] > 0.2, "indicator feature should grow: {}", w[1]);
+    }
+
+    /// The concurrent halves split the thread budget, yet the learned
+    /// weights, epoch count and gradient trajectory are bitwise-identical
+    /// for any budget under both schedule modes. `exact_threads` forces
+    /// the concurrent path even on a single-core host.
+    #[test]
+    fn train_is_thread_invariant_bitwise() {
+        use crate::lbp::ScheduleMode;
+
+        // Twelve 3-state variables on a ring with chords (loopy), each
+        // with a unary feature factor; pairwise agreement scores on edges.
+        let mut g = FactorGraph::new();
+        let mut params = Params::new();
+        let unary = params.add_group_with(vec![0.0, 0.0]);
+        let pair = params.add_group_with(vec![0.5]);
+        let vars: Vec<VarId> = (0..12).map(|_| g.add_var(3)).collect();
+        for (i, &v) in vars.iter().enumerate() {
+            let feats = (0..3).map(|s| vec![f64::from(s == i % 3), 0.1 * (i + s) as f64]).collect();
+            g.add_factor(&[v], Potential::Features { group: unary, feats }, 0);
+        }
+        let edges = (0..12).map(|i| (i, (i + 1) % 12)).chain([(0, 6), (3, 9), (2, 7)]);
+        for (i, j) in edges {
+            let scores = (0..9).map(|c| if c % 4 == 0 { 1.0 } else { 0.1 * (c % 3) as f64 });
+            g.add_factor(
+                &[vars[i], vars[j]],
+                Potential::Scores { group: pair, scores: scores.collect() },
+                0,
+            );
+        }
+        let labels = [(vars[0], 2), (vars[5], 1), (vars[6], 2), (vars[10], 0)];
+        let bits = |p: &Params| -> Vec<Vec<u64>> {
+            (0..p.num_groups()).map(|k| p.group(k).iter().map(|w| w.to_bits()).collect()).collect()
+        };
+
+        for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
+            let run = |threads: usize| {
+                let mut p = params.clone();
+                let opts = TrainOptions {
+                    max_epochs: 6,
+                    l2: 1e-3,
+                    lbp: LbpOptions { mode, threads, exact_threads: true, ..Default::default() },
+                    ..Default::default()
+                };
+                let report = train(&g, &mut p, &labels, &opts);
+                let norms: Vec<u64> = report.grad_norms.iter().map(|n| n.to_bits()).collect();
+                (bits(&p), report.epochs, norms)
+            };
+            let serial = run(1);
+            assert!(serial.1 > 1, "{mode:?}: fixture must train for several epochs");
+            assert_ne!(serial.0, bits(&params), "{mode:?}: weights must move");
+            for threads in [2, 4] {
+                assert_eq!(run(threads), serial, "{mode:?}: threads {threads} differ from 1");
+            }
+        }
     }
 
     #[test]
