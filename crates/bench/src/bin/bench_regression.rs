@@ -128,7 +128,8 @@ impl PushMetric for Vec<(&'static str, u64, bool)> {
 fn measure() -> Vec<(&'static str, u64, bool)> {
     let mut metrics: Vec<(&'static str, u64, bool)> = Vec::new();
 
-    // lbp_sweep: 10 synchronous iterations over the 400-var ring.
+    // lbp_sweep: 10 synchronous iterations (the fused per-factor batch
+    // update every schedule shares) over the 400-var ring.
     let (g, params) = build_ring(400);
     let opts = LbpOptions { max_iters: 10, ..Default::default() };
     metrics.push_calibrated((
@@ -185,11 +186,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
         max_epochs: 2,
         grad_tol: 0.0,
         l2: 1e-3,
-        lbp: LbpOptions {
-            schedule: paper_schedule(),
-            mode: jocl_core::ScheduleMode::Residual,
-            ..config.lbp.clone()
-        },
+        lbp: LbpOptions { schedule: paper_schedule(), ..config.lbp.clone() },
     };
     metrics.push_calibrated((
         "train",
@@ -200,15 +197,12 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
     ));
 
     // delta_ingest: warm ingestion of a 24-triple tail against a session
-    // warmed on everything before it (residual mode). The warm session is
-    // forked per sample so each run ingests the same delta from identical
-    // state; the fork is part of the serving cost and stays in the timing.
-    let mut stream_config = e2e_config.clone();
-    stream_config.lbp.mode = jocl_core::ScheduleMode::Residual;
+    // warmed on everything before it. The warm session is forked per
+    // sample so each run ingests the same delta from identical state; the
+    // fork is part of the serving cost and stays in the timing.
     let triples: Vec<jocl_kb::Triple> = dataset.okb.triples().map(|(_, t)| t.clone()).collect();
     let split = triples.len().saturating_sub(24).max(1);
-    let mut warm_base =
-        jocl_core::IncrementalJocl::new(stream_config.clone(), &dataset.ckb, &signals);
+    let mut warm_base = jocl_core::IncrementalJocl::new(e2e_config.clone(), &dataset.ckb, &signals);
     warm_base.apply_delta(&triples[..split]);
     metrics.push_calibrated((
         "delta_ingest",
@@ -229,7 +223,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
             black_box(
                 jocl_serve::snapshot::session_from_bytes(
                     &snapshot_bytes,
-                    stream_config.clone(),
+                    e2e_config.clone(),
                     &dataset.ckb,
                     &signals,
                 )
@@ -247,7 +241,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
         median_ns(9, || {
             let mut replica = jocl_serve::snapshot::session_from_bytes(
                 &snapshot_bytes,
-                stream_config.clone(),
+                e2e_config.clone(),
                 &dataset.ckb,
                 &signals,
             )
@@ -310,27 +304,42 @@ fn parse_baseline(json: &str, name: &str, suffix: &str) -> Result<u64, String> {
     digits.parse::<u64>().map_err(|_| format!("no integer value for {key}"))
 }
 
-/// `--json PATH` / `--json=PATH`: where to write this run's
-/// measurements as the same flat JSON the baseline uses — so CI can
-/// archive every run machine-readably, not just the pass/fail verdict.
-fn json_out_path() -> Option<PathBuf> {
+const USAGE: &str = "usage: bench_regression [--update] [--json PATH | --json=PATH]";
+
+/// Command-line flags. `--update` records the baseline instead of
+/// gating against it; `--json PATH` (or `--json=PATH`) also writes this
+/// run's measurements as the same flat JSON the baseline uses, so CI can
+/// archive every run machine-readably. Any other argument exits 2 with
+/// the usage line before anything is measured.
+struct Args {
+    update: bool,
+    json: Option<PathBuf>,
+}
+
+fn parse_args() -> Args {
+    let fail = |msg: String| -> ! {
+        eprintln!("bench_regression: {msg}\n{USAGE}");
+        std::process::exit(2);
+    };
+    let mut parsed = Args { update: false, json: None };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if let Some(p) = a.strip_prefix("--json=") {
-            return Some(PathBuf::from(p));
-        }
-        if a == "--json" {
-            let p = args.next().unwrap_or_else(|| {
-                panic!("--json needs a path (write measurements as JSON there)")
-            });
-            return Some(PathBuf::from(p));
+        if a == "--update" {
+            parsed.update = true;
+        } else if a == "--json" {
+            let p = args.next().unwrap_or_else(|| fail("--json needs a path".into()));
+            parsed.json = Some(PathBuf::from(p));
+        } else if let Some(p) = a.strip_prefix("--json=") {
+            parsed.json = Some(PathBuf::from(p));
+        } else {
+            fail(format!("unknown argument {a:?}"));
         }
     }
-    None
+    parsed
 }
 
 fn main() {
-    let update = std::env::args().any(|a| a == "--update");
+    let args = parse_args();
     let tolerance: f64 = jocl_bench::env_bench_tolerance();
     let path = baseline_path();
 
@@ -341,13 +350,13 @@ fn main() {
 
     // Written before the gate verdict, so a regressing run still leaves
     // its measurements behind for the archaeology.
-    if let Some(out) = json_out_path() {
-        std::fs::write(&out, to_json(calibration, &metrics))
+    if let Some(out) = &args.json {
+        std::fs::write(out, to_json(calibration, &metrics))
             .unwrap_or_else(|e| panic!("cannot write measurements to {}: {e}", out.display()));
         println!("  measurements written to {}", out.display());
     }
 
-    if update {
+    if args.update {
         std::fs::write(&path, to_json(calibration, &metrics)).expect("write BENCH_BASELINE.json");
         for (name, value, calibrated) in &metrics {
             let unit = if *calibrated { "ns" } else { "" };

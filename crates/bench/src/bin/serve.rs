@@ -40,8 +40,12 @@
 //! shutdown                     stop the whole server
 //! ```
 //!
-//! Knobs: `JOCL_SCALE`, `JOCL_SEED`, `JOCL_SCHEDULE`,
-//! `JOCL_COMPACT_THRESHOLD` (auto-compaction density, `off` disables),
+//! The only argument is `--replica`; anything else exits 2 with a usage
+//! line before any data is generated (a typo must not boot a writer
+//! over a replica's feed directory).
+//!
+//! Knobs: `JOCL_SCALE`, `JOCL_SEED`, `JOCL_COMPACT_THRESHOLD`
+//! (auto-compaction density, `off` disables),
 //! `JOCL_SNAPSHOT_DIR` (snapshot + replication-log directory),
 //! `JOCL_LISTEN` (`tcp:HOST:PORT` / `unix:PATH`, `off` keeps stdin),
 //! `JOCL_MSG_STORE` (`exact` / `quantized` committed-message arena),
@@ -50,13 +54,15 @@
 //! `JOCL_TRACE` (`on` records spans, dumped as TSV to stderr on exit),
 //! `JOCL_SIDE_INFO` (side-information TSV to import —
 //! threaded into inference as S1/S2 potentials *and* into `link`
-//! dictionary candidates; the snapshot fingerprint pins it). The
-//! inference pool is the session config's `lbp.threads` (the
-//! `jocl_exec` pool), as in every other bin.
+//! dictionary candidates; the snapshot fingerprint pins it). Inference
+//! runs the residual schedule, the only serving schedule;
+//! `JOCL_SCHEDULE` is accepted blank or as `residual` and selects
+//! nothing. The inference pool is the session config's `lbp.threads`
+//! (the `jocl_exec` pool), as in every other bin.
 
 use jocl_bench::{
-    env_compact_threshold, env_link_threshold, env_listen, env_message_store, env_metrics,
-    env_scale, env_schedule_mode, env_seed, env_side_info, env_snapshot_dir, env_trace,
+    env_check_schedule, env_compact_threshold, env_link_threshold, env_listen, env_message_store,
+    env_metrics, env_scale, env_seed, env_side_info, env_snapshot_dir, env_trace,
 };
 use jocl_core::signals::build_signals;
 use jocl_core::JoclConfig;
@@ -151,13 +157,31 @@ fn dump_trace() {
     }
 }
 
+const USAGE: &str = "usage: serve [--replica]";
+
+/// Whether `--replica` was passed; any other argument exits 2 with the
+/// usage line.
+fn parse_args() -> bool {
+    let mut replica = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--replica" => replica = true,
+            _ => {
+                eprintln!("serve: unknown argument {arg:?}\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
+    replica
+}
+
 fn main() {
-    let replica = std::env::args().skip(1).any(|a| a == "--replica");
+    let replica = parse_args();
     jocl_obs::set_metrics_enabled(env_metrics());
     jocl_obs::set_trace_enabled(env_trace());
     let scale = env_scale();
     let seed = env_seed();
-    let mode = env_schedule_mode();
+    env_check_schedule();
     let threshold = env_compact_threshold();
     let listen = env_listen();
 
@@ -170,9 +194,8 @@ fn main() {
         &dataset.corpus,
         &SgnsOptions { dim: 24, epochs: 2, seed, ..Default::default() },
     );
-    let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = mode;
-    config.message_store = env_message_store();
+    let mut config =
+        JoclConfig { train_epochs: 0, message_store: env_message_store(), ..Default::default() };
     if let Some(path) = env_side_info() {
         match jocl_kb::tsv::read_side_kb(&path) {
             Ok(side) => {
@@ -205,10 +228,11 @@ fn main() {
     let feed_path = dir.join("feed.log");
 
     println!(
-        "Serving session over a {}-triple feed (scale {scale}, seed {seed}, {mode:?}, \
+        "Serving session over a {}-triple feed (scale {scale}, seed {seed}, {:?}, \
          compact threshold {threshold}, {}); commands: ingest/add/retract/revise/query/link/\
          stats/snapshot/restore/compact/quit/shutdown",
         pool.len(),
+        config.lbp.mode,
         if replica { "replica" } else { "writer" },
     );
 

@@ -3,8 +3,7 @@
 //! decode parity against the one-shot batch pipeline on the union.
 //!
 //! ```text
-//! JOCL_SCALE=0.02 JOCL_STREAM_BATCH=4 JOCL_SCHEDULE=residual \
-//!     cargo run --release -p jocl_bench --bin stream
+//! JOCL_SCALE=0.02 JOCL_STREAM_BATCH=4 cargo run --release -p jocl_bench --bin stream
 //! ```
 //!
 //! Per batch it prints what the delta appended, how far its influence
@@ -14,7 +13,7 @@
 //! exits non-zero on any decode mismatch.
 
 use jocl_bench::runner::{
-    env_message_store, env_scale, env_schedule_mode, env_seed, env_stream_batches,
+    env_check_schedule, env_message_store, env_scale, env_seed, env_stream_batches,
 };
 use jocl_core::signals::build_signals;
 use jocl_core::{IncrementalJocl, Jocl, JoclConfig, JoclInput};
@@ -29,7 +28,7 @@ fn main() {
     let scale = env_scale();
     let seed = env_seed();
     let batches = env_stream_batches();
-    let mode = env_schedule_mode();
+    env_check_schedule();
 
     let dataset = reverb45k_like(seed, scale);
     let triples: Vec<Triple> = dataset.okb.triples().map(|(_, t)| t.clone()).collect();
@@ -46,16 +45,15 @@ fn main() {
         &dataset.corpus,
         &SgnsOptions { dim: 24, epochs: 2, seed, ..Default::default() },
     );
-    let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = mode;
     let store = env_message_store();
-    config.message_store = store;
+    let config = JoclConfig { train_epochs: 0, message_store: store, ..Default::default() };
 
     println!(
         "Streaming ingestion: {} triples ({} distinct) as {batches} arrival batches \
-         (scale {scale}, seed {seed}, {mode:?})",
+         (scale {scale}, seed {seed}, {:?})",
         triples.len(),
         union.len(),
+        config.lbp.mode,
     );
     println!(
         "{:>5} {:>8} {:>6} {:>8} {:>9} {:>12} {:>14} {:>9}",

@@ -48,7 +48,7 @@ fn main() {
             "  [jocl: {} vars, {} factors, lbp {:?} {} iters, {} message updates, converged={}]\n",
             jocl.diagnostics.num_vars,
             jocl.diagnostics.num_factors,
-            jocl_bench::env_schedule_mode(),
+            ctx.jocl_config().lbp.mode,
             jocl.diagnostics.lbp.iterations,
             jocl.diagnostics.lbp.message_updates,
             jocl.diagnostics.lbp.converged

@@ -1,21 +1,22 @@
 //! The `JOCL_*` environment knobs, consolidated.
 //!
 //! Every bin, gate and bench reads its configuration through these
-//! helpers — one place owns the parsing discipline instead of each
-//! call site growing its own:
+//! helpers, and every helper is one call of the private [`knob`] parser,
+//! so all knobs share one discipline:
 //!
 //! * surrounding whitespace is trimmed and keywords are ASCII
-//!   case-folded (`JOCL_SCHEDULE=Residual`, `" off "` both work);
+//!   case-folded (`JOCL_MSG_STORE=Quantized`, `" off "` both work);
 //! * empty / blank values mean "unset" (the default applies);
 //! * `off` disables where a knob is disableable;
-//! * anything else invalid **panics loudly listing the valid forms** —
-//!   a typo must never silently select a different configuration.
+//! * each value has exactly one spelling, and anything else **panics
+//!   naming the variable, the valid forms and the value** — a typo must
+//!   never silently select a different configuration.
 //!
 //! | Knob | Meaning | Default |
 //! |---|---|---|
 //! | `JOCL_SCALE` | dataset scale | `0.02` |
 //! | `JOCL_SEED` | generator seed | `42` |
-//! | `JOCL_SCHEDULE` | LBP schedule (`synchronous`/`residual`) | synchronous |
+//! | `JOCL_SCHEDULE` | accepted only as `residual`, the one serving schedule; selects nothing | residual |
 //! | `JOCL_STREAM_BATCH` | streaming arrival batches | `4` |
 //! | `JOCL_SNAPSHOT_DIR` | warm-snapshot directory | process temp dir |
 //! | `JOCL_COMPACT_THRESHOLD` | auto-compaction density, `off` disables | `0.5` |
@@ -35,369 +36,210 @@
 //! The `jocl-lint` R1 rule (env-confinement) machine-enforces this
 //! consolidation: `JOCL_*` reads anywhere else fail CI.
 
-use jocl_core::ScheduleMode;
 use jocl_fg::MessageStore;
 use jocl_serve::ListenAddr;
+use std::path::PathBuf;
 
-/// `JOCL_SCALE` env var: the dataset scale. Default 0.02;
-/// whitespace-tolerant; anything but a finite positive number aborts
-/// loudly listing the valid form (`1,0` must not silently run 0.02).
+/// The one knob parser: reads `name`, trims it, and treats unset or
+/// blank as `default`. Otherwise `parse` gets the trimmed value, and a
+/// `None` from it panics with `"{name} must be {forms}, got {v:?}"`.
+fn knob<T>(name: &str, default: T, forms: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
+    let Ok(v) = std::env::var(name) else { return default };
+    match v.trim() {
+        "" => default,
+        t => parse(t).unwrap_or_else(|| panic!("{name} must be {forms}, got {v:?}")),
+    }
+}
+
+/// A finite number in `[0, 1]` (thresholds, densities, confidences).
+fn unit_interval(t: &str) -> Option<f64> {
+    t.parse().ok().filter(|x| (0.0..=1.0).contains(x))
+}
+
+/// `JOCL_SCALE`: the dataset scale, a finite positive number (default
+/// 0.02; `1,0` must not silently run 0.02).
 pub fn env_scale() -> f64 {
-    match std::env::var("JOCL_SCALE") {
-        Err(_) => 0.02,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                return 0.02;
-            }
-            match trimmed.parse::<f64>() {
-                Ok(s) if s.is_finite() && s > 0.0 => s,
-                _ => panic!("JOCL_SCALE must be a positive number (e.g. 0.02), got {v:?}"),
-            }
-        }
-    }
+    knob("JOCL_SCALE", 0.02, "a positive number (e.g. 0.02)", |t| {
+        t.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
+    })
 }
 
-/// `JOCL_SEED` env var: the generator seed. Default 42;
-/// whitespace-tolerant; anything but a non-negative integer aborts
-/// loudly listing the valid form.
+/// `JOCL_SEED`: the generator seed (default 42).
 pub fn env_seed() -> u64 {
-    match std::env::var("JOCL_SEED") {
-        Err(_) => 42,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                return 42;
-            }
-            match trimmed.parse::<u64>() {
-                Ok(n) => n,
-                _ => panic!("JOCL_SEED must be a non-negative integer, got {v:?}"),
-            }
-        }
-    }
+    knob("JOCL_SEED", 42, "a non-negative integer", |t| t.parse().ok())
 }
 
-/// `JOCL_SCHEDULE` env var: `residual` selects residual-scheduled message
-/// passing, `synchronous`/`sync` (or unset) the full sweeps. Parsed
-/// case-insensitively with surrounding whitespace trimmed (so
-/// `JOCL_SCHEDULE=Residual` and `JOCL_SCHEDULE=" residual "` both work);
-/// anything else aborts loudly listing the valid values — a typo must
-/// not silently time the wrong engine.
-pub fn env_schedule_mode() -> ScheduleMode {
-    match std::env::var("JOCL_SCHEDULE") {
-        Err(_) => ScheduleMode::Synchronous,
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "" | "sync" | "synchronous" => ScheduleMode::Synchronous,
-            "residual" => ScheduleMode::Residual,
-            _ => panic!("JOCL_SCHEDULE must be 'synchronous' or 'residual', got {v:?}"),
-        },
-    }
+/// `JOCL_SCHEDULE`: validated, never selected. Sessions and serving run
+/// the residual schedule only (`JoclConfig::default()`), so the knob
+/// accepts blank or `residual` and selects nothing; any other value —
+/// `synchronous` included — panics rather than silently running a
+/// schedule the caller did not ask for. The bins and scale gates call
+/// this at startup.
+pub fn env_check_schedule() {
+    knob(
+        "JOCL_SCHEDULE",
+        (),
+        "'residual' (the synchronous serving schedule was removed; synchronous sweeps are \
+         the reference oracle of the fixed-point tests only)",
+        |t| t.eq_ignore_ascii_case("residual").then_some(()),
+    )
 }
 
-/// `JOCL_STREAM_BATCH` env var: how many arrival batches the streaming
-/// replay (`stream` bin, `stream_scale` gate) splits the dataset into.
-/// Default 4; whitespace-tolerant; anything but a positive integer
-/// aborts loudly listing the valid form.
+/// `JOCL_STREAM_BATCH`: how many arrival batches the streaming replay
+/// (`stream` bin, `stream_scale` gate) splits the dataset into
+/// (default 4).
 pub fn env_stream_batches() -> usize {
-    match std::env::var("JOCL_STREAM_BATCH") {
-        Err(_) => 4,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                return 4;
-            }
-            match trimmed.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => panic!(
-                    "JOCL_STREAM_BATCH must be a positive integer (number of arrival \
-                     batches), got {v:?}"
-                ),
-            }
-        }
-    }
+    knob("JOCL_STREAM_BATCH", 4, "a positive integer (number of arrival batches)", |t| {
+        t.parse().ok().filter(|&n| n >= 1)
+    })
 }
 
-/// `JOCL_SNAPSHOT_DIR` env var: where the `serve` bin writes/reads warm
-/// session snapshots (and, in listen mode, the replication feed log).
-/// Whitespace-trimmed; unset or empty means "use a process-scoped temp
-/// directory". The serve bin creates the directory on first snapshot;
-/// an uncreatable path fails there with the offending path in the
-/// error, never a silent fallback elsewhere.
-pub fn env_snapshot_dir() -> Option<std::path::PathBuf> {
-    match std::env::var("JOCL_SNAPSHOT_DIR") {
-        Err(_) => None,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                None
-            } else {
-                Some(std::path::PathBuf::from(trimmed))
-            }
-        }
-    }
+/// `JOCL_SNAPSHOT_DIR`: where the `serve` bin writes/reads warm session
+/// snapshots (and, in listen mode, the replication feed log). Unset
+/// means a process-scoped temp directory. The serve bin creates the
+/// directory on first snapshot; an uncreatable path fails there with
+/// the offending path in the error, never a silent fallback elsewhere.
+pub fn env_snapshot_dir() -> Option<PathBuf> {
+    knob("JOCL_SNAPSHOT_DIR", None, "a directory path", |t| Some(Some(PathBuf::from(t))))
 }
 
-/// `JOCL_COMPACT_THRESHOLD` env var: the tombstone (dead-factor) density
-/// above which the serving session compacts (cold rebuild from the
-/// survivors). Default 0.5; whitespace-tolerant; `off` (case-folded)
-/// disables automatic compaction. Anything else must parse as a finite
-/// number in `[0, 1]` or the process aborts loudly listing the valid
-/// forms — a typo must not silently pick a different compaction policy.
+/// `JOCL_COMPACT_THRESHOLD`: the tombstone (dead-factor) density above
+/// which the serving session compacts (cold rebuild from the
+/// survivors). Default 0.5; `off` disables automatic compaction.
 pub fn env_compact_threshold() -> f64 {
-    match std::env::var("JOCL_COMPACT_THRESHOLD") {
-        Err(_) => 0.5,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                return 0.5;
-            }
-            if trimmed.eq_ignore_ascii_case("off") {
-                return f64::INFINITY;
-            }
-            match trimmed.parse::<f64>() {
-                Ok(t) if t.is_finite() && (0.0..=1.0).contains(&t) => t,
-                _ => {
-                    panic!("JOCL_COMPACT_THRESHOLD must be a density in [0, 1] or 'off', got {v:?}")
-                }
-            }
+    knob("JOCL_COMPACT_THRESHOLD", 0.5, "a density in [0, 1] or 'off'", |t| {
+        if t.eq_ignore_ascii_case("off") {
+            Some(f64::INFINITY)
+        } else {
+            unit_interval(t)
         }
-    }
+    })
 }
 
-/// `JOCL_LISTEN` env var: where the `serve` bin listens for the line
-/// protocol. Unset, blank or `off` (case-folded) means the PR-5
-/// interactive stdin loop; otherwise `tcp:HOST:PORT` or `unix:PATH`
-/// (port 0 picks a free port, reported on startup). A malformed spec
-/// aborts loudly listing the valid forms — a typo must not silently
-/// serve on stdin with no listener.
+/// `JOCL_LISTEN`: where the `serve` bin listens for the line protocol,
+/// `tcp:HOST:PORT` or `unix:PATH` (port 0 picks a free port, reported on
+/// startup). Unset or `off` means the interactive stdin loop.
 pub fn env_listen() -> Option<ListenAddr> {
-    match std::env::var("JOCL_LISTEN") {
-        Err(_) => None,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("off") {
-                return None;
-            }
-            match ListenAddr::parse(trimmed) {
-                Ok(addr) => Some(addr),
-                Err(e) => {
-                    panic!("JOCL_LISTEN must be 'tcp:HOST:PORT', 'unix:PATH' or 'off': {e}")
-                }
-            }
+    knob("JOCL_LISTEN", None, "'tcp:HOST:PORT', 'unix:PATH' or 'off'", |t| {
+        if t.eq_ignore_ascii_case("off") {
+            Some(None)
+        } else {
+            ListenAddr::parse(t).ok().map(Some)
         }
-    }
+    })
 }
 
-/// `JOCL_MSG_STORE` env var: which committed-message representation a
-/// long-lived session keeps between deltas. `exact` (or unset) commits
-/// the engine's f64 arenas bit-for-bit; `quantized` halves their
-/// resident bytes (per-block f64 anchors + f32 residuals). Trimmed and
-/// case-folded; anything else aborts loudly listing the valid values —
-/// a typo must not silently benchmark the wrong arena.
+/// `JOCL_MSG_STORE`: which committed-message representation a
+/// long-lived session keeps between deltas. `exact` (the default)
+/// commits the engine's f64 arenas bit-for-bit; `quantized` halves
+/// their resident bytes (per-block f64 anchors + f32 residuals).
 pub fn env_message_store() -> MessageStore {
-    match std::env::var("JOCL_MSG_STORE") {
-        Err(_) => MessageStore::Exact,
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "" | "exact" => MessageStore::Exact,
-            "quantized" | "quant" => MessageStore::Quantized,
-            _ => panic!("JOCL_MSG_STORE must be 'exact' or 'quantized', got {v:?}"),
-        },
-    }
-}
-
-/// `JOCL_LINK_THRESHOLD` env var: the default minimum calibrated
-/// confidence a `link` candidate must reach to be reported
-/// (`ServeConfig::link_threshold`). Default 0.0 (report everything);
-/// whitespace-tolerant; `off` (case-folded) also reports everything.
-/// Anything else must parse as a finite confidence in `[0, 1]` or the
-/// process aborts loudly listing the valid forms.
-pub fn env_link_threshold() -> f64 {
-    match std::env::var("JOCL_LINK_THRESHOLD") {
-        Err(_) => 0.0,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("off") {
-                return 0.0;
-            }
-            match trimmed.parse::<f64>() {
-                Ok(t) if t.is_finite() && (0.0..=1.0).contains(&t) => t,
-                _ => {
-                    panic!("JOCL_LINK_THRESHOLD must be a confidence in [0, 1] or 'off', got {v:?}")
-                }
-            }
+    knob("JOCL_MSG_STORE", MessageStore::Exact, "'exact' or 'quantized'", |t| {
+        if t.eq_ignore_ascii_case("exact") {
+            Some(MessageStore::Exact)
+        } else if t.eq_ignore_ascii_case("quantized") {
+            Some(MessageStore::Quantized)
+        } else {
+            None
         }
-    }
+    })
 }
 
-/// `JOCL_SIDE_INFO` env var: path of a side-information TSV
+/// `JOCL_LINK_THRESHOLD`: the default minimum calibrated confidence a
+/// `link` candidate must reach to be reported
+/// (`ServeConfig::link_threshold`). Default 0.0; `off` also reports
+/// everything.
+pub fn env_link_threshold() -> f64 {
+    knob("JOCL_LINK_THRESHOLD", 0.0, "a confidence in [0, 1] or 'off'", |t| {
+        if t.eq_ignore_ascii_case("off") {
+            Some(0.0)
+        } else {
+            unit_interval(t)
+        }
+    })
+}
+
+/// `JOCL_SIDE_INFO`: path of a side-information TSV
 /// (`jocl_kb::tsv::read_side_kb` format — alias tables / external-KB
 /// link imports) the `serve` bin threads into inference and the `link`
-/// command. Whitespace-trimmed; unset, blank or `off` (case-folded)
-/// means no side information. The path is read at startup; a missing or
-/// malformed file fails there with the offending path and line in the
-/// error, never a silent fallback to side-info-free serving.
-pub fn env_side_info() -> Option<std::path::PathBuf> {
-    match std::env::var("JOCL_SIDE_INFO") {
-        Err(_) => None,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("off") {
-                None
-            } else {
-                Some(std::path::PathBuf::from(trimmed))
-            }
-        }
-    }
+/// command. Unset or `off` means no side information. The path is read
+/// at startup; a missing or malformed file fails there with the
+/// offending path and line in the error.
+pub fn env_side_info() -> Option<PathBuf> {
+    knob("JOCL_SIDE_INFO", None, "a TSV path or 'off'", |t| {
+        Some((!t.eq_ignore_ascii_case("off")).then(|| PathBuf::from(t)))
+    })
 }
 
-/// `JOCL_TRAIN_EPOCHS` env var: how many joint train/inference epochs
-/// the pipeline runs (0 skips iterative refinement entirely, useful for
-/// ablations). Default 4; whitespace-tolerant; anything but a
-/// non-negative integer aborts loudly listing the valid form.
+/// `JOCL_TRAIN_EPOCHS`: how many joint train/inference epochs the
+/// pipeline runs (default 4; 0 skips iterative refinement, useful for
+/// ablations).
 pub fn env_train_epochs() -> usize {
-    match std::env::var("JOCL_TRAIN_EPOCHS") {
-        Err(_) => 4,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                return 4;
-            }
-            match trimmed.parse::<usize>() {
-                Ok(n) => n,
-                _ => panic!(
-                    "JOCL_TRAIN_EPOCHS must be a non-negative integer (0 skips \
-                     refinement), got {v:?}"
-                ),
-            }
-        }
-    }
+    knob("JOCL_TRAIN_EPOCHS", 4, "a non-negative integer (0 skips refinement)", |t| t.parse().ok())
 }
 
-/// Shared parser for the unit-interval baseline thresholds
-/// (`JOCL_CESI_T`, `JOCL_SIST_T`): trimmed, default on unset/blank,
-/// typed panic outside `[0, 1]`.
-fn env_unit_threshold(name: &str, default: f64) -> f64 {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                return default;
-            }
-            match trimmed.parse::<f64>() {
-                Ok(t) if t.is_finite() && (0.0..=1.0).contains(&t) => t,
-                _ => panic!("{name} must be a threshold in [0, 1], got {v:?}"),
-            }
-        }
-    }
-}
-
-/// `JOCL_CESI_T` env var: the CESI-baseline hierarchical-clustering
-/// cut threshold used by the `table1` bin (default 0.84, the paper's
+/// `JOCL_CESI_T`: the CESI-baseline hierarchical-clustering cut
+/// threshold used by the `table1` bin (default 0.84, the paper's
 /// reported operating point).
 pub fn env_cesi_threshold() -> f64 {
-    env_unit_threshold("JOCL_CESI_T", 0.84)
+    knob("JOCL_CESI_T", 0.84, "a threshold in [0, 1]", unit_interval)
 }
 
-/// `JOCL_SIST_T` env var: the SIST-baseline clustering threshold used
-/// by the `table1` bin (default 0.45).
+/// `JOCL_SIST_T`: the SIST-baseline clustering threshold used by the
+/// `table1` bin (default 0.45).
 pub fn env_sist_threshold() -> f64 {
-    env_unit_threshold("JOCL_SIST_T", 0.45)
+    knob("JOCL_SIST_T", 0.45, "a threshold in [0, 1]", unit_interval)
 }
 
-/// `JOCL_BENCH_BASELINE` env var: where the bench-regression gate reads
-/// (and `--update` writes) its baseline JSON. Whitespace-trimmed; unset
-/// or blank means the checked-in `BENCH_BASELINE.json` at the repo root.
-pub fn env_bench_baseline() -> Option<std::path::PathBuf> {
-    match std::env::var("JOCL_BENCH_BASELINE") {
-        Err(_) => None,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                None
-            } else {
-                Some(std::path::PathBuf::from(trimmed))
-            }
-        }
-    }
+/// `JOCL_BENCH_BASELINE`: where the bench-regression gate reads (and
+/// `--update` writes) its baseline JSON. Unset means the checked-in
+/// `BENCH_BASELINE.json` at the repo root.
+pub fn env_bench_baseline() -> Option<PathBuf> {
+    knob("JOCL_BENCH_BASELINE", None, "a file path", |t| Some(Some(PathBuf::from(t))))
 }
 
-/// `JOCL_BENCH_TOLERANCE` env var: the relative slack the
-/// bench-regression gate allows around each calibrated baseline metric.
-/// Default 0.30 (±30%); whitespace-tolerant; anything but a finite
-/// non-negative number aborts loudly listing the valid form.
+/// `JOCL_BENCH_TOLERANCE`: the relative slack the bench-regression gate
+/// allows around each calibrated baseline metric (default 0.30, ±30%).
 pub fn env_bench_tolerance() -> f64 {
-    match std::env::var("JOCL_BENCH_TOLERANCE") {
-        Err(_) => 0.30,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                return 0.30;
-            }
-            match trimmed.parse::<f64>() {
-                Ok(t) if t.is_finite() && t >= 0.0 => t,
-                _ => panic!(
-                    "JOCL_BENCH_TOLERANCE must be a non-negative relative slack \
-                     (e.g. 0.30 for ±30%), got {v:?}"
-                ),
-            }
-        }
-    }
+    knob("JOCL_BENCH_TOLERANCE", 0.30, "a non-negative relative slack (e.g. 0.30 for ±30%)", |t| {
+        t.parse().ok().filter(|x: &f64| x.is_finite() && *x >= 0.0)
+    })
 }
 
-/// `JOCL_MEM_CEILING_MB` env var: the resident-memory ceiling (MiB) a
-/// memory gate asserts against. Each gate passes its own `default`
-/// preset (the paper-scale gates budget differently from the stress
-/// preset). Whitespace-tolerant; anything but a positive integer aborts
-/// loudly listing the valid form.
+/// `JOCL_MEM_CEILING_MB`: the resident-memory ceiling (MiB) a memory
+/// gate asserts against. Each gate passes its own `default` preset (the
+/// paper-scale gates budget differently from the stress preset).
 pub fn env_mem_ceiling_mb(default: u64) -> u64 {
-    match std::env::var("JOCL_MEM_CEILING_MB") {
-        Err(_) => default,
-        Ok(v) => {
-            let trimmed = v.trim();
-            if trimmed.is_empty() {
-                return default;
-            }
-            match trimmed.parse::<u64>() {
-                Ok(n) if n >= 1 => n,
-                _ => panic!(
-                    "JOCL_MEM_CEILING_MB must be a positive integer (ceiling in MiB), got {v:?}"
-                ),
-            }
-        }
+    knob("JOCL_MEM_CEILING_MB", default, "a positive integer (ceiling in MiB)", |t| {
+        t.parse().ok().filter(|&n| n >= 1)
+    })
+}
+
+/// `on`/`off` switch values.
+fn on_off(t: &str) -> Option<bool> {
+    if t.eq_ignore_ascii_case("on") {
+        Some(true)
+    } else if t.eq_ignore_ascii_case("off") {
+        Some(false)
+    } else {
+        None
     }
 }
 
-/// Shared parser for the observability switches (`JOCL_METRICS`,
-/// `JOCL_TRACE`): trimmed, case-folded, `on`/`1`/`true` and
-/// `off`/`0`/`false` accepted, default on unset/blank, typed panic on
-/// anything else.
-fn env_switch(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "" => default,
-            "on" | "1" | "true" => true,
-            "off" | "0" | "false" => false,
-            _ => panic!("{name} must be 'on' or 'off', got {v:?}"),
-        },
-    }
-}
-
-/// `JOCL_METRICS` env var: whether the `jocl_obs` metric registry
-/// records events (counters / histograms on the hot paths). Default on;
-/// `off` makes every recording site a branch-and-return, for overhead
-/// A/B runs — the `obs_scale` gate certifies inference is bitwise
-/// identical either way.
+/// `JOCL_METRICS`: whether the `jocl_obs` metric registry records
+/// events (counters / histograms on the hot paths). Default on; `off`
+/// makes every recording site a branch-and-return, for overhead A/B
+/// runs — the `obs_scale` gate certifies inference is bitwise identical
+/// either way.
 pub fn env_metrics() -> bool {
-    env_switch("JOCL_METRICS", true)
+    knob("JOCL_METRICS", true, "'on' or 'off'", on_off)
 }
 
-/// `JOCL_TRACE` env var: whether `jocl_obs` span tracing records into
-/// its bounded ring (and the bins dump the span TSV to stderr on exit).
+/// `JOCL_TRACE`: whether `jocl_obs` span tracing records into its
+/// bounded ring (and the bins dump the span TSV to stderr on exit).
 /// Default off.
 pub fn env_trace() -> bool {
-    env_switch("JOCL_TRACE", false)
+    knob("JOCL_TRACE", false, "'on' or 'off'", on_off)
 }
 
 #[cfg(test)]
@@ -407,24 +249,34 @@ mod tests {
     /// Satellite regression: the env knobs must accept mixed case and
     /// stray whitespace (`JOCL_SCHEDULE=Residual` used to panic), and
     /// still reject garbage with the typed message listing valid values.
+    /// Each value has exactly one spelling: the old aliases (`sync`,
+    /// `quant`, `1`/`true`/`0`/`false`) are rejected like any typo.
     /// One sequential test so the process-global env is never torn.
     #[test]
     fn env_knobs_trim_and_ignore_case() {
-        let check_schedule = |value: &str, expect: ScheduleMode| {
-            std::env::set_var("JOCL_SCHEDULE", value);
-            assert_eq!(env_schedule_mode(), expect, "JOCL_SCHEDULE={value:?}");
+        let panic_msg = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
         };
-        check_schedule("Residual", ScheduleMode::Residual);
-        check_schedule(" residual\t", ScheduleMode::Residual);
-        check_schedule("SYNCHRONOUS", ScheduleMode::Synchronous);
-        check_schedule("  Sync ", ScheduleMode::Synchronous);
-        check_schedule("", ScheduleMode::Synchronous);
-        std::env::set_var("JOCL_SCHEDULE", "residul");
-        let err = std::panic::catch_unwind(env_schedule_mode).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("'synchronous' or 'residual'"), "panic lists valid values: {msg}");
+
+        // `JOCL_SCHEDULE` selects nothing: blank and `residual` pass,
+        // everything else names the removal and the one valid form.
+        for ok in ["", "  ", "residual", "Residual", " residual\t"] {
+            std::env::set_var("JOCL_SCHEDULE", ok);
+            env_check_schedule();
+        }
+        for bad in ["synchronous", "SYNCHRONOUS", "sync", "  Sync ", "residul", "1"] {
+            std::env::set_var("JOCL_SCHEDULE", bad);
+            let msg = panic_msg(&env_check_schedule);
+            assert!(
+                msg.contains("JOCL_SCHEDULE must be 'residual'")
+                    && msg.contains("synchronous serving schedule was removed")
+                    && msg.contains(&format!("{bad:?}")),
+                "{bad:?} must name the removal and the valid form: {msg}"
+            );
+        }
         std::env::remove_var("JOCL_SCHEDULE");
-        assert_eq!(env_schedule_mode(), ScheduleMode::Synchronous);
+        env_check_schedule();
 
         let check_batches = |value: &str, expect: usize| {
             std::env::set_var("JOCL_STREAM_BATCH", value);
@@ -502,12 +354,17 @@ mod tests {
         };
         check_store("exact", MessageStore::Exact);
         check_store(" Quantized\t", MessageStore::Quantized);
-        check_store("QUANT", MessageStore::Quantized);
         check_store("", MessageStore::Exact);
-        std::env::set_var("JOCL_MSG_STORE", "f32");
-        let err = std::panic::catch_unwind(env_message_store).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("'exact' or 'quantized'"), "panic lists valid values: {msg}");
+        for bad in ["f32", "quant", "QUANT"] {
+            std::env::set_var("JOCL_MSG_STORE", bad);
+            let msg = panic_msg(&|| {
+                env_message_store();
+            });
+            assert!(
+                msg.contains("JOCL_MSG_STORE must be 'exact' or 'quantized'"),
+                "{bad:?} must list the valid values: {msg}"
+            );
+        }
         std::env::remove_var("JOCL_MSG_STORE");
         assert_eq!(env_message_store(), MessageStore::Exact);
 
@@ -598,15 +455,17 @@ mod tests {
         };
         check_metrics("on", true);
         check_metrics(" OFF\t", false);
-        check_metrics("1", true);
-        check_metrics("0", false);
-        check_metrics("True", true);
-        check_metrics("false", false);
         check_metrics("", true);
-        std::env::set_var("JOCL_METRICS", "maybe");
-        let err = std::panic::catch_unwind(env_metrics).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("'on' or 'off'"), "panic lists valid values: {msg}");
+        for bad in ["maybe", "1", "0", "True", "false"] {
+            std::env::set_var("JOCL_METRICS", bad);
+            let msg = panic_msg(&|| {
+                env_metrics();
+            });
+            assert!(
+                msg.contains("JOCL_METRICS must be 'on' or 'off'"),
+                "{bad:?} must list the valid values: {msg}"
+            );
+        }
         std::env::remove_var("JOCL_METRICS");
         assert!(env_metrics(), "metrics default on");
 

@@ -15,7 +15,7 @@ use jocl_kb::{EntityId, NpMention, NpSlot, RelationId, RpMention, TripleId};
 // in [`crate::env`] (PR-6 satellite) and re-exported so every
 // `jocl_bench::runner::env_*` import keeps working.
 pub use crate::env::{
-    env_compact_threshold, env_listen, env_message_store, env_scale, env_schedule_mode, env_seed,
+    env_check_schedule, env_compact_threshold, env_listen, env_message_store, env_scale, env_seed,
     env_snapshot_dir, env_stream_batches,
 };
 
@@ -63,16 +63,15 @@ impl ExperimentContext {
         }
     }
 
-    /// Default JOCL configuration for experiments at the current scale.
+    /// Default JOCL configuration for experiments at the current scale
+    /// (residual LBP, the one schedule; `JOCL_SCHEDULE` is validated).
     pub fn jocl_config(&self) -> JoclConfig {
-        let train_epochs = crate::env::env_train_epochs();
-        let mut config = JoclConfig {
+        env_check_schedule();
+        JoclConfig {
             sgns: SgnsOptions { dim: 48, epochs: 4, ..Default::default() },
-            train_epochs,
+            train_epochs: crate::env::env_train_epochs(),
             ..Default::default()
-        };
-        config.lbp.mode = env_schedule_mode();
-        config
+        }
     }
 
     /// Run JOCL with a variant/feature-set override, reusing the shared

@@ -1,8 +1,9 @@
 //! Smoke tests: every experiment binary must parse its env config and
-//! run end-to-end on a tiny `jocl_datagen` world.
+//! run end-to-end on a tiny `jocl_datagen` world, and reject arguments
+//! it does not know.
 //!
-//! Guarded behind `--ignored` (the satellite requirement) because each
-//! test executes a full, if miniature, experiment:
+//! The end-to-end runs are guarded behind `--ignored` because each
+//! executes a full, if miniature, experiment:
 //!
 //! ```text
 //! cargo test -p jocl_bench --test bin_smoke -- --ignored
@@ -27,6 +28,30 @@ fn run_bin(exe: &str) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("experiment output must be utf8")
+}
+
+/// A mistyped flag must never run anything: `serve --replcia` would boot
+/// a *writer* over a replica's feed directory, and `bench_regression
+/// --updte` would gate instead of recording. Both bins reject unknown
+/// arguments with their usage line, before generating any data — which
+/// is also why this test is fast enough to run unignored.
+#[test]
+fn unknown_arguments_exit_with_usage() {
+    for (exe, bad, usage) in [
+        (env!("CARGO_BIN_EXE_serve"), "--replcia", "usage: serve [--replica]"),
+        (env!("CARGO_BIN_EXE_bench_regression"), "--updte", "usage: bench_regression [--update]"),
+        (env!("CARGO_BIN_EXE_bench_regression"), "--json", "--json needs a path"),
+    ] {
+        let out = Command::new(exe)
+            .arg(bad)
+            .env("JOCL_SCALE", "0.002")
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe} {bad}: stderr:\n{stderr}");
+        assert!(stderr.contains(usage), "{exe} {bad}: stderr lacks {usage:?}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{exe} {bad} must stop before any work");
+    }
 }
 
 macro_rules! smoke {

@@ -13,14 +13,13 @@
 //!    replica restored under the *wrong* side table is refused by the
 //!    snapshot config fingerprint.
 //!
-//! Guarded behind `--ignored` like the other scale gates; CI runs it
-//! under both `JOCL_SCHEDULE` modes:
+//! Guarded behind `--ignored` like the other scale gates:
 //!
 //! ```text
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test link_scale -- --ignored
 //! ```
 
-use jocl_bench::{env_scale, env_schedule_mode, env_seed};
+use jocl_bench::{env_check_schedule, env_scale, env_seed};
 use jocl_core::signals::build_signals;
 use jocl_core::{Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
@@ -35,12 +34,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 fn gate_config(side: Option<Arc<SideKb>>) -> JoclConfig {
-    let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = env_schedule_mode();
-    // As in the other serving gates: a budget under which the engines
-    // genuinely converge at this scale.
+    env_check_schedule();
+    let mut config = JoclConfig { train_epochs: 0, side_info: side, ..Default::default() };
+    // As in the other serving gates: a budget under which the engine
+    // genuinely converges at this scale.
     config.lbp.max_iters = 100;
-    config.side_info = side;
     config
 }
 

@@ -7,16 +7,16 @@
 //!   message arenas must shed **≥ 40%** of their resident bytes and the
 //!   snapshot envelope **≥ 30%** of its size versus the exact store on
 //!   the same warm session, while the decode stays identical.
-//! * `scale_full` (`JOCL_SCALE=1.0`, `JOCL_SCHEDULE=residual`) — the
+//! * `scale_full` (`JOCL_SCALE=1.0`) — the
 //!   paper-scale end-to-end run must complete, converge, and stay under
 //!   a peak-memory ceiling (`JOCL_MEM_CEILING_MB`, default 8192).
 //!
 //! ```text
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test memory_scale -- --ignored quantized
-//! JOCL_SCALE=1.0 JOCL_SCHEDULE=residual cargo test -p jocl_bench --release --test memory_scale -- --ignored scale_full
+//! JOCL_SCALE=1.0 cargo test -p jocl_bench --release --test memory_scale -- --ignored scale_full
 //! ```
 
-use jocl_bench::{env_mem_ceiling_mb, env_scale, env_schedule_mode, env_seed};
+use jocl_bench::{env_check_schedule, env_mem_ceiling_mb, env_scale, env_seed};
 use jocl_core::signals::build_signals;
 use jocl_core::{BlockingIndex, IncrementalJocl, JoclConfig};
 use jocl_datagen::{reverb45k_like, stress_like};
@@ -37,7 +37,7 @@ fn peak_memory_kb() -> Option<u64> {
 fn quantized_store_memory_wall() {
     let scale = env_scale();
     let seed = env_seed();
-    let mode = env_schedule_mode();
+    env_check_schedule();
 
     let dataset = reverb45k_like(seed, scale);
     let mut union = Okb::new();
@@ -53,7 +53,6 @@ fn quantized_store_memory_wall() {
         &SgnsOptions { dim: 24, epochs: 2, seed, ..Default::default() },
     );
     let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = mode;
     config.lbp.max_iters = 100;
 
     // One warm session per store, identical ingest.
@@ -156,7 +155,7 @@ fn quantized_store_memory_wall() {
 fn scale_full() {
     let scale = env_scale();
     let seed = env_seed();
-    let mode = env_schedule_mode();
+    env_check_schedule();
     let ceiling_mb: u64 = env_mem_ceiling_mb(8192);
 
     let t0 = Instant::now();
@@ -178,11 +177,11 @@ fn scale_full() {
     let signals_s = t1.elapsed().as_secs_f64();
 
     let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = mode;
     config.lbp.max_iters = 100;
     config.message_store = MessageStore::Quantized;
 
     let t2 = Instant::now();
+    let mode = config.lbp.mode;
     let mut session = IncrementalJocl::new(config, &dataset.ckb, &signals);
     let out = session.apply_delta(&triples);
     let infer_s = t2.elapsed().as_secs_f64();

@@ -12,14 +12,13 @@
 //!    idle writer return byte-identical `metrics.v1` frames: a metrics
 //!    read records nothing, not even about itself.
 //!
-//! Guarded behind `--ignored` like the other scale gates; CI runs it
-//! under both `JOCL_SCHEDULE` modes:
+//! Guarded behind `--ignored` like the other scale gates:
 //!
 //! ```text
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test obs_scale -- --ignored
 //! ```
 
-use jocl_bench::{env_scale, env_schedule_mode, env_seed};
+use jocl_bench::{env_check_schedule, env_scale, env_seed};
 use jocl_core::signals::build_signals;
 use jocl_core::{Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
@@ -104,7 +103,7 @@ fn assert_overhead(name: &str, pairs: &[(u64, u64)]) {
 fn metrics_are_free_deterministic_and_byte_stable() {
     let seed = env_seed();
     let scale = env_scale();
-    let mode = env_schedule_mode();
+    env_check_schedule();
     let dataset = reverb45k_like(seed, scale);
     let signals = build_signals(
         &dataset.okb,
@@ -113,8 +112,7 @@ fn metrics_are_free_deterministic_and_byte_stable() {
         &dataset.corpus,
         &SgnsOptions { dim: 24, epochs: 2, seed, ..Default::default() },
     );
-    let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = mode;
+    let config = JoclConfig { train_epochs: 0, ..Default::default() };
     let input = JoclInput {
         okb: &dataset.okb,
         ckb: &dataset.ckb,
@@ -127,27 +125,27 @@ fn metrics_are_free_deterministic_and_byte_stable() {
     let off = Jocl::new(config.clone()).run_with_signals(input, &signals, None);
     jocl_obs::set_metrics_enabled(true);
     let on = Jocl::new(config.clone()).run_with_signals(input, &signals, None);
-    assert_eq!(off.np_links, on.np_links, "np links must not depend on metrics ({mode:?})");
-    assert_eq!(off.rp_links, on.rp_links, "rp links must not depend on metrics ({mode:?})");
+    assert_eq!(off.np_links, on.np_links, "np links must not depend on metrics");
+    assert_eq!(off.rp_links, on.rp_links, "rp links must not depend on metrics");
     assert_eq!(
         off.np_clustering.assignment(),
         on.np_clustering.assignment(),
-        "np clustering must not depend on metrics ({mode:?})"
+        "np clustering must not depend on metrics"
     );
     assert_eq!(
         off.rp_clustering.assignment(),
         on.rp_clustering.assignment(),
-        "rp clustering must not depend on metrics ({mode:?})"
+        "rp clustering must not depend on metrics"
     );
     assert_eq!(
         off.diagnostics.lbp.message_updates, on.diagnostics.lbp.message_updates,
-        "the sweep trajectory must not depend on metrics ({mode:?})"
+        "the sweep trajectory must not depend on metrics"
     );
 
     // 2. ≤2% overhead on the two hottest instrumented paths.
-    println!("metrics overhead ({mode:?}):");
+    println!("metrics overhead ({:?}):", config.lbp.mode);
     let (g, params) = build_ring(600);
-    let opts = LbpOptions { max_iters: 10, mode, ..Default::default() };
+    let opts = LbpOptions { max_iters: 10, mode: config.lbp.mode, ..Default::default() };
     let pairs = ab_pairs(21, || {
         let mut eng = LbpEngine::new(&g);
         black_box(eng.run(&params, &opts));

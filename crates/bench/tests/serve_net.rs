@@ -8,8 +8,7 @@
 //!    writer's.
 //! 2. **Warm catch-up ≥3× cheaper than a cold rebuild** — the message
 //!    updates the replica spends replaying the log tail vs a
-//!    from-scratch batch run on the writer's live triples (residual
-//!    mode — the serving path; synchronous must merely not exceed it).
+//!    from-scratch batch run on the writer's live triples.
 //! 3. **Concurrent readers never block on writes** — with a large
 //!    ingest in flight on the socket front-end, reader connections
 //!    complete `stats`/`query` from the published view before the write
@@ -17,16 +16,15 @@
 //!    typed `ERR` lines: the server survives, the session stays
 //!    consistent.
 //!
-//! Guarded behind `--ignored` like the other scale gates; CI runs it
-//! under both `JOCL_SCHEDULE` modes:
+//! Guarded behind `--ignored` like the other scale gates:
 //!
 //! ```text
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test serve_net -- --ignored
 //! ```
 
-use jocl_bench::{env_scale, env_schedule_mode, env_seed};
+use jocl_bench::{env_check_schedule, env_scale, env_seed};
 use jocl_core::signals::build_signals;
-use jocl_core::{Jocl, JoclConfig, JoclInput, ScheduleMode, Signals};
+use jocl_core::{Jocl, JoclConfig, JoclInput, Signals};
 use jocl_datagen::reverb45k_like;
 use jocl_embed::SgnsOptions;
 use jocl_kb::{Ckb, Okb, Triple};
@@ -73,10 +71,10 @@ fn world() -> &'static World {
 }
 
 fn gate_config() -> JoclConfig {
+    env_check_schedule();
     let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = env_schedule_mode();
-    // As in the other serving gates: a budget under which both engines
-    // genuinely converge at this scale.
+    // As in the other serving gates: a budget under which the engine
+    // genuinely converges at this scale.
     config.lbp.max_iters = 100;
     config
 }
@@ -113,7 +111,6 @@ fn ok(engine: &mut Engine<'static>, line: &str) -> Vec<String> {
 #[ignore = "experiment-scale graphs; run with -- --ignored"]
 fn replica_parity_is_bitwise_and_catchup_beats_cold_rebuild() {
     let w = world();
-    let mode = env_schedule_mode();
     let dir = temp_dir("parity");
     let mut writer = open_writer(&dir);
     let n = w.pool.len();
@@ -187,14 +184,10 @@ fn replica_parity_is_bitwise_and_catchup_beats_cold_rebuild() {
         survivors.len(),
         cold as f64 / catchup.max(1) as f64,
     );
-    // As in serve_scale: residual is the serving path and carries the
-    // headline; the synchronous warm path helps but is not asserted.
-    if mode == ScheduleMode::Residual {
-        assert!(
-            catchup * 3 <= cold,
-            "warm replica catch-up must be ≥3x cheaper than a cold rebuild: {catchup} vs {cold}"
-        );
-    }
+    assert!(
+        catchup * 3 <= cold,
+        "warm replica catch-up must be ≥3x cheaper than a cold rebuild: {catchup} vs {cold}"
+    );
 
     // Phase 3 — a manual compaction and a post-compact add on the
     // writer; the replica replays both (triple ids remap wholesale

@@ -8,7 +8,7 @@
 //!    default blocking caps: the caps were consumed by the prefix both
 //!    runs share (see the `jocl_core::incremental` module docs).
 //! 2. **Warm retract ≥3× cheaper than a cold rebuild** of the
-//!    survivors (message updates, residual mode — the serving path).
+//!    survivors (message updates).
 //! 3. **Snapshot restore ≥10× cheaper than a cold build** (wall-clock:
 //!    deserializing the warm session vs re-running blocking + graph
 //!    build + LBP), resuming with bitwise-identical state.
@@ -19,9 +19,9 @@
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test serve_scale -- --ignored
 //! ```
 
-use jocl_bench::runner::{env_scale, env_schedule_mode, env_seed, env_stream_batches};
+use jocl_bench::runner::{env_check_schedule, env_scale, env_seed, env_stream_batches};
 use jocl_core::signals::build_signals;
-use jocl_core::{DeltaOp, Jocl, JoclConfig, JoclInput, ScheduleMode};
+use jocl_core::{DeltaOp, Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
 use jocl_embed::SgnsOptions;
 use jocl_kb::{Okb, Triple};
@@ -33,7 +33,7 @@ use std::time::Instant;
 fn retraction_parity_with_warm_and_restore_savings() {
     let scale = env_scale();
     let seed = env_seed();
-    let mode = env_schedule_mode();
+    env_check_schedule();
     let batches = env_stream_batches();
 
     let dataset = reverb45k_like(seed, scale);
@@ -52,9 +52,8 @@ fn retraction_parity_with_warm_and_restore_savings() {
         &SgnsOptions { dim: 24, epochs: 2, seed, ..Default::default() },
     );
     let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = mode;
-    // As in stream_scale: a budget under which both engines genuinely
-    // converge at this scale.
+    // As in stream_scale: a budget under which the engine genuinely
+    // converges at this scale.
     config.lbp.max_iters = 100;
 
     // Ingest everything in arrival batches, then warm-retract the tail.
@@ -119,15 +118,11 @@ fn retraction_parity_with_warm_and_restore_savings() {
         "rp clustering diverged from batch on survivors"
     );
 
-    // 2. Warm-retract savings (residual mode — the serving path; the
-    //    synchronous warm path helps but is not the headline).
-    if mode == ScheduleMode::Residual {
-        assert!(
-            warm * 3 <= cold,
-            "a warm 48-triple retraction must be ≥3x cheaper than a cold rebuild: \
-             {warm} vs {cold}"
-        );
-    }
+    // 2. Warm-retract savings.
+    assert!(
+        warm * 3 <= cold,
+        "a warm 48-triple retraction must be ≥3x cheaper than a cold rebuild: {warm} vs {cold}"
+    );
 
     // 3. Snapshot → restore ≥10× cheaper than the cold build, resuming
     //    bitwise-identically.

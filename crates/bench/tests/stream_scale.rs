@@ -27,7 +27,7 @@
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test stream_scale -- --ignored
 //! ```
 
-use jocl_bench::runner::{env_scale, env_schedule_mode, env_seed, env_stream_batches};
+use jocl_bench::runner::{env_check_schedule, env_scale, env_seed, env_stream_batches};
 use jocl_core::signals::build_signals;
 use jocl_core::{IncrementalJocl, Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
@@ -40,7 +40,7 @@ fn streamed_replay_matches_batch_with_warm_savings() {
     let scale = env_scale();
     let seed = env_seed();
     let batches = env_stream_batches();
-    let mode = env_schedule_mode();
+    env_check_schedule();
 
     let dataset = reverb45k_like(seed, scale);
     let triples: Vec<Triple> = dataset.okb.triples().map(|(_, t)| t.clone()).collect();
@@ -56,11 +56,9 @@ fn streamed_replay_matches_batch_with_warm_savings() {
         &SgnsOptions { dim: 24, epochs: 2, seed, ..Default::default() },
     );
     let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
-    config.lbp.mode = mode;
-    // As in `schedule_scale`: give both engines an iteration budget under
-    // which they *genuinely* converge at this scale (the paper-default 20
-    // leaves synchronous sweeps residual-limited), so convergence and
-    // update counts are measured at the same fixed point.
+    // As in `schedule_scale`: an iteration budget under which the engine
+    // *genuinely* converges at this scale, so convergence and update
+    // counts are measured at the fixed point.
     config.lbp.max_iters = 100;
 
     let mut session = IncrementalJocl::new(config.clone(), &dataset.ckb, &signals);
@@ -138,12 +136,11 @@ fn streamed_replay_matches_batch_with_warm_savings() {
         cold_per_arrival
     );
 
-    // 3. The warm-start headline (residual mode; synchronous warm sweeps
-    //    still help but are not the headline path): a serving-sized
-    //    arrival — the last 48 triples against a session warmed on
-    //    everything before them — converges with ≥3× fewer updates than
-    //    the cold rebuild of the whole union.
-    if mode == jocl_core::ScheduleMode::Residual && triples.len() > 96 {
+    // 3. The warm-start headline: a serving-sized arrival — the last 48
+    //    triples against a session warmed on everything before them —
+    //    converges with ≥3× fewer updates than the cold rebuild of the
+    //    whole union.
+    if triples.len() > 96 {
         let split = triples.len() - 48;
         let mut warm = IncrementalJocl::new(config.clone(), &dataset.ckb, &signals);
         let chunk = split.div_ceil(batches.max(1)).max(1);

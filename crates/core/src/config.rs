@@ -85,10 +85,12 @@ pub struct JoclConfig {
     pub candidates: CandidateOptions,
     /// LBP options; the phased schedule of §3.4 is installed by the
     /// pipeline regardless of `schedule` here. The update-selection
-    /// `mode` **is** honored: set it to [`jocl_fg::ScheduleMode::Residual`]
-    /// to run priority-scheduled message passing (same fixed point within
-    /// `tol`, far fewer message updates at scale — see
-    /// `Diagnostics::lbp.message_updates`).
+    /// `mode` defaults to [`jocl_fg::ScheduleMode::Residual`], the one
+    /// schedule sessions and serving run (an incremental session panics
+    /// on anything else). A batch run still honors
+    /// [`jocl_fg::ScheduleMode::Synchronous`], kept as the full-sweep
+    /// reference oracle: same fixed point within `tol`, more message
+    /// updates (see `Diagnostics::lbp.message_updates`).
     pub lbp: LbpOptions,
     /// Learning rate for weight training (paper §4.1: 0.05).
     pub learning_rate: f64,
@@ -154,6 +156,7 @@ impl Default for JoclConfig {
                 tol: 1e-3,
                 damping: 0.1,
                 threads: 4,
+                mode: jocl_fg::ScheduleMode::Residual,
                 ..Default::default()
             },
             learning_rate: 0.05,
@@ -253,6 +256,7 @@ mod tests {
         assert_eq!(c.blocking_threshold, 0.5); // §4.1
         assert_eq!(c.learning_rate, 0.05); // §4.1
         assert_eq!(c.lbp.max_iters, 20); // §3.4 "within twenty iterations"
+        assert_eq!(c.lbp.mode, jocl_fg::ScheduleMode::Residual, "the serving schedule");
         assert_eq!(c.variant, Variant::Full);
     }
 

@@ -66,6 +66,7 @@ impl Figure1 {
                 tol: 1e-6,
                 damping: 0.1,
                 threads: 1,
+                mode: jocl_fg::ScheduleMode::Residual,
                 ..Default::default()
             },
             ..Default::default()

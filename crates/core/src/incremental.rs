@@ -28,7 +28,9 @@
 //!    seeded and only the *dirty* factor blocks — the ones this delta
 //!    appended — are primed into the residual queue, so convergence work
 //!    is proportional to how far the delta's influence actually reaches,
-//!    not to the graph size;
+//!    not to the graph size. Sessions run the residual schedule only
+//!    (`JoclConfig::lbp.mode` must be `ScheduleMode::Residual`, the
+//!    default); the synchronous sweeps are the batch reference oracle;
 //! 5. **re-decodes** with marginals refreshed only for the connected
 //!    components the delta touched (tracked by a growing [`UnionFind`]
 //!    over variables); untouched components keep their messages — and
@@ -285,10 +287,13 @@ impl<'a> IncrementalJocl<'a> {
     /// Open a session with an empty OKB.
     ///
     /// # Panics
-    /// Panics if `config.pretrained_params` is set with a shape that
-    /// does not match `config.features` (stale weights must fail fast,
-    /// exactly as in the batch serving path).
+    /// Panics if `config.lbp.mode` is not `ScheduleMode::Residual` (warm
+    /// deltas run the residual drain only), or if
+    /// `config.pretrained_params` is set with a shape that does not match
+    /// `config.features` (stale weights must fail fast, exactly as in the
+    /// batch serving path).
     pub fn new(config: JoclConfig, ckb: &'a Ckb, signals: &'a Signals) -> Self {
+        assert_residual_schedule(&config);
         let (mut params, groups) = init_params(config.features);
         if let Some(pre) = &config.pretrained_params {
             assert_eq!(
@@ -488,8 +493,7 @@ impl<'a> IncrementalJocl<'a> {
         };
         let warm_started = self.messages.is_some();
         // A delta that neither grew nor tombstoned anything leaves the
-        // converged messages the fixed point: skip inference entirely
-        // (either schedule mode).
+        // converged messages the fixed point: skip inference entirely.
         let graph_unchanged = warm_started && dirty.is_empty();
         let mut engine = LbpEngine::new(&self.plan.graph);
         let lbp = match &self.messages {
@@ -516,14 +520,9 @@ impl<'a> IncrementalJocl<'a> {
         }
 
         // --- 5. re-decode affected components ----------------------------
-        // In residual mode an untouched component's messages are
-        // bit-for-bit unchanged, so its cached marginals stay exact. The
-        // synchronous warm path sweeps everything (messages drift within
-        // tol), so refresh everything.
-        let refresh_all = !graph_unchanged
-            && (!warm_started
-                || matches!(opts.mode, jocl_fg::ScheduleMode::Synchronous)
-                || !lbp.converged);
+        // The residual resume leaves an untouched component's messages
+        // bit-for-bit unchanged, so its cached marginals stay exact.
+        let refresh_all = !graph_unchanged && (!warm_started || !lbp.converged);
         self.marginals.resize(num_vars, Vec::new());
         let mut refreshed = 0usize;
         for v in 0..num_vars {
@@ -764,12 +763,17 @@ impl<'a> IncrementalJocl<'a> {
     /// delta behaves exactly like the uninterrupted session's would.
     /// Corruption and cross-state inconsistencies surface as typed
     /// [`KbError`]s, never as panics or silently wrong state.
+    ///
+    /// # Panics
+    /// Panics if `config.lbp.mode` is not `ScheduleMode::Residual`, as
+    /// [`IncrementalJocl::new`] does.
     pub fn import_state(
         bytes: &[u8],
         config: JoclConfig,
         ckb: &'a Ckb,
         signals: &'a Signals,
     ) -> Result<Self, KbError> {
+        assert_residual_schedule(&config);
         let mut r = SnapReader::new(bytes);
         let okb = Okb::import_state(&mut r)?;
         let blocking = BlockingIndex::import_state(&mut r, &config, okb.len())?;
@@ -926,6 +930,18 @@ impl<'a> IncrementalJocl<'a> {
     }
 }
 
+/// Sessions warm-start every delta with the residual drain
+/// ([`LbpEngine::resume`] rejects anything else); fail at session
+/// construction, naming the field, rather than on the second delta.
+fn assert_residual_schedule(config: &JoclConfig) {
+    assert_eq!(
+        config.lbp.mode,
+        jocl_fg::ScheduleMode::Residual,
+        "incremental sessions need lbp.mode = Residual (synchronous sweeps are the cold \
+         reference oracle only)"
+    );
+}
+
 /// Serialize one committed message arena: a kind word, then the stored
 /// representation bit-exactly. Exact arenas XOR-delta pack (near-
 /// converged messages compress hard); quantized arenas write packed
@@ -991,7 +1007,6 @@ mod tests {
     use crate::blocking::block_pairs;
     use crate::builder::build_graph;
     use crate::signals::build_signals;
-    use jocl_fg::ScheduleMode;
 
     /// One graph builder: a session whose first delta is the whole OKB
     /// holds exactly the plan `build_graph` produces on that OKB — same
@@ -1008,31 +1023,26 @@ mod tests {
         }
         let signals = build_signals(&okb, &world.ckb, &world.ppdb, &world.corpus, &sgns);
         let world_config = JoclConfig { train_epochs: 0, ..JoclConfig::default() };
-        for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-            for (what, okb, ckb, signals, base) in [
-                ("figure 1", &ex.okb, &ex.ckb, &ex_signals, ex.config()),
-                ("reverb45k_like", &okb, &world.ckb, &signals, world_config.clone()),
-            ] {
-                let mut config = base;
-                config.lbp.mode = mode;
-                let blocking = block_pairs(okb, signals, &config);
-                let batch = build_graph(okb, ckb, signals, &blocking, &config);
-                let triples: Vec<Triple> = okb.triples().map(|(_, t)| t.clone()).collect();
-                let mut session = IncrementalJocl::new(config, ckb, signals);
-                session.apply_delta(&triples);
-                let plan = &session.plan;
-                let what = format!("{what} {mode:?}");
-                assert!(plan.graph.num_factors() > 0, "{what}: nothing built");
-                assert_eq!(format!("{:?}", plan.graph), format!("{:?}", batch.graph), "{what}");
-                assert_eq!(plan.np_link_vars, batch.np_link_vars, "{what}");
-                assert_eq!(plan.np_candidates, batch.np_candidates, "{what}");
-                assert_eq!(plan.rp_link_vars, batch.rp_link_vars, "{what}");
-                assert_eq!(plan.rp_candidates, batch.rp_candidates, "{what}");
-                assert_eq!(plan.subj_pair_vars, batch.subj_pair_vars, "{what}");
-                assert_eq!(plan.pred_pair_vars, batch.pred_pair_vars, "{what}");
-                assert_eq!(plan.obj_pair_vars, batch.obj_pair_vars, "{what}");
-                assert_eq!(plan.stats, batch.stats, "{what}");
-            }
+        for (what, okb, ckb, signals, config) in [
+            ("figure 1", &ex.okb, &ex.ckb, &ex_signals, ex.config()),
+            ("reverb45k_like", &okb, &world.ckb, &signals, world_config),
+        ] {
+            let blocking = block_pairs(okb, signals, &config);
+            let batch = build_graph(okb, ckb, signals, &blocking, &config);
+            let triples: Vec<Triple> = okb.triples().map(|(_, t)| t.clone()).collect();
+            let mut session = IncrementalJocl::new(config, ckb, signals);
+            session.apply_delta(&triples);
+            let plan = &session.plan;
+            assert!(plan.graph.num_factors() > 0, "{what}: nothing built");
+            assert_eq!(format!("{:?}", plan.graph), format!("{:?}", batch.graph), "{what}");
+            assert_eq!(plan.np_link_vars, batch.np_link_vars, "{what}");
+            assert_eq!(plan.np_candidates, batch.np_candidates, "{what}");
+            assert_eq!(plan.rp_link_vars, batch.rp_link_vars, "{what}");
+            assert_eq!(plan.rp_candidates, batch.rp_candidates, "{what}");
+            assert_eq!(plan.subj_pair_vars, batch.subj_pair_vars, "{what}");
+            assert_eq!(plan.pred_pair_vars, batch.pred_pair_vars, "{what}");
+            assert_eq!(plan.obj_pair_vars, batch.obj_pair_vars, "{what}");
+            assert_eq!(plan.stats, batch.stats, "{what}");
         }
     }
 }

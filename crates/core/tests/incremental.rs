@@ -2,8 +2,9 @@
 //! followed by convergence decode identically to a from-scratch batch
 //! run on the union** — for the figure-1 worked example, for empty and
 //! singleton OKBs, and (proptest) for random datasets replayed as random
-//! contiguous arrival batches under any thread count and both schedule
-//! modes, sharing one frozen `Signals` per dataset. The retraction
+//! contiguous arrival batches under any thread count, sharing one frozen
+//! `Signals` per dataset. Sessions run the residual schedule only; a
+//! synchronous config is rejected at construction. The retraction
 //! extension of the contract — the **live** decode after retract/revise
 //! deltas equals a batch run on the survivors — is unit-tested here on
 //! figure 1 and property-tested over random op interleavings in the
@@ -41,28 +42,55 @@ fn assert_same_decode(incremental: &JoclOutput, batch: &JoclOutput, what: &str) 
 #[test]
 fn figure1_replayed_one_triple_at_a_time_matches_batch() {
     let ex = figure1();
-    for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-        let mut config = ex.config();
-        config.lbp.mode = mode;
-        let batch = Jocl::new(config.clone()).run(ex.input(), None);
-
-        let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &config.sgns);
-        let mut session = IncrementalJocl::new(config, &ex.ckb, &signals);
-        let mut last = None;
-        for (_, triple) in ex.okb.triples() {
-            last = Some(session.apply_delta(std::slice::from_ref(triple)));
-        }
-        let last = last.expect("three deltas applied");
-        assert_same_decode(&last.output, &batch, &format!("figure1 {mode:?}"));
-        // The decode carries the figure's joint result, not just *a*
-        // consistent one.
-        let s1 = NpMention { triple: TripleId(0), slot: NpSlot::Subject }.dense();
-        let s2 = NpMention { triple: TripleId(1), slot: NpSlot::Subject }.dense();
-        assert_eq!(last.output.np_links[s1], Some(ex.e_umd));
-        assert_eq!(last.output.np_links[s2], Some(ex.e_umd));
-        assert!(last.output.np_clustering.same(s1, s2));
-        assert!(last.stats.warm_started, "deltas after the first must warm-start");
+    let config = ex.config();
+    let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &config.sgns);
+    let mut session = IncrementalJocl::new(config.clone(), &ex.ckb, &signals);
+    let mut last = None;
+    for (_, triple) in ex.okb.triples() {
+        last = Some(session.apply_delta(std::slice::from_ref(triple)));
     }
+    let last = last.expect("three deltas applied");
+    for mode in [ScheduleMode::Residual, ScheduleMode::Synchronous] {
+        let mut batch_config = config.clone();
+        batch_config.lbp.mode = mode;
+        let batch = Jocl::new(batch_config).run(ex.input(), None);
+        assert_same_decode(&last.output, &batch, &format!("figure1 vs batch {mode:?}"));
+    }
+    // The decode carries the figure's joint result, not just *a*
+    // consistent one.
+    let s1 = NpMention { triple: TripleId(0), slot: NpSlot::Subject }.dense();
+    let s2 = NpMention { triple: TripleId(1), slot: NpSlot::Subject }.dense();
+    assert_eq!(last.output.np_links[s1], Some(ex.e_umd));
+    assert_eq!(last.output.np_links[s2], Some(ex.e_umd));
+    assert!(last.output.np_clustering.same(s1, s2));
+    assert!(last.stats.warm_started, "deltas after the first must warm-start");
+}
+
+/// Sessions warm-start with the residual drain only: a synchronous
+/// config fails fast at construction and on restore, naming the field.
+#[test]
+fn sessions_reject_the_synchronous_schedule() {
+    let ex = figure1();
+    let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &ex.config().sgns);
+    let mut sync = ex.config();
+    sync.lbp.mode = ScheduleMode::Synchronous;
+    let panic_msg = |err: Box<dyn std::any::Any + Send>| {
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    };
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        IncrementalJocl::new(sync.clone(), &ex.ckb, &signals);
+    }))
+    .unwrap_err();
+    assert!(panic_msg(err).contains("lbp.mode"), "the panic names the field");
+
+    let mut session = IncrementalJocl::new(ex.config(), &ex.ckb, &signals);
+    session.apply_delta(&ex.okb.triples().map(|(_, t)| t.clone()).collect::<Vec<_>>());
+    let bytes = session.export_state();
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = IncrementalJocl::import_state(&bytes, sync.clone(), &ex.ckb, &signals);
+    }))
+    .unwrap_err();
+    assert!(panic_msg(err).contains("lbp.mode"), "restore rejects it too");
 }
 
 /// Satellite regression (OKB dedup): re-delivering a triple through
@@ -103,27 +131,27 @@ fn empty_okb_is_well_formed_in_batch_and_incremental() {
     let ckb = Ckb::new();
     let ppdb = ParaphraseStore::new();
     let corpus: Vec<Vec<String>> = Vec::new();
-    for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-        let mut config = JoclConfig::default();
-        config.lbp.mode = mode;
+    let config = JoclConfig::default();
+    let signals = build_signals(&okb, &ckb, &ppdb, &corpus, &config.sgns);
+    let mut session = IncrementalJocl::new(config.clone(), &ckb, &signals);
+    let out = session.apply_delta(&[]);
+    assert_eq!(out.stats.appended, 0);
+    assert!(out.output.np_links.is_empty());
+    assert_eq!(out.output.np_clustering.num_clusters(), 0);
+    assert!(out.output.diagnostics.lbp.converged);
+    for mode in [ScheduleMode::Residual, ScheduleMode::Synchronous] {
+        let mut batch_config = config.clone();
+        batch_config.lbp.mode = mode;
         let input = JoclInput { okb: &okb, ckb: &ckb, ppdb: &ppdb, corpus: &corpus };
         let labels = ValidationLabels::empty(&okb);
-        let batch = Jocl::new(config.clone()).run(input, Some(&labels));
+        let batch = Jocl::new(batch_config).run(input, Some(&labels));
         assert!(batch.np_links.is_empty());
         assert!(batch.rp_links.is_empty());
         assert_eq!(batch.np_clustering.len(), 0);
         assert_eq!(batch.np_clustering.num_clusters(), 0);
         assert_eq!(batch.diagnostics.num_vars, 0);
         assert!(batch.diagnostics.lbp.converged, "an empty system is trivially converged");
-
-        let signals = build_signals(&okb, &ckb, &ppdb, &corpus, &config.sgns);
-        let mut session = IncrementalJocl::new(config, &ckb, &signals);
-        let out = session.apply_delta(&[]);
-        assert_eq!(out.stats.appended, 0);
-        assert!(out.output.np_links.is_empty());
-        assert_eq!(out.output.np_clustering.num_clusters(), 0);
-        assert!(out.output.diagnostics.lbp.converged);
-        assert_same_decode(&out.output, &batch, &format!("empty {mode:?}"));
+        assert_same_decode(&out.output, &batch, &format!("empty vs batch {mode:?}"));
     }
 }
 
@@ -135,23 +163,23 @@ fn single_triple_okb_is_well_formed_in_batch_and_incremental() {
     let mut okb = Okb::new();
     let triple = ex.okb.triple(TripleId(0)).clone();
     okb.add_triple(triple.clone());
-    for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-        let mut config = ex.config();
-        config.lbp.mode = mode;
+    let config = ex.config();
+    let signals = build_signals(&okb, &ex.ckb, &ex.ppdb, &ex.corpus, &config.sgns);
+    let mut session = IncrementalJocl::new(config.clone(), &ex.ckb, &signals);
+    let out = session.apply_delta(std::slice::from_ref(&triple));
+    assert_eq!(out.stats.appended, 1);
+    for mode in [ScheduleMode::Residual, ScheduleMode::Synchronous] {
+        let mut batch_config = config.clone();
+        batch_config.lbp.mode = mode;
         let input = JoclInput { okb: &okb, ckb: &ex.ckb, ppdb: &ex.ppdb, corpus: &ex.corpus };
-        let batch = Jocl::new(config.clone()).run(input, None);
+        let batch = Jocl::new(batch_config).run(input, None);
         assert_eq!(batch.np_links.len(), 2);
         assert_eq!(batch.rp_links.len(), 1);
         assert_eq!(batch.np_clustering.len(), 2);
         assert!(batch.diagnostics.lbp.converged);
         // Subject and object of one triple never share a cluster.
         assert!(!batch.np_clustering.same(0, 1));
-
-        let signals = build_signals(&okb, &ex.ckb, &ex.ppdb, &ex.corpus, &config.sgns);
-        let mut session = IncrementalJocl::new(config, &ex.ckb, &signals);
-        let out = session.apply_delta(std::slice::from_ref(&triple));
-        assert_eq!(out.stats.appended, 1);
-        assert_same_decode(&out.output, &batch, &format!("singleton {mode:?}"));
+        assert_same_decode(&out.output, &batch, &format!("singleton vs batch {mode:?}"));
     }
 }
 
@@ -200,47 +228,45 @@ fn assert_live_matches_batch(
 
 /// Retracting the middle figure-1 triple must decode, on the live
 /// slice, exactly like a batch run on the remaining two — and the dead
-/// mentions must drop out of links and merges (both schedule modes).
+/// mentions must drop out of links and merges.
 #[test]
 fn figure1_retraction_matches_batch_on_survivors() {
     let ex = figure1();
     let triples: Vec<Triple> = ex.okb.triples().map(|(_, t)| t.clone()).collect();
-    let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &ex.config().sgns);
-    for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-        let mut config = ex.config();
-        config.lbp.mode = mode;
+    let config = ex.config();
+    let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &config.sgns);
 
-        let mut session = IncrementalJocl::new(config.clone(), &ex.ckb, &signals);
-        session.apply_delta(&triples);
-        let out = session.apply_ops(&[DeltaOp::Retract(triples[1].clone())]);
-        assert_eq!(out.stats.retracted, 1);
-        assert!(out.stats.tombstoned_factors > 0, "triple 1 carried factors");
-        assert!(out.stats.tombstone_density > 0.0);
-        assert_eq!(out.stats.live_triples, 2);
-        assert!(out.output.diagnostics.lbp.converged);
-        // Dead mentions decode to nothing.
-        let s2 = NpMention { triple: TripleId(1), slot: NpSlot::Subject }.dense();
-        let o2 = NpMention { triple: TripleId(1), slot: NpSlot::Object }.dense();
-        assert_eq!(out.output.np_links[s2], None, "{mode:?}: dead subject must unlink");
-        assert_eq!(out.output.np_links[o2], None);
-        assert_eq!(out.output.rp_links[1], None);
-        assert!(
-            !out.output.np_clustering.same(0, s2),
-            "{mode:?}: dead mention must not merge with live ones"
-        );
+    let mut session = IncrementalJocl::new(config.clone(), &ex.ckb, &signals);
+    session.apply_delta(&triples);
+    let out = session.apply_ops(&[DeltaOp::Retract(triples[1].clone())]);
+    assert_eq!(out.stats.retracted, 1);
+    assert!(out.stats.tombstoned_factors > 0, "triple 1 carried factors");
+    assert!(out.stats.tombstone_density > 0.0);
+    assert_eq!(out.stats.live_triples, 2);
+    assert!(out.output.diagnostics.lbp.converged);
+    // Dead mentions decode to nothing.
+    let s2 = NpMention { triple: TripleId(1), slot: NpSlot::Subject }.dense();
+    let o2 = NpMention { triple: TripleId(1), slot: NpSlot::Object }.dense();
+    assert_eq!(out.output.np_links[s2], None, "dead subject must unlink");
+    assert_eq!(out.output.np_links[o2], None);
+    assert_eq!(out.output.rp_links[1], None);
+    assert!(!out.output.np_clustering.same(0, s2), "dead mention must not merge with live ones");
 
-        // Reference: batch run on the two survivors with the same frozen
-        // signals.
-        let mut survivors = Okb::new();
-        survivors.ingest_triple(triples[0].clone());
-        survivors.ingest_triple(triples[2].clone());
+    // Reference: batch run on the two survivors with the same frozen
+    // signals, under the session's schedule and the synchronous oracle.
+    let mut survivors = Okb::new();
+    survivors.ingest_triple(triples[0].clone());
+    survivors.ingest_triple(triples[2].clone());
+    for mode in [ScheduleMode::Residual, ScheduleMode::Synchronous] {
+        let mut batch_config = config.clone();
+        batch_config.lbp.mode = mode;
         let input = JoclInput { okb: &survivors, ckb: &ex.ckb, ppdb: &ex.ppdb, corpus: &ex.corpus };
-        let batch = Jocl::new(config).run_with_signals(input, &signals, None);
+        let batch = Jocl::new(batch_config).run_with_signals(input, &signals, None);
         assert_live_matches_batch(
             &out.output,
             &[TripleId(0), TripleId(2)],
             &batch,
-            &format!("figure1 retract {mode:?}"),
+            &format!("figure1 retract vs batch {mode:?}"),
         );
     }
 }
@@ -315,36 +341,28 @@ fn export_import_state_roundtrip_is_bitwise_warm() {
     let ex = figure1();
     let triples: Vec<Triple> = ex.okb.triples().map(|(_, t)| t.clone()).collect();
     let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &ex.config().sgns);
-    for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-        let mut config = ex.config();
-        config.lbp.mode = mode;
-        let mut session = IncrementalJocl::new(config.clone(), &ex.ckb, &signals);
-        session.apply_delta(&triples[..2]);
-        session.apply_ops(&[DeltaOp::Retract(triples[0].clone())]);
-        let bytes = session.export_state();
+    let config = ex.config();
+    let mut session = IncrementalJocl::new(config.clone(), &ex.ckb, &signals);
+    session.apply_delta(&triples[..2]);
+    session.apply_ops(&[DeltaOp::Retract(triples[0].clone())]);
+    let bytes = session.export_state();
 
-        let mut restored =
-            IncrementalJocl::import_state(&bytes, config, &ex.ckb, &signals).unwrap();
-        assert_eq!(restored.len(), session.len());
-        assert_eq!(restored.num_live(), session.num_live());
-        assert_eq!(
-            restored.export_state(),
-            bytes,
-            "{mode:?}: restored state must re-export identically"
-        );
+    let mut restored = IncrementalJocl::import_state(&bytes, config, &ex.ckb, &signals).unwrap();
+    assert_eq!(restored.len(), session.len());
+    assert_eq!(restored.num_live(), session.num_live());
+    assert_eq!(restored.export_state(), bytes, "restored state must re-export identically");
 
-        // The next delta behaves identically in both sessions.
-        let a = session.apply_delta(&triples[2..]);
-        let b = restored.apply_delta(&triples[2..]);
-        assert_eq!(a.stats.new_vars, b.stats.new_vars);
-        assert_eq!(a.stats.lbp.message_updates, b.stats.lbp.message_updates, "{mode:?}");
-        assert_same_decode(&b.output, &a.output, &format!("restored {mode:?}"));
-        assert_eq!(
-            session.export_state(),
-            restored.export_state(),
-            "{mode:?}: post-delta states must stay bitwise identical"
-        );
-    }
+    // The next delta behaves identically in both sessions.
+    let a = session.apply_delta(&triples[2..]);
+    let b = restored.apply_delta(&triples[2..]);
+    assert_eq!(a.stats.new_vars, b.stats.new_vars);
+    assert_eq!(a.stats.lbp.message_updates, b.stats.lbp.message_updates);
+    assert_same_decode(&b.output, &a.output, "restored");
+    assert_eq!(
+        session.export_state(),
+        restored.export_state(),
+        "post-delta states must stay bitwise identical"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -356,19 +374,17 @@ struct ParityWorld {
     ckb: Ckb,
     signals: Signals,
     triples: Vec<Triple>,
-    /// Batch decode per schedule mode (thread-invariant by the PR-2/PR-3
-    /// guarantees, so one run per mode suffices).
-    batch: [JoclOutput; 2],
+    /// Batch decode (thread-invariant by the PR-2/PR-3 guarantees, so
+    /// one run suffices).
+    batch: JoclOutput,
 }
 
-fn parity_config(mode: ScheduleMode) -> JoclConfig {
-    let mut config = JoclConfig {
+fn parity_config() -> JoclConfig {
+    JoclConfig {
         train_epochs: 0,
         sgns: SgnsOptions { dim: 16, epochs: 2, ..Default::default() },
         ..Default::default()
-    };
-    config.lbp.mode = mode;
-    config
+    }
 }
 
 /// Three small worlds (different seeds), each with signals built once
@@ -393,15 +409,13 @@ fn parity_worlds() -> &'static Vec<ParityWorld> {
                     &dataset.corpus,
                     &SgnsOptions { dim: 16, epochs: 2, seed, ..Default::default() },
                 );
-                let batch = [ScheduleMode::Synchronous, ScheduleMode::Residual].map(|mode| {
-                    let input = JoclInput {
-                        okb: &okb,
-                        ckb: &dataset.ckb,
-                        ppdb: &dataset.ppdb,
-                        corpus: &dataset.corpus,
-                    };
-                    Jocl::new(parity_config(mode)).run_with_signals(input, &signals, None)
-                });
+                let input = JoclInput {
+                    okb: &okb,
+                    ckb: &dataset.ckb,
+                    ppdb: &dataset.ppdb,
+                    corpus: &dataset.corpus,
+                };
+                let batch = Jocl::new(parity_config()).run_with_signals(input, &signals, None);
                 ParityWorld { okb, ckb: dataset.ckb.clone(), signals, triples, batch }
             })
             .collect()
@@ -412,20 +426,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any contiguous partition of the arrival sequence, any thread
-    /// count, both schedule modes: the final delta's decode equals the
-    /// batch decode on the union.
+    /// count: the final delta's decode equals the batch decode on the
+    /// union.
     #[test]
     fn interleaved_deltas_decode_like_batch(
         world_idx in 0usize..3,
         cuts in proptest::collection::vec(0usize..200, 0..4),
         threads in 1usize..3,
-        residual_mode in 0usize..2,
     ) {
         let world = &parity_worlds()[world_idx];
         let n = world.triples.len();
-        let residual = residual_mode == 1;
-        let mode = if residual { ScheduleMode::Residual } else { ScheduleMode::Synchronous };
-        let mut config = parity_config(mode);
+        let mut config = parity_config();
         config.lbp.threads = threads;
 
         // Contiguous arrival batches from the random cut points: the
@@ -446,7 +457,7 @@ proptest! {
             prop_assert!(last.output.diagnostics.lbp.converged, "delta LBP must converge");
         }
         prop_assert_eq!(appended, world.okb.len(), "dedup must mirror the union ingest");
-        let batch = &world.batch[usize::from(residual)];
+        let batch = &world.batch;
         prop_assert_eq!(&last.output.np_links, &batch.np_links, "np links diverged");
         prop_assert_eq!(&last.output.rp_links, &batch.rp_links, "rp links diverged");
         prop_assert_eq!(

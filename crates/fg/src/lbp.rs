@@ -23,11 +23,14 @@
 //! commits per edge, so marginals are bit-identical for any thread count.
 //!
 //! Two **update-selection modes** ([`ScheduleMode`]) sit on top of the
-//! schedule: `Synchronous` full sweeps, and `Residual` — a bucketed
-//! max-residual priority queue over factor blocks with dirty propagation
-//! through the CSR variable adjacency, which reaches the same fixed point
-//! within `tol` while recomputing only the messages whose inputs still
-//! change ([`LbpResult::message_updates`] counts both modes identically).
+//! schedule: `Residual` — a bucketed max-residual priority queue over
+//! factor blocks with dirty propagation through the CSR variable
+//! adjacency, the serving schedule and the only one warm resumes run —
+//! and `Synchronous` full sweeps, kept as the cold reference oracle. The
+//! residual drain reaches the sweeps' fixed point within `tol` while
+//! recomputing only the messages whose inputs still change
+//! ([`LbpResult::message_updates`] counts both modes identically). Both
+//! modes update factors through the same fused compute-and-commit batch.
 
 use crate::graph::{FactorGraph, FactorId, Potential, VarId};
 use crate::logspace::{log_normalize, logsumexp, max_abs_diff, to_probs};
@@ -85,7 +88,8 @@ fn record_sweep(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleMode {
     /// Full sweeps: every scheduled factor updates each iteration, phase
-    /// by phase, then every scheduled variable. The PR-2 behaviour.
+    /// by phase, then every scheduled variable. The cold reference oracle
+    /// (and `LbpOptions::default()`); warm resumes reject it.
     #[default]
     Synchronous,
     /// Residual-scheduled message passing (Elidan et al., UAI 2006
@@ -351,12 +355,15 @@ impl<'g> LbpEngine<'g> {
     /// factors appended since the snapshot; everything else re-enters the
     /// computation only if dirty propagation actually reaches it.
     ///
-    /// In [`ScheduleMode::Residual`] the priming sweep is restricted to
-    /// the dirty set and the drain starts from there, so an untouched
-    /// connected component performs **zero** message updates and its
-    /// messages (and therefore marginals) are preserved bit-for-bit. In
-    /// [`ScheduleMode::Synchronous`] full sweeps run, but from the warm
-    /// start they converge in few iterations.
+    /// Warm runs are always residual-scheduled: the priming sweep is
+    /// restricted to the dirty set and the drain starts from there, so an
+    /// untouched connected component performs **zero** message updates
+    /// and its messages (and therefore marginals) are preserved
+    /// bit-for-bit.
+    ///
+    /// # Panics
+    /// Panics unless `opts.mode` is [`ScheduleMode::Residual`]; the
+    /// synchronous sweeps are the cold reference oracle only.
     pub fn resume(
         &mut self,
         prior: &LbpMessages,
@@ -374,12 +381,20 @@ impl<'g> LbpEngine<'g> {
     /// messages to uniform ([`LbpEngine::reset_factor_messages`]), and
     /// only then warm-starts with the tombstones *and their live
     /// neighbors* in `dirty`.
+    ///
+    /// # Panics
+    /// Panics unless `opts.mode` is [`ScheduleMode::Residual`].
     pub fn resume_imported(
         &mut self,
         params: &Params,
         opts: &LbpOptions,
         dirty: &[u32],
     ) -> LbpResult {
+        assert_eq!(
+            opts.mode,
+            ScheduleMode::Residual,
+            "warm LBP resumes run the residual drain only (lbp.mode must be Residual)"
+        );
         // Re-derive the variable→factor messages of every *scheduled*
         // variable a dirty factor touches: the snapshot's vf on new
         // edges is uniform, and priming quality (not correctness)
@@ -404,10 +419,7 @@ impl<'g> LbpEngine<'g> {
         let sw = Stopwatch::start();
         let mut span = jocl_obs::span!("lbp_sweep");
         self.update_var_messages(&vars);
-        let result = match opts.mode {
-            ScheduleMode::Synchronous => self.run_synchronous_from(params, opts, false),
-            ScheduleMode::Residual => self.run_residual_from(params, opts, Some(dirty)),
-        };
+        let result = self.run_residual_from(params, opts, Some(dirty));
         record_sweep(&opts.mode, &sw, &result, &mut span);
         result
     }
@@ -554,25 +566,17 @@ impl<'g> LbpEngine<'g> {
         let sw = Stopwatch::start();
         let mut span = jocl_obs::span!("lbp_sweep");
         let result = match opts.mode {
-            ScheduleMode::Synchronous => self.run_synchronous_from(params, opts, true),
+            ScheduleMode::Synchronous => self.run_synchronous(params, opts),
             ScheduleMode::Residual => self.run_residual_from(params, opts, None),
         };
         record_sweep(&opts.mode, &sw, &result, &mut span);
         result
     }
 
-    /// Synchronous mode: full factor + variable sweeps per iteration.
-    /// With `reset` false the current messages are the starting point
-    /// (the warm path of [`LbpEngine::resume`]).
-    fn run_synchronous_from(
-        &mut self,
-        params: &Params,
-        opts: &LbpOptions,
-        reset: bool,
-    ) -> LbpResult {
-        if reset {
-            self.reset_messages();
-        }
+    /// Synchronous mode: full factor + variable sweeps per iteration,
+    /// from uniform messages.
+    fn run_synchronous(&mut self, params: &Params, opts: &LbpOptions) -> LbpResult {
+        self.reset_messages();
         let (factor_sel, var_sel) = self.phase_selections(&opts.schedule);
         let phase_messages: Vec<u64> = factor_sel
             .iter()
@@ -589,8 +593,8 @@ impl<'g> LbpEngine<'g> {
             for iter in 0..opts.max_iters {
                 let mut residual = 0.0f64;
                 for (selected, messages) in factor_sel.iter().zip(&phase_messages) {
-                    residual =
-                        residual.max(self.update_factor_messages(params, selected, opts, pool));
+                    let residuals = self.update_factor_batch(params, selected, opts, pool);
+                    residual = residuals.into_iter().fold(residual, f64::max);
                     result.message_updates += messages;
                 }
                 for selected in &var_sel {
@@ -718,7 +722,7 @@ impl<'g> LbpEngine<'g> {
                     None => selected.clone(),
                     Some(mask) => selected.iter().copied().filter(|&f| mask[f as usize]).collect(),
                 };
-                let residuals = self.residual_factor_batch(params, &selected, opts, pool);
+                let residuals = self.update_factor_batch(params, &selected, opts, pool);
                 for (&f, &r_f) in selected.iter().zip(&residuals) {
                     bump_after_update(f, r_f, &mut prio, &mut queue);
                 }
@@ -766,7 +770,7 @@ impl<'g> LbpEngine<'g> {
                 if result.message_updates >= budget {
                     break;
                 }
-                let residuals = self.residual_factor_batch(params, &batch, opts, pool);
+                let residuals = self.update_factor_batch(params, &batch, opts, pool);
                 result.residual = residuals.iter().copied().fold(0.0, f64::max);
                 for (&f, &r_f) in batch.iter().zip(&residuals) {
                     bump_after_update(f, r_f, &mut prio, &mut queue);
@@ -865,14 +869,17 @@ impl<'g> LbpEngine<'g> {
         }
     }
 
-    /// Fused compute + commit of one drained batch of factor blocks on the
-    /// pool; returns the committed message residual of each factor, in
-    /// batch order. Factors own disjoint edge regions of `fv`/`new_fv` and
-    /// each appears in exactly one chunk, so chunks write through shared
-    /// pointers; [`jocl_exec::Pool::map_chunks`] returns the per-chunk
-    /// residual lists in chunk order, which concatenate back to batch
-    /// order.
-    fn residual_factor_batch(
+    /// Fused compute + commit of a batch of factor blocks on the pool —
+    /// one synchronous phase or one drained residual batch; returns the
+    /// committed message residual of each factor, in batch order. The
+    /// kernels read only `vf` and each factor commits only its own `fv`
+    /// edges, so updating a batch factor by factor yields exactly the
+    /// messages of a compute-all-then-commit-all sweep. Factors own
+    /// disjoint edge regions of `fv`/`new_fv` and each appears in exactly
+    /// one chunk, so chunks write through shared pointers;
+    /// [`jocl_exec::Pool::map_chunks`] returns the per-chunk residual
+    /// lists in chunk order, which concatenate back to batch order.
+    fn update_factor_batch(
         &mut self,
         params: &Params,
         batch: &[u32],
@@ -892,8 +899,8 @@ impl<'g> LbpEngine<'g> {
             let len = fv.len();
             pool.map_chunks(batch.len(), chunk, |_, range| {
                 let (fv_ptr, new_ptr) = (&fv_ptr, &new_ptr);
-                // SAFETY: as in the sweep paths — disjoint per-factor edge
-                // regions, each factor in exactly one chunk.
+                // SAFETY: factors write disjoint edge regions of `fv` and
+                // `new_fv`, and each factor appears in exactly one chunk.
                 let fv = unsafe { std::slice::from_raw_parts_mut(fv_ptr.0, len) };
                 let new_fv = unsafe { std::slice::from_raw_parts_mut(new_ptr.0, len) };
                 let mut scratch = Scratch::default();
@@ -928,81 +935,6 @@ impl<'g> LbpEngine<'g> {
     /// job handshake dominates the kernel work.
     fn sweep_chunk_size(n: usize, pool: &jocl_exec::Pool<'_>) -> usize {
         n.div_ceil(pool.threads() * 4).max(16)
-    }
-
-    /// Update factor→variable messages for the factors in `selected`.
-    /// Returns the max residual.
-    fn update_factor_messages(
-        &mut self,
-        params: &Params,
-        selected: &[u32],
-        opts: &LbpOptions,
-        pool: &jocl_exec::Pool<'_>,
-    ) -> f64 {
-        if selected.is_empty() {
-            return 0.0;
-        }
-        let chunk = Self::sweep_chunk_size(selected.len(), pool);
-        // Phase 1: raw messages. Every factor owns a disjoint region of
-        // `new_fv`, so chunks write through a shared pointer; the buffer
-        // is moved out of `self` so workers can borrow `self` read-only.
-        let mut new_fv = std::mem::take(&mut self.new_fv);
-        {
-            let ptr = SendPtr(new_fv.as_mut_ptr());
-            let len = new_fv.len();
-            pool.chunked_for_each(selected.len(), chunk, |_, range| {
-                let ptr = &ptr;
-                // SAFETY: factors write disjoint edge regions of `new_fv`
-                // and each factor appears in exactly one chunk.
-                let buf = unsafe { std::slice::from_raw_parts_mut(ptr.0, len) };
-                let mut scratch = Scratch::default();
-                for &f in &selected[range] {
-                    self.factor_messages_kernel(params, f as usize, buf, &mut scratch);
-                }
-            });
-        }
-        self.new_fv = new_fv;
-        // Phase 2: commit with damping + normalization; measure residual.
-        // Also per-edge disjoint, so it runs on the same pool; max() is
-        // associative and reduced in chunk order, so the residual is
-        // bit-identical to the serial sweep.
-        let lambda = opts.damping;
-        let mut fv = std::mem::take(&mut self.fv);
-        let mut new_fv = std::mem::take(&mut self.new_fv);
-        let residual = {
-            let fv_ptr = SendPtr(fv.as_mut_ptr());
-            let new_ptr = SendPtr(new_fv.as_mut_ptr());
-            let len = fv.len();
-            pool.map_reduce(
-                selected.len(),
-                chunk,
-                |_, range| {
-                    let (fv_ptr, new_ptr) = (&fv_ptr, &new_ptr);
-                    // SAFETY: as above — disjoint per-factor edge regions.
-                    let fv = unsafe { std::slice::from_raw_parts_mut(fv_ptr.0, len) };
-                    let new_fv = unsafe { std::slice::from_raw_parts_mut(new_ptr.0, len) };
-                    let mut residual = 0.0f64;
-                    for &f in &selected[range] {
-                        for e in self.factor_edges(f as usize) {
-                            let range = self.edge_range(e);
-                            for i in range.clone() {
-                                new_fv[i] = lambda * fv[i] + (1.0 - lambda) * new_fv[i];
-                            }
-                            log_normalize(&mut new_fv[range.clone()]);
-                            residual = residual
-                                .max(max_abs_diff(&new_fv[range.clone()], &fv[range.clone()]));
-                            fv[range.clone()].copy_from_slice(&new_fv[range]);
-                        }
-                    }
-                    residual
-                },
-                0.0f64,
-                f64::max,
-            )
-        };
-        self.fv = fv;
-        self.new_fv = new_fv;
-        residual
     }
 
     /// Compute raw (undamped, unnormalized) new messages of one factor
@@ -1964,8 +1896,8 @@ mod tests {
     }
 
     /// Warm-started resume on an appended-to graph must reach the cold
-    /// fixed point (both modes) while, in residual mode, recomputing far
-    /// fewer messages.
+    /// fixed point (residual and the synchronous oracle alike) while
+    /// recomputing far fewer messages than a cold residual run.
     #[test]
     fn resume_on_appended_graph_matches_cold_fixed_point() {
         // Chain of 30 built in two stages: the first 20 vars/factors,
@@ -1989,36 +1921,57 @@ mod tests {
         let (g20, params) = build(20);
         let (g30, _) = build(30);
         let dirty: Vec<u32> = (g20.num_factors() as u32..g30.num_factors() as u32).collect();
-        for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-            let opts = LbpOptions { tol: 1e-10, max_iters: 500, mode, ..Default::default() };
-            let mut prefix = LbpEngine::new(&g20);
-            prefix.run(&params, &opts);
-            let snapshot = prefix.export_messages();
+        let opts = LbpOptions {
+            tol: 1e-10,
+            max_iters: 500,
+            mode: ScheduleMode::Residual,
+            ..Default::default()
+        };
+        let mut prefix = LbpEngine::new(&g20);
+        prefix.run(&params, &opts);
+        let snapshot = prefix.export_messages();
 
-            let mut warm = LbpEngine::new(&g30);
-            let warm_res = warm.resume(&snapshot, &params, &opts, &dirty);
-            let mut cold = LbpEngine::new(&g30);
-            let cold_res = cold.run(&params, &opts);
-            assert!(warm_res.converged && cold_res.converged, "{mode:?}");
-            let (mw, mc) = (warm.marginals(), cold.marginals());
+        let mut warm = LbpEngine::new(&g30);
+        let warm_res = warm.resume(&snapshot, &params, &opts, &dirty);
+        let mut cold = LbpEngine::new(&g30);
+        let cold_res = cold.run(&params, &opts);
+        let mut oracle = LbpEngine::new(&g30);
+        let oracle_res =
+            oracle.run(&params, &LbpOptions { mode: ScheduleMode::Synchronous, ..opts.clone() });
+        assert!(warm_res.converged && cold_res.converged && oracle_res.converged);
+        let mw = warm.marginals();
+        for (what, reference) in
+            [("cold residual", cold.marginals()), ("oracle", oracle.marginals())]
+        {
             for v in 0..g30.num_vars() {
                 let v = VarId(v as u32);
                 assert!(
-                    (mw.prob(v, 1) - mc.prob(v, 1)).abs() < 1e-7,
-                    "{mode:?} var {v:?}: warm {} vs cold {}",
+                    (mw.prob(v, 1) - reference.prob(v, 1)).abs() < 1e-7,
+                    "var {v:?}: warm {} vs {what} {}",
                     mw.prob(v, 1),
-                    mc.prob(v, 1)
-                );
-            }
-            if mode == ScheduleMode::Residual {
-                assert!(
-                    warm_res.message_updates * 2 < cold_res.message_updates,
-                    "warm resume must at least halve the cold residual work: {} vs {}",
-                    warm_res.message_updates,
-                    cold_res.message_updates
+                    reference.prob(v, 1)
                 );
             }
         }
+        assert!(
+            warm_res.message_updates * 2 < cold_res.message_updates,
+            "warm resume must at least halve the cold residual work: {} vs {}",
+            warm_res.message_updates,
+            cold_res.message_updates
+        );
+    }
+
+    /// Warm resumes run the residual drain only: a synchronous
+    /// `LbpOptions` is rejected instead of silently sweeping everything.
+    #[test]
+    #[should_panic(expected = "lbp.mode must be Residual")]
+    fn resume_rejects_the_synchronous_schedule() {
+        let (g, params, _) = chain_graph();
+        let mut eng = LbpEngine::new(&g);
+        let opts = LbpOptions::default();
+        eng.run(&params, &opts);
+        let snapshot = eng.export_messages();
+        eng.resume(&snapshot, &params, &opts, &[0]);
     }
 
     /// A connected component the dirty set does not reach performs zero
@@ -2090,7 +2043,7 @@ mod tests {
     /// The serving retraction sequence — converge, neutralize a factor,
     /// reset its messages, resume with the tombstone and its neighbors
     /// dirty — reaches the fixed point of a graph that never had the
-    /// factor (both schedule modes).
+    /// factor — the cold residual run and the synchronous oracle alike.
     #[test]
     fn neutralize_reset_resume_matches_factor_free_fixed_point() {
         let build = |with_evidence: bool| -> (FactorGraph, Params) {
@@ -2111,30 +2064,35 @@ mod tests {
             g.add_factor(&[b], Potential::Scores { group: grp, scores: vec![0.3, 0.0] }, 0);
             (g, params)
         };
+        let opts = LbpOptions {
+            tol: 1e-10,
+            max_iters: 500,
+            mode: ScheduleMode::Residual,
+            ..Default::default()
+        };
+        let (mut g, params) = build(true);
+        let mut eng = LbpEngine::new(&g);
+        assert!(eng.run(&params, &opts).converged);
+        let before = eng.marginals();
+        assert!(before.prob(VarId(0), 1) > 0.6, "evidence must matter pre-retraction");
+        let snapshot = eng.export_messages();
+        drop(eng);
+
+        g.neutralize_factor(FactorId(0));
+        let mut warm = LbpEngine::new(&g);
+        warm.import_messages(&snapshot);
+        warm.reset_factor_messages(&[0]);
+        // Dirty: the tombstone plus every live factor sharing one of its
+        // variables (here the pair factor 1).
+        let res = warm.resume_imported(&params, &opts, &[0, 1]);
+        assert!(res.converged);
+
+        // Reference: the same system without the evidence factor,
+        // converged cold under either schedule.
+        let (g_ref, _) = build(false);
         for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-            let opts = LbpOptions { tol: 1e-10, max_iters: 500, mode, ..Default::default() };
-            let (mut g, params) = build(true);
-            let mut eng = LbpEngine::new(&g);
-            assert!(eng.run(&params, &opts).converged);
-            let before = eng.marginals();
-            assert!(before.prob(VarId(0), 1) > 0.6, "evidence must matter pre-retraction");
-            let snapshot = eng.export_messages();
-            drop(eng);
-
-            g.neutralize_factor(FactorId(0));
-            let mut warm = LbpEngine::new(&g);
-            warm.import_messages(&snapshot);
-            warm.reset_factor_messages(&[0]);
-            // Dirty: the tombstone plus every live factor sharing one of
-            // its variables (here the pair factor 1).
-            let res = warm.resume_imported(&params, &opts, &[0, 1]);
-            assert!(res.converged, "{mode:?}");
-
-            // Reference: the same system without the evidence factor,
-            // converged cold.
-            let (g_ref, _) = build(false);
             let mut cold = LbpEngine::new(&g_ref);
-            assert!(cold.run(&params, &opts).converged);
+            assert!(cold.run(&params, &LbpOptions { mode, ..opts.clone() }).converged);
             let (mw, mr) = (warm.marginals(), cold.marginals());
             for v in 0..2 {
                 assert!(

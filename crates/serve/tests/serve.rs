@@ -1,10 +1,10 @@
 //! Acceptance tests for the durable serving subsystem.
 //!
 //! * **Retraction parity (proptest)**: after any interleaving of
-//!   add/retract/revise deltas — across thread counts and both schedule
-//!   modes — the live view decodes identically to a from-scratch batch
-//!   run on the surviving triples. Run with caps that do not bind (see
-//!   the `jocl_core::incremental` module docs for the cap caveat).
+//!   add/retract/revise deltas — across thread counts — the live view
+//!   decodes identically to a from-scratch batch run on the surviving
+//!   triples. Run with caps that do not bind (see the
+//!   `jocl_core::incremental` module docs for the cap caveat).
 //! * **Kill-and-restart parity (proptest)**: `snapshot → drop session →
 //!   restore → apply_delta` is bitwise-identical (full exported state,
 //!   messages included) to the uninterrupted session.
@@ -15,7 +15,7 @@
 
 use jocl_core::example::figure1;
 use jocl_core::signals::build_signals;
-use jocl_core::{DeltaOp, Jocl, JoclConfig, JoclInput, ScheduleMode, Signals};
+use jocl_core::{DeltaOp, Jocl, JoclConfig, JoclInput, Signals};
 use jocl_datagen::reverb45k_like;
 use jocl_embed::SgnsOptions;
 use jocl_kb::{Ckb, EntityId, KbError, Okb, RelationId, SideKb, Triple};
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
-fn parity_config(mode: ScheduleMode, threads: usize) -> JoclConfig {
+fn parity_config(threads: usize) -> JoclConfig {
     let mut config = JoclConfig {
         train_epochs: 0,
         sgns: SgnsOptions { dim: 16, epochs: 2, ..Default::default() },
@@ -35,7 +35,6 @@ fn parity_config(mode: ScheduleMode, threads: usize) -> JoclConfig {
         cross_cap: usize::MAX / 2,
         ..Default::default()
     };
-    config.lbp.mode = mode;
     config.lbp.threads = threads;
     config
 }
@@ -96,7 +95,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any interleaving of add/retract/revise ops, chopped into random
-    /// deltas, any thread count, both schedule modes: the live view
+    /// deltas, any thread count: the live view
     /// equals the from-scratch batch decode on the survivors.
     #[test]
     fn interleaved_ops_decode_like_batch_on_survivors(
@@ -104,13 +103,11 @@ proptest! {
         ops_raw in proptest::collection::vec((0usize..4, 0usize..997, 0usize..997), 1..28),
         delta_len in 1usize..6,
         threads in 1usize..3,
-        residual_mode in 0usize..2,
     ) {
         let world = &worlds()[world_idx];
         let n = world.pool.len();
         prop_assume!(n > 4);
-        let mode = if residual_mode == 1 { ScheduleMode::Residual } else { ScheduleMode::Synchronous };
-        let config = parity_config(mode, threads);
+        let config = parity_config(threads);
 
         // Materialize ops against the pool and mirror the live set in a
         // trivial model.
@@ -175,20 +172,18 @@ proptest! {
     /// Kill-and-restart: snapshot, drop the session, restore, apply one
     /// more delta — the full exported state (messages, marginals,
     /// everything) is bitwise-identical to the uninterrupted session's,
-    /// across thread counts and both schedule modes.
+    /// across thread counts.
     #[test]
     fn snapshot_restore_resumes_bitwise_identically(
         world_idx in 0usize..2,
         split in 1usize..200,
         retract in 0usize..997,
         threads in 1usize..3,
-        residual_mode in 0usize..2,
     ) {
         let world = &worlds()[world_idx];
         let n = world.pool.len();
         prop_assume!(n > 6);
-        let mode = if residual_mode == 1 { ScheduleMode::Residual } else { ScheduleMode::Synchronous };
-        let config = parity_config(mode, threads);
+        let config = parity_config(threads);
         let split = 1 + split % (n - 2);
         let serve = ServeConfig::builder().compact_threshold(f64::INFINITY).build();
 
@@ -246,7 +241,7 @@ proptest! {
 
     /// Side-information parity: with an imported alias table active the
     /// decode is **thread-invariant** and the warm incremental path
-    /// matches a from-scratch batch run, across both schedule modes.
+    /// matches a from-scratch batch run.
     /// And `Some(empty table)` exports **bitwise-identical** state to
     /// `None` — adding the subsystem changed nothing for sessions that
     /// do not use it.
@@ -256,12 +251,10 @@ proptest! {
         rows in proptest::collection::vec((0usize..997, 0usize..997, 1u32..=10), 1..6),
         prefix in 4usize..40,
         threads in 1usize..3,
-        residual_mode in 0usize..2,
     ) {
         let world = &worlds()[world_idx];
         let n = world.pool.len();
         prop_assume!(n > 4);
-        let mode = if residual_mode == 1 { ScheduleMode::Residual } else { ScheduleMode::Synchronous };
 
         // A deterministic alias table over the world's own surface forms
         // and curated names, so the imported rows actually bind factors.
@@ -277,12 +270,12 @@ proptest! {
         let prefix = prefix.min(n);
         let survivors: Vec<Triple> = world.pool[..prefix].to_vec();
 
-        let mut config = parity_config(mode, threads);
+        let mut config = parity_config(threads);
         config.side_info = Some(side.clone());
         let batch = batch_on(world, &survivors, &config);
 
         // Thread invariance of the batch decode under side info.
-        let mut config1 = parity_config(mode, 1);
+        let mut config1 = parity_config(1);
         config1.side_info = Some(side);
         let single = batch_on(world, &survivors, &config1);
         prop_assert_eq!(&batch.np_links, &single.np_links, "np links thread-variant");
@@ -305,12 +298,12 @@ proptest! {
         // The no-silent-behavior-change contract, at full strength:
         // `Some(empty)` and `None` export bitwise-identical sessions.
         let empty_cfg = {
-            let mut c = parity_config(mode, threads);
+            let mut c = parity_config(threads);
             c.side_info = Some(std::sync::Arc::new(SideKb::new()));
             c
         };
         let mut a = ServeSession::open(
-            parity_config(mode, threads), ServeConfig::default(), &world.ckb, &world.signals);
+            parity_config(threads), ServeConfig::default(), &world.ckb, &world.signals);
         let mut b =
             ServeSession::open(empty_cfg, ServeConfig::default(), &world.ckb, &world.signals);
         a.add_all(&survivors[..split]);
@@ -330,8 +323,7 @@ proptest! {
 
     /// Observability parity (PR-10): metric recording is purely
     /// observational — the same ingest produces a bitwise-identical
-    /// exported session with recording off and on, across both schedule
-    /// modes and thread counts. (The toggle is the process-global
+    /// exported session with recording off and on, across thread counts. (The toggle is the process-global
     /// `JOCL_METRICS` switch the bins set; decode code never reads it,
     /// which is exactly what this pins down.)
     #[test]
@@ -340,13 +332,11 @@ proptest! {
         prefix in 4usize..120,
         split_frac in 1usize..4,
         threads in 1usize..3,
-        residual_mode in 0usize..2,
     ) {
         let world = &worlds()[world_idx];
         let n = world.pool.len();
         prop_assume!(n > 6);
-        let mode = if residual_mode == 1 { ScheduleMode::Residual } else { ScheduleMode::Synchronous };
-        let config = parity_config(mode, threads);
+        let config = parity_config(threads);
         let serve = ServeConfig::builder().compact_threshold(f64::INFINITY).build();
         let prefix = (1 + prefix % (n - 1)).max(2);
         let split = (prefix * split_frac / 4).clamp(1, prefix - 1);
@@ -361,12 +351,7 @@ proptest! {
             jocl_obs::set_metrics_enabled(true);
             state
         };
-        prop_assert_eq!(
-            run(false),
-            run(true),
-            "metric recording must never reach the decode (mode {:?})",
-            mode
-        );
+        prop_assert_eq!(run(false), run(true), "metric recording must never reach the decode");
     }
 }
 
