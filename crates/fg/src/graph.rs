@@ -92,7 +92,8 @@ impl Potential {
     }
 
     /// The raw score `u(flat)` for score-style potentials (`None` for
-    /// feature potentials). Used by the learning gradient.
+    /// feature potentials). Random access; a pass over every
+    /// configuration should use [`Potential::scores`].
     #[inline]
     pub fn score(&self, flat: usize) -> Option<f64> {
         match self {
@@ -104,21 +105,57 @@ impl Potential {
         }
     }
 
-    /// Log-potential of configuration `flat` under `params`.
+    /// The raw scores `u(c)` of every flat configuration in ascending
+    /// order (`None` for feature potentials): each item equals
+    /// [`Potential::score`] of its index, but a two-level table is walked
+    /// with a cursor over its sorted `high_configs` instead of one binary
+    /// search per configuration.
+    pub fn scores(&self) -> Option<impl Iterator<Item = f64> + '_> {
+        // Exactly one of the two chained parts is non-empty.
+        let (dense, high_configs, high, low): (&[f64], &[u32], f64, f64) = match self {
+            Potential::Features { .. } => return None,
+            Potential::Scores { scores, .. } => (scores, &[], 0.0, 0.0),
+            Potential::TwoLevelScores { high_configs, high, low, .. } => {
+                (&[], high_configs, *high, *low)
+            }
+        };
+        let mut next_high = high_configs.iter().peekable();
+        let two_level = (0..self.table_len() - dense.len()).map(move |flat| {
+            if next_high.next_if_eq(&&(flat as u32)).is_some() {
+                high
+            } else {
+                low
+            }
+        });
+        Some(dense.iter().copied().chain(two_level))
+    }
+
+    /// Log-potential of configuration `flat` under `params`. Random
+    /// access; a pass over every configuration should use
+    /// [`Potential::log_phi_into`].
     #[inline]
     pub fn log_phi(&self, params: &Params, flat: usize) -> f64 {
         match self {
+            Potential::Features { group, feats } => dot(params.group(*group), &feats[flat]),
+            Potential::Scores { .. } | Potential::TwoLevelScores { .. } => {
+                params.group(self.group())[0] * self.score(flat).expect("score potential")
+            }
+        }
+    }
+
+    /// `log φ(c)` of every flat configuration in ascending order into
+    /// `out` (overwritten); each entry is bitwise-equal to
+    /// [`Potential::log_phi`] of its index.
+    pub fn log_phi_into(&self, params: &Params, out: &mut Vec<f64>) {
+        out.clear();
+        match self {
             Potential::Features { group, feats } => {
                 let w = params.group(*group);
-                let f = &feats[flat];
-                debug_assert_eq!(w.len(), f.len(), "feature/weight arity mismatch");
-                w.iter().zip(f).map(|(wi, fi)| wi * fi).sum()
+                out.extend(feats.iter().map(|f| dot(w, f)));
             }
-            Potential::Scores { group, scores } => params.group(*group)[0] * scores[flat],
-            Potential::TwoLevelScores { group, high_configs, high, low, .. } => {
-                let u =
-                    if high_configs.binary_search(&(flat as u32)).is_ok() { *high } else { *low };
-                params.group(*group)[0] * u
+            Potential::Scores { .. } | Potential::TwoLevelScores { .. } => {
+                let beta = params.group(self.group())[0];
+                out.extend(self.scores().expect("score potential").map(|u| beta * u));
             }
         }
     }
@@ -164,6 +201,13 @@ impl Potential {
         }
         Potential::Scores { group, scores: probs }
     }
+}
+
+/// `ω · f(c)` of a feature potential.
+#[inline]
+fn dot(w: &[f64], f: &[f64]) -> f64 {
+    debug_assert_eq!(w.len(), f.len(), "feature/weight arity mismatch");
+    w.iter().zip(f).map(|(wi, fi)| wi * fi).sum()
 }
 
 #[derive(Debug, Clone)]
@@ -625,6 +669,34 @@ mod tests {
         assert_eq!(g.var_degree(a), 1, "adjacency survives the tombstone");
         g.neutralize_factor(f); // idempotent
         assert_eq!(g.factor_potential(f).log_phi(&params, 0), 0.0);
+    }
+
+    /// The in-order passes (`scores`, `log_phi_into`) equal random access
+    /// (`score`, `log_phi`) bit for bit, for every potential kind and for
+    /// two-level tables with empty, sparse and full high lists.
+    #[test]
+    fn ordered_passes_match_random_access_bitwise() {
+        let mut params = Params::new();
+        params.add_group_with(vec![1.7, -0.3]);
+        params.add_group_with(vec![-2.9]);
+        let potentials = [
+            unary(0, (0..6).map(|i| vec![0.1 * i as f64, 1.0 / (i + 1) as f64]).collect()),
+            Potential::Scores { group: 1, scores: (0..6).map(|i| (i as f64).sin()).collect() },
+            Potential::two_level(1, 6, vec![], 0.9, 0.1),
+            Potential::two_level(1, 6, vec![0, 3, 5], 0.9, 0.1),
+            Potential::two_level(1, 6, (0..6).collect(), 0.9, 0.1),
+        ];
+        let mut out = Vec::new();
+        for p in &potentials {
+            p.log_phi_into(&params, &mut out);
+            assert_eq!(out.len(), p.table_len());
+            let scores: Option<Vec<f64>> = p.scores().map(Iterator::collect);
+            for (flat, x) in out.iter().enumerate() {
+                assert_eq!(x.to_bits(), p.log_phi(&params, flat).to_bits(), "{p:?} @ {flat}");
+                let ordered = scores.as_ref().map(|s| s[flat].to_bits());
+                assert_eq!(ordered, p.score(flat).map(f64::to_bits), "{p:?} @ {flat}");
+            }
+        }
     }
 
     /// The side-information seam: `from_probs` is an ordinary unary

@@ -1,4 +1,17 @@
-//! Loopy belief propagation (sum-product) in the log domain.
+//! Loopy belief propagation (sum-product).
+//!
+//! **Numerics.** Messages are stored in the log domain: both arenas hold
+//! normalized log-messages, and damping and normalization act on log
+//! values. The factor→variable kernels of factors with two or more
+//! variables compute in the linear domain instead: each incoming message
+//! is exponentiated once per state under a per-slot max shift
+//! (`p_j(x) = exp(vf_j(x) − max vf_j)`), the factor's configurations are
+//! summed as plain products of those values, and the result is taken back
+//! with one `ln` per outgoing state. The shifts only add a per-slot
+//! constant to the raw message, which damping followed by normalization
+//! cancels. An outgoing entry whose sum underflows to 0 is written as
+//! [`LOG_ZERO`], the same floor that clamp evidence uses, so messages
+//! stay finite. Unary factors pass their log-potential through unchanged.
 //!
 //! Implements the inference procedure of paper §3.4:
 //!
@@ -40,8 +53,19 @@ use jocl_obs::{Counter, Histogram, Stopwatch};
 use std::sync::{Arc, OnceLock};
 
 /// Log-potential treated as "probability zero" while keeping additions
-/// well-conditioned (exp(-1e4) underflows to exactly 0.0).
+/// well-conditioned (exp(-1e4) underflows to exactly 0.0): the value of
+/// clamped-away states and of kernel outputs that underflow.
 pub const LOG_ZERO: f64 = -1.0e4;
+
+/// Panic on the first NaN or infinite weight, naming its group and index:
+/// no LBP run may start from weights that cannot produce a distribution.
+fn assert_finite_weights(params: &Params) {
+    for (group, weights) in params.groups().iter().enumerate() {
+        if let Some((index, w)) = weights.iter().enumerate().find(|(_, w)| !w.is_finite()) {
+            panic!("LBP weights must be finite: group {group} index {index} is {w}");
+        }
+    }
+}
 
 /// Per-mode sweep metrics, registered once and cached so the LBP hot
 /// path never touches the registry mutex. Metrics are observational
@@ -383,13 +407,15 @@ impl<'g> LbpEngine<'g> {
     /// neighbors* in `dirty`.
     ///
     /// # Panics
-    /// Panics unless `opts.mode` is [`ScheduleMode::Residual`].
+    /// Panics unless `opts.mode` is [`ScheduleMode::Residual`], and, like
+    /// [`LbpEngine::run`], on a non-finite weight in `params`.
     pub fn resume_imported(
         &mut self,
         params: &Params,
         opts: &LbpOptions,
         dirty: &[u32],
     ) -> LbpResult {
+        assert_finite_weights(params);
         assert_eq!(
             opts.mode,
             ScheduleMode::Residual,
@@ -562,7 +588,14 @@ impl<'g> LbpEngine<'g> {
     /// residual-scheduled drain. Either way the pool is created once and
     /// reused for every sweep/batch, and marginals are bit-identical for
     /// any `opts.threads`.
+    ///
+    /// # Panics
+    /// Panics if a weight in `params` is NaN or infinite, naming the
+    /// group and index of the first one. Such a weight would otherwise
+    /// turn messages into NaN, which normalization resets to uniform, and
+    /// the run would report convergence on meaningless marginals.
     pub fn run(&mut self, params: &Params, opts: &LbpOptions) -> LbpResult {
+        assert_finite_weights(params);
         let sw = Stopwatch::start();
         let mut span = jocl_obs::span!("lbp_sweep");
         let result = match opts.mode {
@@ -939,8 +972,28 @@ impl<'g> LbpEngine<'g> {
 
     /// Compute raw (undamped, unnormalized) new messages of one factor
     /// into `new_fv` (the whole arena; only this factor's edge regions are
-    /// written). Dispatches on the potential: two-level tables use the
-    /// sparse kernel, everything else enumerates densely.
+    /// written).
+    ///
+    /// A unary factor's message is its log-potential. Larger factors are
+    /// evaluated in the linear domain: [`Scratch::load_incoming`] turns
+    /// each incoming message into `p_j(x) = exp(vf_j(x) − max vf_j)` and
+    /// its total `L_j = Σ_x p_j(x)` (one `exp` per incoming state), then
+    /// [`Scratch::accumulate`] adds `w(c) · Π_{j≠k} p_j(c_j)` into
+    /// `acc[k][c_k]` for every slot `k` of each visited configuration `c`,
+    /// and the message is `ln acc`. Every shift (`max vf_j`, `max log φ`,
+    /// the `β·low` base of a two-level table) is a per-slot additive
+    /// constant of the raw message, which the commit's damping and
+    /// normalization cancel, so the constants are dropped. An entry whose
+    /// sum rounds to 0 is written as [`LOG_ZERO`].
+    ///
+    /// * Two-level tables with `Δ = β·(high − low) > 0` visit only their
+    ///   `high_configs` (with `w = 1`) and combine per slot and state:
+    ///   `acc = e^{−Δ}·Π_{j≠k} L_j + (1 − e^{−Δ})·acc_high`, both terms
+    ///   non-negative, at `O(arity·|high|)`.
+    /// * Every other factor, including a two-level table with `Δ ≤ 0`
+    ///   (where the sparse form would subtract the high mass from the
+    ///   total and cancel catastrophically), visits every configuration
+    ///   with `w(c) = exp(log φ(c) − max log φ)`.
     fn factor_messages_kernel(
         &self,
         params: &Params,
@@ -948,193 +1001,51 @@ impl<'g> LbpEngine<'g> {
         new_fv: &mut [f64],
         scratch: &mut Scratch,
     ) {
-        let fd = &self.graph.factors[f];
-        if let Potential::TwoLevelScores { group, high_configs, high, low, .. } = &fd.potential {
-            let beta = params.group(*group)[0];
-            self.two_level_messages_kernel(
-                f,
-                beta * high,
-                beta * low,
-                high_configs,
-                new_fv,
-                scratch,
-            );
+        let potential = &self.graph.factors[f].potential;
+        let edges = self.factor_edges(f);
+        if edges.len() == 1 {
+            potential.log_phi_into(params, &mut scratch.table);
+            new_fv[self.edge_range(edges.start)].copy_from_slice(&scratch.table);
+            return;
+        }
+        scratch.load_incoming(&self.vf, edges.clone().map(|e| self.edge_range(e)));
+        let sparse = match potential {
+            Potential::TwoLevelScores { group, high_configs, high, low, .. } => {
+                let delta = params.group(*group)[0] * (high - low);
+                (delta > 0.0).then_some((delta, high_configs))
+            }
+            _ => None,
+        };
+        if let Some((delta, high_configs)) = sparse {
+            for &c in high_configs {
+                scratch.accumulate(c as usize, 1.0);
+            }
+            let (w_all, w_high) = ((-delta).exp(), -(-delta).exp_m1());
+            for k in 0..edges.len() {
+                let others: f64 = scratch
+                    .totals
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != k)
+                    .map(|(_, l)| l)
+                    .product();
+                let base = w_all * others;
+                for a in &mut scratch.acc[scratch.starts[k]..scratch.starts[k + 1]] {
+                    *a = base + w_high * *a;
+                }
+            }
         } else {
-            self.dense_messages_kernel(params, f, new_fv, scratch);
-        }
-    }
-
-    /// Dense kernel: enumerate every joint configuration.
-    fn dense_messages_kernel(
-        &self,
-        params: &Params,
-        f: usize,
-        new_fv: &mut [f64],
-        scratch: &mut Scratch,
-    ) {
-        let graph = self.graph;
-        let vf = &self.vf;
-        let fd = &graph.factors[f];
-        let arity = fd.vars.len();
-        let edge_start = self.factor_edge_start[f] as usize;
-        scratch.edge_offsets.clear();
-        for e in edge_start..edge_start + arity {
-            scratch.edge_offsets.push(self.edge_offset[e]);
-        }
-        // Zero-fill output accumulators (log domain: start at -∞ and
-        // logsumexp-accumulate).
-        for (slot, var) in fd.vars.iter().enumerate() {
-            let card = graph.cardinality(*var) as usize;
-            let off = scratch.edge_offsets[slot];
-            new_fv[off..off + card].fill(f64::NEG_INFINITY);
-        }
-        scratch.states.clear();
-        scratch.states.resize(arity, 0u32);
-        // Enumerate all joint configurations; slot 0 varies fastest, which
-        // matches the flat-index convention of `FactorGraph`.
-        for flat in 0..fd.table_size {
-            let log_phi = fd.potential.log_phi(params, flat);
-            // Incoming sum per slot exclusion, computed directly (arity is
-            // tiny) to avoid the numerically dirty subtract-own-message
-            // trick.
-            for slot in 0..arity {
-                let mut lp = log_phi;
-                for (k, &st) in scratch.states.iter().enumerate() {
-                    if k != slot {
-                        lp += vf[scratch.edge_offsets[k] + st as usize];
-                    }
-                }
-                let out = &mut new_fv[scratch.edge_offsets[slot] + scratch.states[slot] as usize];
-                // logaddexp(out, lp)
-                *out = if *out == f64::NEG_INFINITY {
-                    lp
-                } else if lp == f64::NEG_INFINITY {
-                    *out
-                } else {
-                    let m = out.max(lp);
-                    m + ((*out - m).exp() + (lp - m).exp()).ln()
-                };
-            }
-            // Advance mixed-radix counter.
-            for (k, st) in scratch.states.iter_mut().enumerate() {
-                *st += 1;
-                if (*st as usize) < graph.cardinality(fd.vars[k]) as usize {
-                    break;
-                }
-                *st = 0;
+            potential.log_phi_into(params, &mut scratch.table);
+            let max = scratch.table.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for c in 0..scratch.table.len() {
+                let w = (scratch.table[c] - max).exp();
+                scratch.accumulate(c, w);
             }
         }
-    }
-
-    /// Sparse kernel for [`Potential::TwoLevelScores`]: the flat `low`
-    /// entries are *not* enumerated. Because variable→factor messages are
-    /// log-normalized, the contribution of **all** configurations at the
-    /// `low` score has the closed form
-    /// `base(slot) = β·low + Σ_{k≠slot} logsumexp(vf_k)`, independent of
-    /// the slot's state; the listed `high` configurations are then visited
-    /// once to replace their `low` term with their `high` term:
-    ///
-    /// ```text
-    /// m(slot, x) = log[ e^base + Σ_{c∈high, c_slot=x} (e^{β·high + in(c)} − e^{β·low + in(c)}) ]
-    /// ```
-    ///
-    /// with `in(c) = Σ_{k≠slot} vf_k(c_k)`. The sum is evaluated with a
-    /// per-(slot, state) shift (standard logsumexp trick), so cost is
-    /// `O(arity·card + arity·|high|)` instead of `O(arity²·table)`.
-    fn two_level_messages_kernel(
-        &self,
-        f: usize,
-        b_high: f64,
-        b_low: f64,
-        high_configs: &[u32],
-        new_fv: &mut [f64],
-        scratch: &mut Scratch,
-    ) {
-        let graph = self.graph;
-        let vf = &self.vf;
-        let fd = &graph.factors[f];
-        let arity = fd.vars.len();
-        let edge_start = self.factor_edge_start[f] as usize;
-        scratch.edge_offsets.clear();
-        for e in edge_start..edge_start + arity {
-            scratch.edge_offsets.push(self.edge_offset[e]);
-        }
-        let b_max = b_high.max(b_low);
-        // Per-slot logsumexp of the incoming message and its total.
-        scratch.slot_lse.clear();
-        let mut lse_total = 0.0f64;
-        for (slot, var) in fd.vars.iter().enumerate() {
-            let card = graph.cardinality(*var) as usize;
-            let off = scratch.edge_offsets[slot];
-            let lse = crate::logspace::logsumexp(&vf[off..off + card]);
-            scratch.slot_lse.push(lse);
-            lse_total += lse;
-        }
-        // Pass 1: per-(slot, state) shift = max(base, largest high term).
-        // The shift lives in the output buffer region temporarily.
-        for (slot, var) in fd.vars.iter().enumerate() {
-            let card = graph.cardinality(*var) as usize;
-            let off = scratch.edge_offsets[slot];
-            let base = b_low + lse_total - scratch.slot_lse[slot];
-            new_fv[off..off + card].fill(base);
-        }
-        for &c in high_configs {
-            let c = c as usize;
-            let mut total_in = 0.0f64;
-            for (k, stride) in fd.strides.iter().enumerate() {
-                let card = graph.cardinality(fd.vars[k]) as usize;
-                let st = (c / stride) % card;
-                total_in += vf[scratch.edge_offsets[k] + st];
-            }
-            for (k, stride) in fd.strides.iter().enumerate() {
-                let card = graph.cardinality(fd.vars[k]) as usize;
-                let st = (c / stride) % card;
-                let own = vf[scratch.edge_offsets[k] + st];
-                let term = b_max + total_in - own;
-                let out = &mut new_fv[scratch.edge_offsets[k] + st];
-                *out = out.max(term);
-            }
-        }
-        // Pass 2: linear-domain accumulation under the shift.
-        scratch.acc.clear();
-        scratch.acc_starts.clear();
-        for (slot, var) in fd.vars.iter().enumerate() {
-            let card = graph.cardinality(*var) as usize;
-            scratch.acc_starts.push(scratch.acc.len());
-            debug_assert_eq!(scratch.acc_starts.len(), slot + 1);
-            let off = scratch.edge_offsets[slot];
-            let base = b_low + lse_total - scratch.slot_lse[slot];
-            for x in 0..card {
-                scratch.acc.push((base - new_fv[off + x]).exp());
-            }
-        }
-        for &c in high_configs {
-            let c = c as usize;
-            let mut total_in = 0.0f64;
-            for (k, stride) in fd.strides.iter().enumerate() {
-                let card = graph.cardinality(fd.vars[k]) as usize;
-                let st = (c / stride) % card;
-                total_in += vf[scratch.edge_offsets[k] + st];
-            }
-            for (k, stride) in fd.strides.iter().enumerate() {
-                let card = graph.cardinality(fd.vars[k]) as usize;
-                let st = (c / stride) % card;
-                let own = vf[scratch.edge_offsets[k] + st];
-                let in_excl = total_in - own;
-                let shift = new_fv[scratch.edge_offsets[k] + st];
-                scratch.acc[scratch.acc_starts[k] + st] +=
-                    (b_high + in_excl - shift).exp() - (b_low + in_excl - shift).exp();
-            }
-        }
-        for (slot, var) in fd.vars.iter().enumerate() {
-            let card = graph.cardinality(*var) as usize;
-            let off = scratch.edge_offsets[slot];
-            for x in 0..card {
-                let a = scratch.acc[scratch.acc_starts[slot] + x];
-                // `a` can only be ≤ 0 through float cancellation when the
-                // true sum is negligible relative to the shift.
-                new_fv[off + x] =
-                    if a > 0.0 { new_fv[off + x] + a.ln() } else { f64::NEG_INFINITY };
+        for (k, e) in edges.enumerate() {
+            let acc = &scratch.acc[scratch.starts[k]..scratch.starts[k + 1]];
+            for (out, &a) in new_fv[self.edge_range(e)].iter_mut().zip(acc) {
+                *out = if a > 0.0 { a.ln() } else { LOG_ZERO };
             }
         }
     }
@@ -1234,25 +1145,28 @@ impl<'g> LbpEngine<'g> {
         out: &mut Vec<f64>,
     ) {
         let fd = &self.graph.factors[f.idx()];
-        let arity = fd.vars.len();
-        let edge_start = self.factor_edge_start[f.idx()] as usize;
-        scratch.edge_offsets.clear();
-        scratch.edge_offsets.extend((edge_start..edge_start + arity).map(|e| self.edge_offset[e]));
+        fd.potential.log_phi_into(params, out);
+        // Add the incoming messages under a mixed-radix counter over the
+        // slots' arena indexes (slot 0 fastest): `starts` holds each
+        // slot's first index, `states` its current one.
+        scratch.starts.clear();
+        scratch.cards.clear();
+        for e in self.factor_edges(f.idx()) {
+            scratch.starts.push(self.edge_offset[e]);
+            scratch.cards.push(self.edge_len(e));
+        }
         scratch.states.clear();
-        scratch.states.resize(arity, 0);
-        out.clear();
-        for flat in 0..fd.table_size {
-            let mut lp = fd.potential.log_phi(params, flat);
-            for (&off, &st) in scratch.edge_offsets.iter().zip(&scratch.states) {
-                lp += self.vf[off + st as usize];
+        scratch.states.extend_from_slice(&scratch.starts);
+        for lp in out.iter_mut() {
+            for &i in &scratch.states {
+                *lp += self.vf[i];
             }
-            out.push(lp);
-            for (k, st) in scratch.states.iter_mut().enumerate() {
-                *st += 1;
-                if (*st as usize) < self.graph.cardinality(fd.vars[k]) as usize {
+            for k in 0..scratch.states.len() {
+                scratch.states[k] += 1;
+                if scratch.states[k] < scratch.starts[k] + scratch.cards[k] {
                     break;
                 }
-                *st = 0;
+                scratch.states[k] = scratch.starts[k];
             }
         }
         let z = logsumexp(out);
@@ -1441,19 +1355,77 @@ impl BucketQueue {
     }
 }
 
-/// Reusable per-thread scratch buffers for the factor sweep and
+/// Reusable per-thread scratch buffers for the factor kernels and
 /// [`LbpEngine::factor_belief_into`].
 #[derive(Debug, Default)]
 pub struct Scratch {
-    edge_offsets: Vec<usize>,
-    states: Vec<u32>,
-    /// Per-slot logsumexp of the incoming message (two-level kernel).
-    slot_lse: Vec<f64>,
-    /// Linear-domain accumulators, all slots concatenated (two-level
-    /// kernel).
+    /// Cardinality of each slot's variable.
+    cards: Vec<usize>,
+    /// Start of each slot's region in `p` and `acc` (`arity + 1`
+    /// entries); the belief's counter keeps arena offsets here instead.
+    starts: Vec<usize>,
+    /// Shifted linear incoming messages `p_j(x)`, slots concatenated.
+    p: Vec<f64>,
+    /// Per-slot totals `L_j = Σ_x p_j(x)`.
+    totals: Vec<f64>,
+    /// Linear-domain output accumulators, laid out like `p`.
     acc: Vec<f64>,
-    /// Start of each slot's accumulator region in `acc`.
-    acc_starts: Vec<usize>,
+    /// Index of each slot's state in the current configuration: into
+    /// `p`/`acc` for the kernels, into the arena for the belief.
+    states: Vec<usize>,
+    /// `Π_{j<k} p_j(c_j)` times the configuration weight, per slot `k`.
+    prefix: Vec<f64>,
+    /// One value per flat configuration: `log φ(c)`.
+    table: Vec<f64>,
+}
+
+impl Scratch {
+    /// Load one factor's incoming messages, one edge range of `vf` per
+    /// slot: `p_j(x) = exp(vf_j(x) − max_x vf_j)` (so every slot's
+    /// largest entry is exactly 1), their totals `L_j`, and zeroed
+    /// accumulators.
+    fn load_incoming(&mut self, vf: &[f64], slots: impl Iterator<Item = std::ops::Range<usize>>) {
+        self.cards.clear();
+        self.starts.clear();
+        self.p.clear();
+        self.totals.clear();
+        for r in slots {
+            let row = &vf[r];
+            let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            self.starts.push(self.p.len());
+            self.cards.push(row.len());
+            self.p.extend(row.iter().map(|&x| (x - max).exp()));
+            self.totals.push(self.p[self.p.len() - row.len()..].iter().sum());
+        }
+        self.starts.push(self.p.len());
+        self.acc.clear();
+        self.acc.resize(self.p.len(), 0.0);
+        self.states.resize(self.cards.len(), 0);
+        self.prefix.resize(self.cards.len(), 0.0);
+    }
+
+    /// `acc[k][c_k] += w · Π_{j≠k} p_j(c_j)` for every slot `k` of flat
+    /// configuration `c`, decoded once by mixed radix (slot 0 fastest).
+    /// Prefix and suffix products exclude each slot without dividing, so
+    /// a zero `p` never turns into a NaN.
+    #[inline]
+    fn accumulate(&mut self, mut c: usize, w: f64) {
+        let mut prefix = w;
+        for k in 0..self.cards.len() {
+            let card = self.cards[k];
+            let i = self.starts[k] + c % card;
+            c /= card;
+            self.states[k] = i;
+            self.prefix[k] = prefix;
+            prefix *= self.p[i];
+        }
+        let mut suffix = 1.0;
+        for k in (0..self.cards.len()).rev() {
+            let i = self.states[k];
+            self.acc[i] += self.prefix[k] * suffix;
+            suffix *= self.p[i];
+        }
+    }
 }
 
 /// Raw-pointer wrapper for the disjoint-region writes of the pooled
@@ -2193,6 +2165,211 @@ mod tests {
         g1.add_factor(&[x], Potential::Scores { group: 0, scores: vec![0.0; 3] }, 0);
         let mut eng1 = LbpEngine::new(&g1);
         eng1.import_messages(&snap);
+    }
+
+    /// The log-domain reference the linear-domain kernels are checked
+    /// against: raw factor→variable messages of factor `f` by `logaddexp`
+    /// over every configuration, excluding each slot's own incoming
+    /// message directly.
+    fn reference_raw_messages(eng: &LbpEngine, params: &Params, f: usize) -> Vec<Vec<f64>> {
+        let fd = &eng.graph.factors[f];
+        let edges: Vec<usize> = eng.factor_edges(f).collect();
+        let mut out: Vec<Vec<f64>> =
+            edges.iter().map(|&e| vec![f64::NEG_INFINITY; eng.edge_len(e)]).collect();
+        for flat in 0..fd.table_size {
+            let states: Vec<usize> = (0..edges.len())
+                .map(|k| eng.graph.state_of_slot(FactorId(f as u32), flat, k) as usize)
+                .collect();
+            let log_phi = fd.potential.log_phi(params, flat);
+            for k in 0..edges.len() {
+                let mut term = log_phi;
+                for j in (0..edges.len()).filter(|&j| j != k) {
+                    term += eng.vf[eng.edge_offset[edges[j]] + states[j]];
+                }
+                let o = &mut out[k][states[k]];
+                let m = o.max(term);
+                *o = if m == f64::NEG_INFINITY {
+                    m
+                } else {
+                    m + ((*o - m).exp() + (term - m).exp()).ln()
+                };
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every kernel — dense `Scores` and `Features`, two-level tables
+        /// on both sides of `Δ = 0`, with empty, random and full
+        /// `high_configs` — commits the same damped, normalized messages
+        /// as the log-domain reference, within 1e-12 in probability.
+        /// Incoming rows are random normalized log-messages over
+        /// `[-40, 0]`, some of them clamp rows (`0` / [`LOG_ZERO`]).
+        #[test]
+        fn linear_kernels_match_log_domain_reference(
+            arity in 2usize..4,
+            kind in 0u8..3,
+            high_mode in 0u8..3,
+            beta in -50.0f64..50.0,
+            damping in 0.0f64..0.9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = proptest::test_runner::TestRng::new(seed);
+            let mut g = FactorGraph::new();
+            let vars: Vec<VarId> = (0..arity).map(|_| g.add_var(1 + rng.below(8) as u32)).collect();
+            let size: usize = vars.iter().map(|&v| g.cardinality(v) as usize).product();
+            let mut params = Params::new();
+            let potential = match kind {
+                0 => {
+                    let grp = params.add_group_with(vec![beta]);
+                    let scores = (0..size).map(|_| 2.0 * rng.unit_f64() - 1.0).collect();
+                    Potential::Scores { group: grp, scores }
+                }
+                1 => {
+                    let grp = params.add_group_with(vec![beta, -0.5 * beta]);
+                    let feats = (0..size)
+                        .map(|_| vec![2.0 * rng.unit_f64() - 1.0, 2.0 * rng.unit_f64() - 1.0])
+                        .collect();
+                    Potential::Features { group: grp, feats }
+                }
+                _ => {
+                    let grp = params.add_group_with(vec![beta]);
+                    let high_configs = (0..size as u32)
+                        .filter(|_| match high_mode {
+                            0 => false,
+                            1 => rng.below(2) == 0,
+                            _ => true,
+                        })
+                        .collect();
+                    let (high, low) = (2.0 * rng.unit_f64() - 1.0, 2.0 * rng.unit_f64() - 1.0);
+                    Potential::two_level(grp, size, high_configs, high, low)
+                }
+            };
+            g.add_factor(&vars, potential, 0);
+            let mut eng = LbpEngine::new(&g);
+            for e in 0..eng.num_edges() {
+                let r = eng.edge_range(e);
+                let clamp = rng.below(4) == 0;
+                let hot = rng.below(r.len() as u64) as usize;
+                for (i, x) in eng.vf[r.clone()].iter_mut().enumerate() {
+                    *x = match (clamp, i == hot) {
+                        (true, true) => 0.0,
+                        (true, false) => LOG_ZERO,
+                        (false, _) => -40.0 * rng.unit_f64(),
+                    };
+                }
+                if !clamp {
+                    log_normalize(&mut eng.vf[r.clone()]);
+                }
+                for x in &mut eng.fv[r.clone()] {
+                    *x = -5.0 * rng.unit_f64();
+                }
+                log_normalize(&mut eng.fv[r]);
+            }
+            let old = eng.fv.clone();
+            let reference = reference_raw_messages(&eng, &params, 0);
+            let opts = LbpOptions { damping, ..Default::default() };
+            jocl_exec::with_pool(1, |pool| eng.update_factor_batch(&params, &[0], &opts, pool));
+            for (e, raw) in reference.iter().enumerate() {
+                let r = eng.edge_range(e);
+                let mut want: Vec<f64> =
+                    old[r.clone()].iter().zip(raw).map(|(o, x)| damping * o + (1.0 - damping) * x).collect();
+                log_normalize(&mut want);
+                for (s, (&got, &want)) in eng.fv[r].iter().zip(&want).enumerate() {
+                    proptest::prop_assert!(
+                        (got.exp() - want.exp()).abs() < 1e-12,
+                        "kind {} slot {} state {}: kernel {} vs reference {}", kind, e, s, got, want
+                    );
+                }
+            }
+        }
+    }
+
+    /// `|β| = 1e3` pushes every factor deep into the regime where the
+    /// linear-domain weights underflow to exactly 0. On a tree LBP is
+    /// still exact: messages stay finite, the run converges, and the
+    /// marginals match brute-force enumeration.
+    #[test]
+    fn extreme_weights_stay_exact_on_a_tree() {
+        let mut g = FactorGraph::new();
+        let a = g.add_var(2);
+        let b = g.add_var(3);
+        let c = g.add_var(2);
+        let d = g.add_var(2);
+        let e = g.add_var(3);
+        let mut params = Params::new();
+        let soft = params.add_group_with(vec![1.0]);
+        let hard = params.add_group_with(vec![1e3]);
+        let repel = params.add_group_with(vec![-1e3]);
+        let feats = params.add_group_with(vec![0.8, -0.3]);
+        g.add_factor(&[a], Potential::Scores { group: soft, scores: vec![0.0, 0.7] }, 0);
+        // b copies a (b = 2 is never allowed).
+        let agree = (0..6).map(|flat| f64::from(flat % 2 == flat / 2)).collect();
+        g.add_factor(&[a, b], Potential::Scores { group: hard, scores: agree }, 0);
+        // Sparse path (Δ = +800): (b, c, d) with b + c + d even.
+        let even = (0..12u32).filter(|&x| (x % 3 + (x / 3) % 2 + x / 6) % 2 == 0).collect();
+        g.add_factor(&[b, c, d], Potential::two_level(hard, 12, even, 0.9, 0.1), 0);
+        // Dense path (Δ = −1e3): (d, e) with e = d repelled.
+        let same = vec![0, 4];
+        g.add_factor(&[d, e], Potential::two_level(repel, 6, same, 1.0, 0.0), 0);
+        let unary = vec![vec![0.0, 1.0], vec![0.5, 0.0], vec![1.0, 1.0]];
+        g.add_factor(&[e], Potential::Features { group: feats, feats: unary }, 0);
+
+        let exact = crate::exact::exact_marginals(&g, &params, &[]);
+        for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
+            let mut eng = LbpEngine::new(&g);
+            let opts = LbpOptions { tol: 1e-12, max_iters: 500, mode, ..Default::default() };
+            let res = eng.run(&params, &opts);
+            assert!(res.converged, "{mode:?}: {res:?}");
+            assert!(eng.fv.iter().chain(&eng.vf).all(|x| x.is_finite()), "{mode:?}");
+            let lbp = eng.marginals();
+            for v in [a, b, c, d, e] {
+                for s in 0..g.cardinality(v) {
+                    assert!(
+                        (exact.prob(v, s) - lbp.prob(v, s)).abs() < 1e-9,
+                        "{mode:?} var {v:?} state {s}: exact {} lbp {}",
+                        exact.prob(v, s),
+                        lbp.prob(v, s)
+                    );
+                }
+            }
+        }
+        // The fixture is not degenerate: a and e keep real uncertainty.
+        assert!((exact.prob(a, 1) - 0.5).abs() > 0.1 && exact.prob(a, 1) < 0.9);
+        assert!(exact.of(e).iter().filter(|&&p| p > 0.05).count() >= 2);
+    }
+
+    /// A NaN or infinite weight is rejected by both entry points, naming
+    /// the group and index — it used to normalize every message to
+    /// uniform and report convergence.
+    #[test]
+    fn non_finite_weights_are_rejected() {
+        let (g, params, _) = chain_graph();
+        let residual = LbpOptions { mode: ScheduleMode::Residual, ..Default::default() };
+        let panic_message = |run: &mut dyn FnMut()| -> String {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("a non-finite weight must panic");
+            payload.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut p = params.clone();
+            p.add_group_with(vec![0.5, bad]);
+            let expected = format!("LBP weights must be finite: group 1 index 1 is {bad}");
+            for opts in [LbpOptions::default(), residual.clone()] {
+                let msg = panic_message(&mut || {
+                    LbpEngine::new(&g).run(&p, &opts);
+                });
+                assert_eq!(msg, expected, "run, {:?}", opts.mode);
+            }
+            let mut eng = LbpEngine::new(&g);
+            eng.run(&params, &residual);
+            let msg = panic_message(&mut || {
+                eng.resume_imported(&p, &residual, &[0]);
+            });
+            assert_eq!(msg, expected, "resume_imported");
+        }
     }
 
     #[test]

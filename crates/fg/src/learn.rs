@@ -108,11 +108,8 @@ impl<'g> Half<'g> {
                     }
                 }
                 Potential::Scores { group, .. } | Potential::TwoLevelScores { group, .. } => {
-                    let e: f64 = belief
-                        .iter()
-                        .enumerate()
-                        .map(|(flat, b)| b * potential.score(flat).expect("score potential"))
-                        .sum();
+                    let scores = potential.scores().expect("score potential");
+                    let e: f64 = belief.iter().zip(scores).map(|(b, u)| b * u).sum();
                     acc.group_mut(*group)[0] += e;
                 }
             }

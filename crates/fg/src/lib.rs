@@ -24,10 +24,11 @@
 //!
 //! ## Inference
 //!
-//! [`lbp`] implements sum-product LBP in the log domain with damping,
-//! message normalization and two scheduling modes: synchronous flooding
-//! and the paper's **phased schedule** (§3.4), in which factor classes
-//! update in a fixed order within each iteration. [`exact`] provides
+//! [`lbp`] implements sum-product LBP (log-domain messages, linear-domain
+//! factor kernels) with damping, message normalization and two
+//! scheduling modes: synchronous flooding and the paper's **phased
+//! schedule** (§3.4), in which factor classes update in a fixed order
+//! within each iteration. [`exact`] provides
 //! brute-force enumeration used to validate LBP in tests.
 //!
 //! ## Learning
