@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the performance-critical kernels:
-//! similarity signals, LBP sweeps (dense vs sparse U4 tables, serial vs
-//! parallel), HAC, blocking and candidate generation, plus an end-to-end
-//! pipeline scaling series.
+//! similarity signals, LBP sweeps (dense vs sparse U4 tables, synchronous
+//! vs residual), HAC, blocking and candidate generation, plus an
+//! end-to-end pipeline scaling series.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jocl_core::signals::build_signals;
@@ -78,81 +78,6 @@ fn bench_lbp_tables(c: &mut Criterion) {
     group.finish();
 }
 
-/// A ring of `n` 4-state variables with dense pairwise factors.
-fn build_ring(n: usize) -> (FactorGraph, Params) {
-    let mut g = FactorGraph::new();
-    let mut params = Params::new();
-    let grp = params.add_group_with(vec![1.0]);
-    let vars: Vec<VarId> = (0..n).map(|_| g.add_var(4)).collect();
-    for i in 0..n {
-        let j = (i + 1) % n;
-        let scores: Vec<f64> = (0..16).map(|x| (x % 5) as f64 * 0.2).collect();
-        g.add_factor(&[vars[i], vars[j]], Potential::Scores { group: grp, scores }, 0);
-    }
-    (g, params)
-}
-
-/// Median wall-clock of `f` over `runs` executions (after one warm-up).
-fn median_time(runs: usize, mut f: impl FnMut()) -> std::time::Duration {
-    f();
-    let mut samples: Vec<std::time::Duration> = (0..runs)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
-fn bench_lbp_threads(c: &mut Criterion) {
-    let (g, params) = build_ring(400);
-    let mut group = c.benchmark_group("lbp_threads");
-    for threads in [1usize, 4] {
-        let opts = LbpOptions { max_iters: 10, threads, ..Default::default() };
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &opts, |bench, opts| {
-            bench.iter(|| {
-                let mut eng = LbpEngine::new(&g);
-                black_box(eng.run(&params, opts))
-            })
-        });
-    }
-    group.finish();
-
-    // Crossover sweep: the smallest ring where the pooled 4-thread sweep
-    // first beats serial. Under `cargo test --benches` each size runs
-    // once (smoke); under `cargo bench` medians are measured.
-    let bench_mode = std::env::args().any(|a| a == "--bench");
-    let runs = if bench_mode { 7 } else { 1 };
-    let hw = jocl_exec::available_parallelism();
-    let mut crossover = None;
-    println!("\ngroup: lbp_threads_crossover (hardware threads: {hw})");
-    for n in [50usize, 100, 200, 400, 800, 1600] {
-        let (g, params) = build_ring(n);
-        let time_with = |threads: usize| {
-            let opts = LbpOptions { max_iters: 10, threads, ..Default::default() };
-            median_time(runs, || {
-                let mut eng = LbpEngine::new(&g);
-                black_box(eng.run(&params, &opts));
-            })
-        };
-        let t1 = time_with(1);
-        let t4 = time_with(4);
-        println!("  {n:>5} vars: serial {t1:>12?}  pooled(4) {t4:>12?}");
-        if crossover.is_none() && t4 < t1 {
-            crossover = Some(n);
-        }
-    }
-    match crossover {
-        Some(n) => println!("  crossover: parallel first wins at {n} vars"),
-        None => println!(
-            "  crossover: none in range (expected on {hw}-thread hardware: the pool \
-             clamps to the machine, so pooled == serial)"
-        ),
-    }
-}
-
 /// Synchronous sweeps vs residual-scheduled message passing over
 /// unevenly-converging graphs (a strong evidence head driving a long
 /// weakly-coupled tail — the shape where priority scheduling pays):
@@ -219,45 +144,6 @@ fn bench_lbp_schedule(c: &mut Criterion) {
             sync.message_updates, sync.iterations, residual.message_updates, residual.iterations
         );
     }
-}
-
-/// Persistent pool vs a fresh pool per sweep — the amortization the
-/// `jocl_exec` crate exists for. Uses exactly 4 workers (no hardware
-/// clamp) so the spawn cost is visible on any machine.
-fn bench_exec_pool(c: &mut Criterion) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let sweeps = 16usize;
-    let sweep = |pool: &jocl_exec::Pool<'_>, sink: &AtomicU64| {
-        pool.chunked_for_each(4096, 256, |_, range| {
-            let mut acc = 0u64;
-            for i in range {
-                acc = acc.wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            }
-            sink.fetch_add(acc, Ordering::Relaxed);
-        });
-    };
-    let mut group = c.benchmark_group("exec_pool");
-    group.bench_function("pool_reused_across_sweeps", |bench| {
-        bench.iter(|| {
-            let sink = AtomicU64::new(0);
-            jocl_exec::with_pool(4, |pool| {
-                for _ in 0..sweeps {
-                    sweep(pool, &sink);
-                }
-            });
-            black_box(sink.into_inner())
-        })
-    });
-    group.bench_function("pool_spawned_per_sweep", |bench| {
-        bench.iter(|| {
-            let sink = AtomicU64::new(0);
-            for _ in 0..sweeps {
-                jocl_exec::with_pool(4, |pool| sweep(pool, &sink));
-            }
-            black_box(sink.into_inner())
-        })
-    });
-    group.finish();
 }
 
 fn bench_pipeline_stages(c: &mut Criterion) {
@@ -446,9 +332,7 @@ criterion_group!(
     benches,
     bench_similarities,
     bench_lbp_tables,
-    bench_lbp_threads,
     bench_lbp_schedule,
-    bench_exec_pool,
     bench_pipeline_stages,
     bench_end_to_end,
     bench_delta_ingest,

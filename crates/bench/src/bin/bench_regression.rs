@@ -84,7 +84,7 @@ fn calibration_ns() -> u64 {
 }
 
 /// A ring of `n` 4-state variables with dense pairwise factors — the
-/// `lbp_threads` microbench workload.
+/// `lbp_sweep` workload.
 fn build_ring(n: usize) -> (FactorGraph, Params) {
     let mut g = FactorGraph::new();
     let mut params = Params::new();

@@ -57,8 +57,8 @@
 //! dictionary candidates; the snapshot fingerprint pins it). Inference
 //! runs the residual schedule, the only serving schedule;
 //! `JOCL_SCHEDULE` is accepted blank or as `residual` and selects
-//! nothing. The inference pool is the session config's `lbp.threads`
-//! (the `jocl_exec` pool), as in every other bin.
+//! nothing. Each LBP run is serial on the thread that owns the
+//! session, as in every other bin.
 
 use jocl_bench::{
     env_check_schedule, env_compact_threshold, env_link_threshold, env_listen, env_message_store,

@@ -25,16 +25,15 @@
 //!
 //! Construction is **sharded**: the expensive per-distinct-key work
 //! (candidate retrieval, similarity features, two-level tables) is split
-//! into deterministic chunks and computed on a [`jocl_exec`] worker pool,
-//! then the graph is assembled serially from the precomputed caches with
-//! [`FactorGraph::reserve`] + batched factor insertion. Shard boundaries
+//! into contiguous parts computed on scoped worker threads, then the
+//! graph is assembled serially from the precomputed caches with
+//! [`FactorGraph::reserve`] + batched factor insertion. Part boundaries
 //! never influence values, so the built graph is identical for any
 //! `JoclConfig::build_threads`.
 
 use crate::blocking::Blocking;
 use crate::config::{classes, FeatureSet, JoclConfig, Variant};
 use crate::signals::{PhraseCtx, Signals};
-use jocl_exec::Pool;
 use jocl_fg::graph::FactorSpec;
 use jocl_fg::{FactorGraph, Params, Potential, VarId};
 use jocl_kb::{
@@ -496,37 +495,54 @@ pub fn build_graph(
 }
 
 /// Cached handle for the graph-build latency histogram (registered
-/// once; never locks inside the build pool).
+/// once; never locks inside the build workers).
 fn graph_build_ns() -> &'static std::sync::Arc<jocl_obs::Histogram> {
     static H: std::sync::OnceLock<std::sync::Arc<jocl_obs::Histogram>> = std::sync::OnceLock::new();
     H.get_or_init(|| jocl_obs::registry().histogram("jocl_graph_build_ns", &[]))
 }
 
-/// Smallest shard of pooled per-key computation.
+/// Smallest part of sharded per-key computation: fewer items than this
+/// are not worth a thread.
 const MIN_SHARD: usize = 8;
 
-/// Shard size for pooled per-key computation: ~4 shards per worker.
-fn shard_size(n: usize, pool: &Pool<'_>) -> usize {
-    n.div_ceil(pool.threads() * 4).max(MIN_SHARD)
+/// Worker count for a build: `requested`, capped at the hardware's
+/// parallelism (`0` = all hardware threads).
+fn build_workers(requested: usize) -> usize {
+    let hw = std::thread::available_parallelism().map_or(1, usize::from);
+    if requested == 0 {
+        hw
+    } else {
+        requested.min(hw)
+    }
 }
 
-/// Compute `work` over every element of `items` on the pool, preserving
-/// item order in the output (shards are folded in chunk order).
+/// Compute `work` over every element of `items` on up to `threads`
+/// workers, preserving item order in the output. `items` splits into
+/// contiguous parts of at least [`MIN_SHARD`] items, one per worker; the
+/// caller runs the first part, scoped helper threads the rest, and the
+/// outputs concatenate in part order. A helper's panic is re-raised on
+/// the caller.
 fn sharded_map<T: Sync, R: Send>(
-    pool: &Pool<'_>,
+    threads: usize,
     items: &[T],
     work: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    pool.map_reduce(
-        items.len(),
-        shard_size(items.len(), pool),
-        |_, range| items[range].iter().map(&work).collect::<Vec<R>>(),
-        Vec::with_capacity(items.len()),
-        |mut acc: Vec<R>, mut chunk| {
-            acc.append(&mut chunk);
-            acc
-        },
-    )
+    let part = items.len().div_ceil(threads.max(1)).max(MIN_SHARD);
+    let mut parts = items.chunks(part);
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|s| {
+        let helpers: Vec<_> =
+            parts.map(|p| s.spawn(move || p.iter().map(work).collect::<Vec<R>>())).collect();
+        let mut out: Vec<R> = Vec::with_capacity(items.len());
+        out.extend(first.iter().map(work));
+        for helper in helpers {
+            out.extend(helper.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
+        out
+    })
 }
 
 /// The distinct `keys` that `cache` lacks, in first-seen order.
@@ -778,8 +794,8 @@ impl GraphBuilder {
     /// of existing nodes are never disturbed.
     ///
     /// Per-key values (candidates, link features, pair similarities)
-    /// missing from the caches are computed on a [`jocl_exec`] pool sized
-    /// by how many there are, in deterministic shards; the graph is then
+    /// missing from the caches are computed on scoped worker threads
+    /// sized by how many there are, in contiguous parts; the graph is then
     /// assembled in a fixed order — NP link variables with F4/F6/S1, RP
     /// link variables with F5/S2, pair variables with F1–F3 per family,
     /// U1–U3 triangles that gained an edge, U4, then U5–U7 — so the
@@ -793,7 +809,7 @@ impl GraphBuilder {
     ) {
         let sw = jocl_obs::Stopwatch::start();
         let _span = jocl_obs::span!("graph_build");
-        let threads = jocl_exec::effective_threads(input.config.build_threads);
+        let threads = build_workers(input.config.build_threads);
         self.extend_on(plan, input, delta, threads);
         graph_build_ns().record(sw.ns());
     }
@@ -842,15 +858,13 @@ impl GraphBuilder {
             (Vec::new(), Vec::new())
         };
         let missing = np_keys.len() + rp_keys.len() + np_pair_keys.len() + rp_pair_keys.len();
-        // A small delta's keys fit one shard: run inline, no pool spawn.
+        // A small delta's keys fit one shard: run inline, no thread spawn.
         let threads = if missing <= MIN_SHARD { 1 } else { threads };
-        jocl_exec::with_pool(threads, |pool| {
-            self.fill_caches(pool, input, np_keys, rp_keys, np_pair_keys, rp_pair_keys);
-            self.assemble(pool, plan, input, delta, &new_ids);
-        });
+        self.fill_caches(threads, input, np_keys, rp_keys, np_pair_keys, rp_pair_keys);
+        self.assemble(threads, plan, input, delta, &new_ids);
     }
 
-    /// Compute the missing per-key values on the pool and cache them. Link
+    /// Compute the missing per-key values in parallel and cache them. Link
     /// values are computed **from the lowercase key itself**: every signal
     /// is case-insensitive, and deriving the value from the canonical key
     /// — never from whichever occurrence happened to fill the cache first
@@ -858,7 +872,7 @@ impl GraphBuilder {
     /// refill after a snapshot restore is bit-for-bit reproducible.
     fn fill_caches(
         &mut self,
-        pool: &Pool<'_>,
+        threads: usize,
         input: &BuildInput<'_>,
         np_keys: Vec<String>,
         rp_keys: Vec<String>,
@@ -872,7 +886,7 @@ impl GraphBuilder {
         if !np_keys.is_empty() || !rp_keys.is_empty() {
             let gen = CandidateGen::new(ckb, config.candidates.clone());
             let side = active_side_info(config);
-            let values = sharded_map(pool, &np_keys, |key| {
+            let values = sharded_map(threads, &np_keys, |key| {
                 let scored = gen.entity_candidates(key);
                 let mut cands: Vec<EntityId> = scored.iter().map(|s| s.id).collect();
                 let side_probs =
@@ -883,12 +897,12 @@ impl GraphBuilder {
             });
             self.np_values.extend(np_keys.into_iter().zip(values));
 
-            // RP linking runs in three pooled passes: (1) candidate retrieval
+            // RP linking runs in three sharded passes: (1) candidate retrieval
             // per key; (2) per-surface-form contexts (raw + morphologically
             // normalized) for exactly the relations some key shortlisted — not
             // the whole CKB inventory; (3) feature vectors from the cached
             // contexts.
-            let rp_cands = sharded_map(pool, &rp_keys, |key| {
+            let rp_cands = sharded_map(threads, &rp_keys, |key| {
                 let mut cands: Vec<RelationId> =
                     gen.relation_candidates(key).iter().map(|s| s.id).collect();
                 let side_probs =
@@ -902,7 +916,7 @@ impl GraphBuilder {
             used_rels.sort_unstable();
             used_rels.dedup();
             let used_ctx: Vec<Vec<(PhraseCtx, PhraseCtx)>> =
-                sharded_map(pool, &used_rels, |&rid| {
+                sharded_map(threads, &used_rels, |&rid| {
                     ckb.relation(RelationId(rid))
                         .surface_forms
                         .iter()
@@ -915,7 +929,7 @@ impl GraphBuilder {
             let ctx_of = |r: RelationId| -> &Vec<(PhraseCtx, PhraseCtx)> {
                 &used_ctx[used_rels.binary_search(&r.0).expect("candidate relation has a context")]
             };
-            let feats = sharded_map(pool, &rp_new, |(key, (cands, _, _))| {
+            let feats = sharded_map(threads, &rp_new, |(key, (cands, _, _))| {
                 let pctx = signals.phrase_ctx(key);
                 let nctx = signals.phrase_ctx(&jocl_text::normalize::morph_normalize_rp(key));
                 cands
@@ -929,9 +943,11 @@ impl GraphBuilder {
             self.rp_values.extend(rp_new);
         }
 
-        let sims = sharded_map(pool, &np_pair_keys, |(a, b)| np_canon_features(signals, a, b, fs));
+        let sims =
+            sharded_map(threads, &np_pair_keys, |(a, b)| np_canon_features(signals, a, b, fs));
         self.np_pair_sims.extend(np_pair_keys.into_iter().zip(sims));
-        let sims = sharded_map(pool, &rp_pair_keys, |(a, b)| rp_canon_features(signals, a, b, fs));
+        let sims =
+            sharded_map(threads, &rp_pair_keys, |(a, b)| rp_canon_features(signals, a, b, fs));
         self.rp_pair_sims.extend(rp_pair_keys.into_iter().zip(sims));
     }
 
@@ -940,7 +956,7 @@ impl GraphBuilder {
     /// [`GraphBuilder::extend`].
     fn assemble(
         &mut self,
-        pool: &Pool<'_>,
+        threads: usize,
         plan: &mut GraphPlan,
         input: &BuildInput<'_>,
         delta: &Blocking,
@@ -991,7 +1007,7 @@ impl GraphBuilder {
             for (fam, (group, class, sims)) in canon.into_iter().enumerate() {
                 let (pairs, phrase) = families[fam];
                 let vars = plan.graph.add_vars(pairs.len(), 2, classes::VAR_CANON);
-                let potentials: Vec<Potential> = sharded_map(pool, pairs, |&(ti, tj)| {
+                let potentials: Vec<Potential> = sharded_map(threads, pairs, |&(ti, tj)| {
                     let key = ordered_key(phrase(okb.triple(ti)), phrase(okb.triple(tj)));
                     pair_potential(group, &sims[&key])
                 });
@@ -1035,27 +1051,28 @@ impl GraphBuilder {
                     Some((sv, rv, plan.np_link_vars[om]?, sm, rm, om))
                 })
                 .collect();
-            let specs: Vec<FactorSpec> = sharded_map(pool, &items, |&(sv, rv, ov, sm, rm, om)| {
-                let cs = &plan.np_candidates[sm];
-                let cr = &plan.rp_candidates[rm];
-                let co = &plan.np_candidates[om];
-                let (ks, kr, ko) = (cs.len(), cr.len(), co.len());
-                let mut high = Vec::new();
-                for (oi, &o) in co.iter().enumerate() {
-                    for (ri, &r) in cr.iter().enumerate() {
-                        for (si, &s) in cs.iter().enumerate() {
-                            if ckb.has_fact(s, r, o) {
-                                high.push((si + ks * ri + ks * kr * oi) as u32);
+            let specs: Vec<FactorSpec> =
+                sharded_map(threads, &items, |&(sv, rv, ov, sm, rm, om)| {
+                    let cs = &plan.np_candidates[sm];
+                    let cr = &plan.rp_candidates[rm];
+                    let co = &plan.np_candidates[om];
+                    let (ks, kr, ko) = (cs.len(), cr.len(), co.len());
+                    let mut high = Vec::new();
+                    for (oi, &o) in co.iter().enumerate() {
+                        for (ri, &r) in cr.iter().enumerate() {
+                            for (si, &s) in cs.iter().enumerate() {
+                                if ckb.has_fact(s, r, o) {
+                                    high.push((si + ks * ri + ks * kr * oi) as u32);
+                                }
                             }
                         }
                     }
-                }
-                FactorSpec::new(
-                    vec![sv, rv, ov],
-                    Potential::two_level(groups.beta[3], ks * kr * ko, high, 0.9, 0.1),
-                    classes::U4,
-                )
-            });
+                    FactorSpec::new(
+                        vec![sv, rv, ov],
+                        Potential::two_level(groups.beta[3], ks * kr * ko, high, 0.9, 0.1),
+                        classes::U4,
+                    )
+                });
             plan.stats.fact_factors += specs.len();
             plan.graph.add_factor_batch(specs);
         }
@@ -1088,7 +1105,7 @@ impl GraphBuilder {
                     })
                     .collect();
                 let specs: Vec<FactorSpec> =
-                    sharded_map(pool, &items, |&(va, vb, pair_var, ma, mb)| {
+                    sharded_map(threads, &items, |&(va, vb, pair_var, ma, mb)| {
                         let same_fn: EqualityTable = match slot {
                             Some(_) => {
                                 equality_table(&plan.np_candidates[ma], &plan.np_candidates[mb])
@@ -1427,8 +1444,8 @@ mod tests {
     }
 
     /// Grow a plan from `okb` in `deltas` contiguous arrival batches on
-    /// a `threads`-worker pool (unclamped: `effective_threads` would cap
-    /// it at the hardware).
+    /// `threads` workers (unclamped: `build_workers` would cap it at the
+    /// hardware).
     fn grow(
         okb: &Okb,
         ckb: &Ckb,
@@ -1497,6 +1514,36 @@ mod tests {
                 assert_eq!(plan.obj_pair_vars, base.obj_pair_vars, "{what}");
                 assert_eq!(plan.stats, base.stats, "{what}");
             }
+        }
+    }
+
+    /// `sharded_map` returns one output per item, in item order, for any
+    /// worker count: empty input, one item, exactly one part, one past a
+    /// part, and several uneven parts.
+    #[test]
+    fn sharded_map_keeps_item_order() {
+        for n in [0usize, 1, 8, 9, 103] {
+            let items: Vec<usize> = (0..n).collect();
+            let want: Vec<(usize, usize)> = items.iter().map(|&i| (i, i * i)).collect();
+            for threads in [1, 2, 4] {
+                let out = sharded_map(threads, &items, |&i| (i, i * i));
+                assert_eq!(out, want, "{n} items on {threads} threads");
+            }
+        }
+    }
+
+    /// A panicking item is re-raised on the caller with its own payload,
+    /// whether it sits in the caller's part or in a helper's, once every
+    /// helper has been joined.
+    #[test]
+    fn sharded_map_reraises_a_panicking_item() {
+        let items: Vec<usize> = (0..103).collect();
+        for bad in [3, 100] {
+            let caught = std::panic::catch_unwind(|| {
+                sharded_map(4, &items, |&i| if i == bad { panic!("item {i} exploded") } else { i })
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<String>(), Some(&format!("item {bad} exploded")));
         }
     }
 }

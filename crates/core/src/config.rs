@@ -155,7 +155,6 @@ impl Default for JoclConfig {
                 max_iters: 20,
                 tol: 1e-3,
                 damping: 0.1,
-                threads: 4,
                 mode: jocl_fg::ScheduleMode::Residual,
                 ..Default::default()
             },

@@ -65,7 +65,6 @@ impl Figure1 {
                 max_iters: 30,
                 tol: 1e-6,
                 damping: 0.1,
-                threads: 1,
                 mode: jocl_fg::ScheduleMode::Residual,
                 ..Default::default()
             },

@@ -2,8 +2,8 @@
 //! followed by convergence decode identically to a from-scratch batch
 //! run on the union** — for the figure-1 worked example, for empty and
 //! singleton OKBs, and (proptest) for random datasets replayed as random
-//! contiguous arrival batches under any thread count, sharing one frozen
-//! `Signals` per dataset. Sessions run the residual schedule only; a
+//! contiguous arrival batches under any graph-build thread count,
+//! sharing one frozen `Signals` per dataset. Sessions run the residual schedule only; a
 //! synchronous config is rejected at construction. The retraction
 //! extension of the contract — the **live** decode after retract/revise
 //! deltas equals a batch run on the survivors — is unit-tested here on
@@ -425,9 +425,9 @@ fn parity_worlds() -> &'static Vec<ParityWorld> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any contiguous partition of the arrival sequence, any thread
-    /// count: the final delta's decode equals the batch decode on the
-    /// union.
+    /// Any contiguous partition of the arrival sequence, any graph-build
+    /// thread count: the final delta's decode equals the batch decode on
+    /// the union.
     #[test]
     fn interleaved_deltas_decode_like_batch(
         world_idx in 0usize..3,
@@ -437,7 +437,7 @@ proptest! {
         let world = &parity_worlds()[world_idx];
         let n = world.triples.len();
         let mut config = parity_config();
-        config.lbp.threads = threads;
+        config.build_threads = threads;
 
         // Contiguous arrival batches from the random cut points: the
         // union okb (and thus every dense mention index) matches batch.

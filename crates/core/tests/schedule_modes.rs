@@ -57,9 +57,10 @@ fn residual_mode_counter_survives_training() {
 
 #[test]
 fn training_is_thread_invariant_through_the_pipeline() {
-    // Learning runs its clamped and free LBP halves concurrently once
-    // the thread budget is ≥ 2; the learned weights and everything
-    // decoded from them must not depend on that budget.
+    // The graph build shards its per-key work over `build_threads`
+    // workers and learning runs its clamped and free LBP halves
+    // concurrently; the learned weights and everything decoded from them
+    // must not depend on the build's thread count.
     use jocl_core::pipeline::ValidationLabels;
     use jocl_kb::{NpMention, NpSlot, RpMention, TripleId};
 
@@ -77,11 +78,10 @@ fn training_is_thread_invariant_through_the_pipeline() {
             let mut config = ex.config();
             config.train_epochs = 2;
             config.lbp.mode = mode;
-            config.lbp.threads = threads;
-            config.lbp.exact_threads = true;
+            config.build_threads = threads;
             Jocl::new(config).run(ex.input(), Some(&labels))
         };
-        let (serial, pooled) = (run(1), run(4));
+        let (serial, sharded) = (run(1), run(4));
         assert!(serial.diagnostics.train_epochs > 0, "{mode:?}: fixture must actually train");
         let bits = |out: &jocl_core::JoclOutput| {
             let p = out.learned_params.as_ref().expect("learned params");
@@ -89,13 +89,13 @@ fn training_is_thread_invariant_through_the_pipeline() {
                 .map(|g| p.group(g).iter().map(|w| w.to_bits()).collect::<Vec<_>>())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(bits(&pooled), bits(&serial), "{mode:?}: learned weights differ");
-        assert_eq!(pooled.np_links, serial.np_links, "{mode:?}");
-        assert_eq!(pooled.rp_links, serial.rp_links, "{mode:?}");
-        assert_eq!(pooled.np_clustering.assignment(), serial.np_clustering.assignment());
-        assert_eq!(pooled.rp_clustering.assignment(), serial.rp_clustering.assignment());
+        assert_eq!(bits(&sharded), bits(&serial), "{mode:?}: learned weights differ");
+        assert_eq!(sharded.np_links, serial.np_links, "{mode:?}");
+        assert_eq!(sharded.rp_links, serial.rp_links, "{mode:?}");
+        assert_eq!(sharded.np_clustering.assignment(), serial.np_clustering.assignment());
+        assert_eq!(sharded.rp_clustering.assignment(), serial.rp_clustering.assignment());
         assert_eq!(
-            pooled.diagnostics.lbp.message_updates, serial.diagnostics.lbp.message_updates,
+            sharded.diagnostics.lbp.message_updates, serial.diagnostics.lbp.message_updates,
             "{mode:?}"
         );
     }

@@ -16,14 +16,11 @@
 //! falls below `grad_tol`.
 //!
 //! The clamped and free runs of one epoch share nothing but the graph
-//! and the weights, so [`train`] runs them concurrently: with a thread
-//! budget of 2 or more (see [`LbpOptions::threads`] and
-//! [`LbpOptions::exact_threads`]) the free half runs on a scoped helper
-//! thread while the clamped half runs on the caller, each with half the
-//! budget for its own LBP workers; with a budget of 1 they run one after
-//! the other on the caller. Each engine's trajectory is thread-invariant
-//! and the gradient is combined in a fixed order, so the learned weights
-//! are bitwise-identical for any thread count.
+//! and the weights, so [`train`] runs them concurrently: the free half
+//! runs on a scoped helper thread while the clamped half runs on the
+//! caller. Each LBP run is serial and deterministic, and the gradient is
+//! combined in a fixed order, so the learned weights are bitwise the
+//! ones the two halves give when run one after the other.
 //!
 //! Tracing: `train` opens one `learn` span whose count is the number of
 //! epochs run. The clamped half's `lbp_sweep` spans are its children;
@@ -45,8 +42,7 @@ pub struct TrainOptions {
     pub grad_tol: f64,
     /// L2 regularization strength (subtracts `l2 · ω` from the gradient).
     pub l2: f64,
-    /// LBP configuration used for both runs. Its thread budget is split
-    /// between the two concurrent runs.
+    /// LBP configuration used for both runs.
     pub lbp: LbpOptions,
 }
 
@@ -133,10 +129,6 @@ pub fn train(
     }
     let mut clamped = Half::new(clamped);
     let mut free = Half::new(LbpEngine::new(graph));
-    // Split the thread budget between the two concurrent halves, so the
-    // pair never asks for more workers than one run would have.
-    let budget = LbpEngine::run_threads(&opts.lbp);
-    let half_lbp = LbpOptions { threads: (budget / 2).max(1), ..opts.lbp.clone() };
     let mut report = TrainReport {
         epochs: 0,
         final_grad_norm: f64::INFINITY,
@@ -145,20 +137,12 @@ pub fn train(
     };
     for epoch in 0..opts.max_epochs {
         let weights: &Params = params;
-        let (e_clamped, e_free) = if budget >= 2 {
-            std::thread::scope(|s| {
-                let helper = s.spawn(|| free.expectation(graph, weights, &half_lbp));
-                let e_clamped = clamped.expectation(graph, weights, &half_lbp);
-                let e_free =
-                    helper.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                (e_clamped, e_free)
-            })
-        } else {
-            (
-                clamped.expectation(graph, weights, &half_lbp),
-                free.expectation(graph, weights, &half_lbp),
-            )
-        };
+        let (e_clamped, e_free) = std::thread::scope(|s| {
+            let helper = s.spawn(|| free.expectation(graph, weights, &opts.lbp));
+            let e_clamped = clamped.expectation(graph, weights, &opts.lbp);
+            let e_free = helper.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            (e_clamped, e_free)
+        });
 
         // grad = E_clamped − E_free − l2·ω
         let mut grad = e_clamped;
@@ -302,10 +286,10 @@ mod tests {
         assert!(w[1] > 0.2, "indicator feature should grow: {}", w[1]);
     }
 
-    /// The concurrent halves split the thread budget, yet the learned
-    /// weights, epoch count and gradient trajectory are bitwise-identical
-    /// for any budget under both schedule modes. `exact_threads` forces
-    /// the concurrent path even on a single-core host.
+    /// Running the halves concurrently changes nothing: under both
+    /// schedule modes, `train` gives bitwise the weights, epoch count and
+    /// gradient trajectory of a plain loop that runs the same two
+    /// [`Half`]s one after the other on one thread.
     #[test]
     fn train_is_thread_invariant_bitwise() {
         use crate::lbp::ScheduleMode;
@@ -336,24 +320,40 @@ mod tests {
         };
 
         for mode in [ScheduleMode::Synchronous, ScheduleMode::Residual] {
-            let run = |threads: usize| {
-                let mut p = params.clone();
-                let opts = TrainOptions {
-                    max_epochs: 6,
-                    l2: 1e-3,
-                    lbp: LbpOptions { mode, threads, exact_threads: true, ..Default::default() },
-                    ..Default::default()
-                };
-                let report = train(&g, &mut p, &labels, &opts);
-                let norms: Vec<u64> = report.grad_norms.iter().map(|n| n.to_bits()).collect();
-                (bits(&p), report.epochs, norms)
+            let opts = TrainOptions {
+                max_epochs: 6,
+                l2: 1e-3,
+                lbp: LbpOptions { mode, ..Default::default() },
+                ..Default::default()
             };
-            let serial = run(1);
-            assert!(serial.1 > 1, "{mode:?}: fixture must train for several epochs");
-            assert_ne!(serial.0, bits(&params), "{mode:?}: weights must move");
-            for threads in [2, 4] {
-                assert_eq!(run(threads), serial, "{mode:?}: threads {threads} differ from 1");
+            let mut p = params.clone();
+            let report = train(&g, &mut p, &labels, &opts);
+            let norms: Vec<u64> = report.grad_norms.iter().map(|n| n.to_bits()).collect();
+            let concurrent = (bits(&p), report.epochs, norms);
+
+            let mut p = params.clone();
+            let mut clamped = LbpEngine::new(&g);
+            for &(v, s) in &labels {
+                clamped.set_clamp(v, Some(s));
             }
+            let (mut clamped, mut free) = (Half::new(clamped), Half::new(LbpEngine::new(&g)));
+            let mut norms = Vec::new();
+            for _ in 0..opts.max_epochs {
+                let mut grad = clamped.expectation(&g, &p, &opts.lbp);
+                grad.step(&free.expectation(&g, &p, &opts.lbp), -1.0);
+                grad.step(&p, -opts.l2);
+                let norm = grad.l2_norm();
+                norms.push(norm.to_bits());
+                if norm < opts.grad_tol {
+                    break;
+                }
+                p.step(&grad, opts.learning_rate);
+            }
+            let sequential = (bits(&p), norms.len(), norms);
+
+            assert!(sequential.1 > 1, "{mode:?}: fixture must train for several epochs");
+            assert_ne!(sequential.0, bits(&params), "{mode:?}: weights must move");
+            assert_eq!(concurrent, sequential, "{mode:?}: concurrent halves differ from serial");
         }
     }
 

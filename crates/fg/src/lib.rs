@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # jocl-fg
 //!
 //! Discrete factor-graph substrate with loopy belief propagation (LBP) and

@@ -1,7 +1,6 @@
 //! Message-arena storage behind the committed-snapshot seam.
 //!
-//! [`crate::lbp::LbpEngine`] always *computes* in flat `f64` arenas —
-//! that is what keeps sweeps bit-identical across thread counts — but
+//! [`crate::lbp::LbpEngine`] always *computes* in flat `f64` arenas, but
 //! the **committed** messages a long-lived session holds between deltas
 //! ([`crate::LbpMessages`]) dominate resident memory and the snapshot
 //! wire format at scale. This module is the seam between the two: a

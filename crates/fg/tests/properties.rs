@@ -74,12 +74,12 @@ fn tight_opts() -> LbpOptions {
     LbpOptions { tol: 1e-10, max_iters: 1000, damping: 0.0, ..Default::default() }
 }
 
-/// A random mixed model exercising everything the pooled sweep handles:
+/// A random mixed model exercising everything the factor update handles:
 /// variables of mixed cardinality and scheduling class, dense pairwise
 /// factors, sparse ternary two-level factors, plus a random clamp set
 /// and a random phased schedule.
 #[allow(clippy::type_complexity)]
-fn pooled_model(
+fn mixed_model(
 ) -> impl Strategy<Value = (FactorGraph, Params, Vec<(VarId, u32)>, jocl_fg::Schedule)> {
     (4usize..9, 3usize..10, 0usize..3, 0u8..2)
         .prop_flat_map(|(n, m, n_clamps, phased)| {
@@ -171,20 +171,15 @@ proptest! {
     }
 
     /// On loopy graphs LBP is approximate, but the marginals must always
-    /// be valid distributions and deterministic across thread counts.
+    /// be valid distributions.
     #[test]
-    fn lbp_valid_and_thread_invariant_on_loopy((g, params) in loopy_model()) {
-        let opts1 = LbpOptions { threads: 1, ..tight_opts() };
-        let opts4 = LbpOptions { threads: 4, ..tight_opts() };
-        let (m1, _) = run_lbp(&g, &params, &[], &opts1);
-        let (m4, _) = run_lbp(&g, &params, &[], &opts4);
+    fn lbp_valid_on_loopy((g, params) in loopy_model()) {
+        let (m, _) = run_lbp(&g, &params, &[], &tight_opts());
         for v in 0..g.num_vars() {
-            let v = VarId(v as u32);
-            let p = m1.of(v);
+            let p = m.of(VarId(v as u32));
             let total: f64 = p.iter().sum();
             prop_assert!((total - 1.0).abs() < 1e-9);
             prop_assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-12).contains(&x)));
-            prop_assert!((m1.prob(v, 1) - m4.prob(v, 1)).abs() < 1e-12);
         }
     }
 
@@ -239,96 +234,32 @@ proptest! {
         let _ = gs;
     }
 
-    /// The pooled factor sweep must be **bit-identical** to the serial
-    /// one across random graphs (mixed cardinalities, dense + two-level
-    /// potentials), schedules, clamp sets, and thread counts —
-    /// `exact_threads` forces real workers even on small machines.
-    #[test]
-    fn pooled_lbp_bit_identical_to_serial(
-        (g, params, clamps, schedule) in pooled_model()
-    ) {
-        let serial = LbpOptions {
-            threads: 1,
-            max_iters: 40,
-            tol: 1e-8,
-            schedule: schedule.clone(),
-            ..Default::default()
-        };
-        let (m1, r1) = run_lbp(&g, &params, &clamps, &serial);
-        for threads in [2usize, 4] {
-            let pooled = LbpOptions {
-                threads,
-                exact_threads: true,
-                ..serial.clone()
-            };
-            let (mt, rt) = run_lbp(&g, &params, &clamps, &pooled);
-            prop_assert_eq!(r1.iterations, rt.iterations);
-            prop_assert_eq!(r1.residual.to_bits(), rt.residual.to_bits());
-            for v in 0..g.num_vars() {
-                let v = VarId(v as u32);
-                for s in 0..g.cardinality(v) {
-                    prop_assert_eq!(
-                        m1.prob(v, s).to_bits(),
-                        mt.prob(v, s).to_bits(),
-                        "thread count changed a marginal bit: var {:?} state {} ({} vs {})",
-                        v, s, m1.prob(v, s), mt.prob(v, s)
-                    );
-                }
-            }
-        }
-    }
-
     /// Residual-scheduled LBP must reach the same fixed point as the
     /// synchronous sweeps — same marginals within tolerance — on random
     /// mixed graphs (dense + two-level potentials, clamps, phased and
-    /// flooding schedules), for any thread count; and the residual
-    /// trajectory itself must be bit-identical across thread counts.
+    /// flooding schedules).
     #[test]
     fn residual_schedule_matches_synchronous(
-        (g, params, clamps, schedule) in pooled_model()
+        (g, params, clamps, schedule) in mixed_model()
     ) {
         let sync_opts = LbpOptions {
-            threads: 1,
             max_iters: 500,
             tol: 1e-9,
-            schedule: schedule.clone(),
+            schedule,
             ..Default::default()
         };
         let (ms, rs) = run_lbp(&g, &params, &clamps, &sync_opts);
-        let residual_opts = LbpOptions {
-            mode: jocl_fg::ScheduleMode::Residual,
-            exact_threads: true,
-            ..sync_opts.clone()
-        };
-        let (m1, r1) = run_lbp(&g, &params, &clamps, &residual_opts);
-        prop_assert_eq!(rs.converged, r1.converged);
+        let residual_opts = LbpOptions { mode: jocl_fg::ScheduleMode::Residual, ..sync_opts };
+        let (mr, rr) = run_lbp(&g, &params, &clamps, &residual_opts);
+        prop_assert_eq!(rs.converged, rr.converged);
         if rs.converged {
             for v in 0..g.num_vars() {
                 let v = VarId(v as u32);
                 for s in 0..g.cardinality(v) {
                     prop_assert!(
-                        (ms.prob(v, s) - m1.prob(v, s)).abs() < 1e-5,
+                        (ms.prob(v, s) - mr.prob(v, s)).abs() < 1e-5,
                         "var {:?} state {}: sync {} vs residual {}",
-                        v, s, ms.prob(v, s), m1.prob(v, s)
-                    );
-                }
-            }
-        }
-        for threads in [2usize, 4] {
-            let (mt, rt) = run_lbp(
-                &g,
-                &params,
-                &clamps,
-                &LbpOptions { threads, ..residual_opts.clone() },
-            );
-            prop_assert_eq!(r1.message_updates, rt.message_updates);
-            for v in 0..g.num_vars() {
-                let v = VarId(v as u32);
-                for s in 0..g.cardinality(v) {
-                    prop_assert_eq!(
-                        m1.prob(v, s).to_bits(),
-                        mt.prob(v, s).to_bits(),
-                        "thread count changed a residual-mode marginal bit"
+                        v, s, ms.prob(v, s), mr.prob(v, s)
                     );
                 }
             }
@@ -348,16 +279,14 @@ proptest! {
     }
 
     /// The memory-wall certification gate: on random mixed graphs, under
-    /// every thread count × both schedule modes, the quantized committed
-    /// arena decodes within the **explicit tolerance** the store
-    /// documents — per slot, `|x - anchor| · ε_f32` against the block's
-    /// anchor (the block's first finite value), with a small absolute
-    /// floor for the `anchor + r` rounding step — and the quantized
-    /// bytes themselves are bit-identical across thread counts, which is
-    /// what lets a writer and a replica commit the same representation.
+    /// both schedule modes, the quantized committed arena decodes within
+    /// the **explicit tolerance** the store documents — per slot,
+    /// `|x - anchor| · ε_f32` against the block's anchor (the block's
+    /// first finite value), with a small absolute floor for the
+    /// `anchor + r` rounding step.
     #[test]
-    fn quantized_commit_within_tolerance_across_threads_and_schedules(
-        (g, params, clamps, schedule) in pooled_model(),
+    fn quantized_commit_within_tolerance_across_schedules(
+        (g, params, clamps, schedule) in mixed_model(),
         residual_mode in 0usize..2,
     ) {
         use jocl_fg::lbp::LbpEngine;
@@ -368,67 +297,39 @@ proptest! {
         } else {
             jocl_fg::ScheduleMode::Synchronous
         };
-        let mut reference: Option<jocl_fg::LbpMessages> = None;
-        for threads in [1usize, 2, 4] {
-            let opts = LbpOptions {
-                threads,
-                exact_threads: threads > 1,
-                max_iters: 60,
-                tol: 1e-8,
-                mode,
-                schedule: schedule.clone(),
-                ..Default::default()
-            };
-            let mut eng = LbpEngine::new(&g);
-            for &(v, s) in &clamps {
-                eng.set_clamp(v, Some(s));
-            }
-            eng.run(&params, &opts);
-            let exact = eng.export_messages();
-            let quant = eng.export_messages_with(MessageStore::Quantized);
+        let opts = LbpOptions { max_iters: 60, tol: 1e-8, mode, schedule, ..Default::default() };
+        let mut eng = LbpEngine::new(&g);
+        for &(v, s) in &clamps {
+            eng.set_clamp(v, Some(s));
+        }
+        eng.run(&params, &opts);
+        let exact = eng.export_messages();
+        let quant = eng.export_messages_with(MessageStore::Quantized);
 
-            // Explicit tolerance gate, one direction (fv — vf is the
-            // same code path): decode error is bounded by the residual's
-            // f32 rounding against the block anchor.
-            for (exact_arena, quant_arena) in
-                [(exact.fv(), quant.fv()), (exact.vf(), quant.vf())]
-            {
-                let xs = exact_arena.to_vec();
-                let ys = quant_arena.to_vec();
-                prop_assert_eq!(xs.len(), ys.len());
-                for (block_idx, block) in xs.chunks(QUANT_BLOCK).enumerate() {
-                    let anchor =
-                        block.iter().copied().find(|x| x.is_finite()).unwrap_or(0.0);
-                    for (i, &x) in block.iter().enumerate() {
-                        let y = ys[block_idx * QUANT_BLOCK + i];
-                        if x.is_nan() {
-                            prop_assert!(y.is_nan());
-                        } else if x.is_infinite() {
-                            prop_assert_eq!(x, y);
-                        } else {
-                            let tol =
-                                (x - anchor).abs() * f32::EPSILON as f64 + 1e-12;
-                            prop_assert!(
-                                (x - y).abs() <= tol,
-                                "block {} slot {} ({:?}, {} threads): {} decoded as {} \
-                                 (tolerance {:e})",
-                                block_idx, i, mode, threads, x, y, tol
-                            );
-                        }
+        // Explicit tolerance gate, one direction (fv — vf is the
+        // same code path): decode error is bounded by the residual's
+        // f32 rounding against the block anchor.
+        for (exact_arena, quant_arena) in [(exact.fv(), quant.fv()), (exact.vf(), quant.vf())] {
+            let xs = exact_arena.to_vec();
+            let ys = quant_arena.to_vec();
+            prop_assert_eq!(xs.len(), ys.len());
+            for (block_idx, block) in xs.chunks(QUANT_BLOCK).enumerate() {
+                let anchor = block.iter().copied().find(|x| x.is_finite()).unwrap_or(0.0);
+                for (i, &x) in block.iter().enumerate() {
+                    let y = ys[block_idx * QUANT_BLOCK + i];
+                    if x.is_nan() {
+                        prop_assert!(y.is_nan());
+                    } else if x.is_infinite() {
+                        prop_assert_eq!(x, y);
+                    } else {
+                        let tol = (x - anchor).abs() * f32::EPSILON as f64 + 1e-12;
+                        prop_assert!(
+                            (x - y).abs() <= tol,
+                            "block {} slot {} ({:?}): {} decoded as {} (tolerance {:e})",
+                            block_idx, i, mode, x, y, tol
+                        );
                     }
                 }
-            }
-
-            // Writer/replica determinism: the quantized representation
-            // is a pure function of the converged state, which is
-            // itself bit-identical across thread counts.
-            match &reference {
-                None => reference = Some(quant),
-                Some(first) => prop_assert!(
-                    first.bitwise_eq(&quant),
-                    "quantized commit differs across thread counts ({:?})",
-                    mode
-                ),
             }
         }
     }

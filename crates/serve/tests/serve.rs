@@ -1,9 +1,9 @@
 //! Acceptance tests for the durable serving subsystem.
 //!
 //! * **Retraction parity (proptest)**: after any interleaving of
-//!   add/retract/revise deltas — across thread counts — the live view
-//!   decodes identically to a from-scratch batch run on the surviving
-//!   triples. Run with caps that do not bind (see the
+//!   add/retract/revise deltas — across graph-build thread counts — the
+//!   live view decodes identically to a from-scratch batch run on the
+//!   surviving triples. Run with caps that do not bind (see the
 //!   `jocl_core::incremental` module docs for the cap caveat).
 //! * **Kill-and-restart parity (proptest)**: `snapshot → drop session →
 //!   restore → apply_delta` is bitwise-identical (full exported state,
@@ -24,6 +24,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
+/// `threads` is the graph-build worker count (`build_threads`).
 fn parity_config(threads: usize) -> JoclConfig {
     let mut config = JoclConfig {
         train_epochs: 0,
@@ -35,7 +36,7 @@ fn parity_config(threads: usize) -> JoclConfig {
         cross_cap: usize::MAX / 2,
         ..Default::default()
     };
-    config.lbp.threads = threads;
+    config.build_threads = threads;
     config
 }
 
@@ -95,7 +96,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any interleaving of add/retract/revise ops, chopped into random
-    /// deltas, any thread count: the live view
+    /// deltas, any graph-build thread count: the live view
     /// equals the from-scratch batch decode on the survivors.
     #[test]
     fn interleaved_ops_decode_like_batch_on_survivors(
@@ -172,7 +173,7 @@ proptest! {
     /// Kill-and-restart: snapshot, drop the session, restore, apply one
     /// more delta — the full exported state (messages, marginals,
     /// everything) is bitwise-identical to the uninterrupted session's,
-    /// across thread counts.
+    /// across graph-build thread counts.
     #[test]
     fn snapshot_restore_resumes_bitwise_identically(
         world_idx in 0usize..2,
@@ -240,7 +241,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Side-information parity: with an imported alias table active the
-    /// decode is **thread-invariant** and the warm incremental path
+    /// decode is **thread-invariant** in the graph build and the warm incremental path
     /// matches a from-scratch batch run.
     /// And `Some(empty table)` exports **bitwise-identical** state to
     /// `None` — adding the subsystem changed nothing for sessions that
@@ -323,7 +324,8 @@ proptest! {
 
     /// Observability parity (PR-10): metric recording is purely
     /// observational — the same ingest produces a bitwise-identical
-    /// exported session with recording off and on, across thread counts. (The toggle is the process-global
+    /// exported session with recording off and on, across graph-build
+    /// thread counts. (The toggle is the process-global
     /// `JOCL_METRICS` switch the bins set; decode code never reads it,
     /// which is exactly what this pins down.)
     #[test]

@@ -22,7 +22,6 @@ pub use jocl_core as core;
 pub use jocl_datagen as datagen;
 pub use jocl_embed as embed;
 pub use jocl_eval as eval;
-pub use jocl_exec as exec;
 pub use jocl_fg as fg;
 pub use jocl_kb as kb;
 pub use jocl_obs as obs;
