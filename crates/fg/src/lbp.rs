@@ -4,7 +4,7 @@
 //! normalized log-messages, and damping and normalization act on log
 //! values. The factor→variable kernels of factors with two or more
 //! variables compute in the linear domain instead: each incoming message
-//! is exponentiated once per state under a per-slot max shift
+//! is exponentiated under a per-slot max shift
 //! (`p_j(x) = exp(vf_j(x) − max vf_j)`), the factor's configurations are
 //! summed as plain products of those values, and the result is taken back
 //! with one `ln` per outgoing state. The shifts only add a per-slot
@@ -12,6 +12,17 @@
 //! cancels. An outgoing entry whose sum underflows to 0 is written as
 //! [`LOG_ZERO`], the same floor that clamp evidence uses, so messages
 //! stay finite. Unary factors pass their log-potential through unchanged.
+//!
+//! Every shifted exponential — incoming messages, dense weights and the
+//! normalizer of each written message — goes through `exp_shifted`,
+//! which takes the row's maximum (`x − max = ±0.0`) as the literal `1.0`
+//! instead of calling `exp`: bitwise the same value, one libm call fewer
+//! per row. Normalization is fused with the write
+//! (`logspace::normalize_into`): the variable update and the factor
+//! commit each produce, normalize, compare and store a message in one
+//! pass, with no copy of the old or the raw message. Arity-3
+//! configurations decode in `u32` straight-line code. None of this
+//! reorders a floating-point operation, so every message keeps its bits.
 //!
 //! Implements the inference procedure of paper §3.4:
 //!
@@ -45,7 +56,7 @@
 //! modes update factors through the same fused compute-and-commit batch.
 
 use crate::graph::{FactorGraph, FactorId, Potential, VarId};
-use crate::logspace::{log_normalize, logsumexp, max_abs_diff, to_probs};
+use crate::logspace::{exp_shifted, logsumexp, normalize_into, to_probs};
 use crate::params::Params;
 use crate::store::{MessageArena, MessageStore};
 use jocl_obs::{Counter, Histogram, Stopwatch};
@@ -264,6 +275,9 @@ pub struct LbpEngine<'g> {
     new_fv: Vec<f64>,
     /// Kernel buffers reused by every factor update.
     scratch: Scratch,
+    /// Per-state total of incoming factor→variable messages, reused by
+    /// every variable update.
+    var_total: Vec<f64>,
     /// CSR adjacency: edge ids of variable `v` are
     /// `var_edges[var_edge_start[v]..var_edge_start[v+1]]`.
     var_edge_start: Vec<u32>,
@@ -310,6 +324,7 @@ impl<'g> LbpEngine<'g> {
             vf: vec![0.0; offset],
             new_fv: vec![0.0; offset],
             scratch: Scratch::default(),
+            var_total: Vec::new(),
             var_edge_start,
             var_edges,
             clamps: vec![None; graph.num_vars()],
@@ -689,7 +704,6 @@ impl<'g> LbpEngine<'g> {
         let mut queue = BucketQueue::new(opts.tol, nf);
         let mut batch: Vec<u32> = Vec::with_capacity(batch_cap);
         let mut dirty_vars: Vec<u32> = Vec::new();
-        let mut var_scratch = VarScratch::default();
         let mut result = LbpResult {
             iterations: 0,
             converged: false,
@@ -757,14 +771,7 @@ impl<'g> LbpEngine<'g> {
                         continue;
                     }
                 }
-                self.residual_var_update(
-                    v,
-                    &factor_active,
-                    &edge_factor,
-                    &mut prio,
-                    &mut queue,
-                    &mut var_scratch,
-                );
+                self.residual_var_update(v, &factor_active, &edge_factor, &mut prio, &mut queue);
             }
         }
         // Drain: pop the highest-priority factor blocks, recompute
@@ -803,14 +810,7 @@ impl<'g> LbpEngine<'g> {
             dirty_vars.sort_unstable();
             dirty_vars.dedup();
             for &v in &dirty_vars {
-                self.residual_var_update(
-                    v,
-                    &factor_active,
-                    &edge_factor,
-                    &mut prio,
-                    &mut queue,
-                    &mut var_scratch,
-                );
+                self.residual_var_update(v, &factor_active, &edge_factor, &mut prio, &mut queue);
             }
         }
         result.iterations = result.message_updates.div_ceil(sweep_messages.max(1)) as usize;
@@ -836,51 +836,55 @@ impl<'g> LbpEngine<'g> {
         edge_factor: &[u32],
         prio: &mut [f64],
         queue: &mut BucketQueue,
-        scratch: &mut VarScratch,
     ) {
         if self.clamps[v as usize].is_some() {
             return;
         }
-        let vid = VarId(v);
-        let card = self.graph.cardinality(vid) as usize;
-        scratch.total.clear();
-        scratch.total.resize(card, 0.0);
-        let adj =
-            self.var_edge_start[v as usize] as usize..self.var_edge_start[v as usize + 1] as usize;
-        for ei in adj.clone() {
-            let r = self.edge_range(self.var_edges[ei] as usize);
-            for (t, x) in scratch.total.iter_mut().zip(&self.fv[r]) {
-                *t += *x;
-            }
-        }
-        for ei in adj {
-            let e = self.var_edges[ei] as usize;
-            let r = self.edge_range(e);
-            let off = r.start;
-            scratch.old.clear();
-            scratch.old.extend_from_slice(&self.vf[r.clone()]);
-            for (i, &t) in scratch.total.iter().enumerate().take(card) {
-                self.vf[off + i] = t - self.fv[off + i];
-            }
-            log_normalize(&mut self.vf[r.clone()]);
-            let delta = max_abs_diff(&self.vf[r], &scratch.old);
-            if delta <= 0.0 {
-                continue;
-            }
+        self.var_messages_kernel(v, |e, delta| {
             let g = edge_factor[e] as usize;
-            if !factor_active[g] {
-                continue;
+            if delta <= 0.0 || !factor_active[g] {
+                return;
             }
             let old_p = prio[g];
             let new_p = old_p + delta;
             prio[g] = new_p;
             queue.update(g as u32, old_p, new_p);
+        });
+    }
+
+    /// The one variable→factor kernel, shared by the residual drain and
+    /// the synchronous sweeps: each outgoing message of unclamped
+    /// variable `v` is the per-state total of its incoming factor→variable
+    /// messages minus the edge's own, normalized and written in one
+    /// [`normalize_into`] pass. `on_edge(e, Δ)` receives each edge's
+    /// largest absolute change, in CSR order.
+    fn var_messages_kernel(&mut self, v: u32, mut on_edge: impl FnMut(usize, f64)) {
+        let card = self.graph.cardinality(VarId(v)) as usize;
+        let adj = &self.var_edges[self.var_edge_start[v as usize] as usize
+            ..self.var_edge_start[v as usize + 1] as usize];
+        let total = &mut self.var_total;
+        total.clear();
+        total.resize(card, 0.0);
+        for &e in adj {
+            let off = self.edge_offset[e as usize];
+            for (t, x) in total.iter_mut().zip(&self.fv[off..off + card]) {
+                *t += *x;
+            }
+        }
+        for &e in adj {
+            let off = self.edge_offset[e as usize];
+            let fv = &self.fv[off..off + card];
+            let delta = normalize_into(&mut self.vf[off..off + card], |i, _| total[i] - fv[i]);
+            on_edge(e as usize, delta);
         }
     }
 
     /// Fused compute + commit of a batch of factor blocks — one
     /// synchronous phase or one drained residual batch; returns the
-    /// committed message residual of each factor, in batch order. The
+    /// committed message residual of each factor, in batch order. Each
+    /// edge's commit damps the raw message against the committed one,
+    /// normalizes it and measures its change in one [`normalize_into`]
+    /// pass straight into `fv`. The
     /// kernels read only `vf` and each factor commits only its own `fv`
     /// edges, so updating a batch factor by factor yields exactly the
     /// messages of a compute-all-then-commit-all sweep.
@@ -899,13 +903,11 @@ impl<'g> LbpEngine<'g> {
             let mut residual = 0.0f64;
             for e in self.factor_edges(f as usize) {
                 let r = self.edge_range(e);
-                let (fv, new_fv) = (&mut self.fv[r.clone()], &mut new_fv[r]);
-                for (new, &old) in new_fv.iter_mut().zip(fv.iter()) {
-                    *new = lambda * old + (1.0 - lambda) * *new;
-                }
-                log_normalize(new_fv);
-                residual = residual.max(max_abs_diff(new_fv, fv));
-                fv.copy_from_slice(new_fv);
+                let raw = &new_fv[r.clone()];
+                let delta = normalize_into(&mut self.fv[r], |i, old| {
+                    lambda * old + (1.0 - lambda) * raw[i]
+                });
+                residual = residual.max(delta);
             }
             residuals.push(residual);
         }
@@ -921,7 +923,8 @@ impl<'g> LbpEngine<'g> {
     /// A unary factor's message is its log-potential. Larger factors are
     /// evaluated in the linear domain: [`Scratch::load_incoming`] turns
     /// each incoming message into `p_j(x) = exp(vf_j(x) − max vf_j)` and
-    /// its total `L_j = Σ_x p_j(x)` (one `exp` per incoming state), then
+    /// its total `L_j = Σ_x p_j(x)` (one `exp` per incoming state other
+    /// than the row's maximum, whose `p_j` is the literal `1.0`), then
     /// [`Scratch::accumulate`] adds `w(c) · Π_{j≠k} p_j(c_j)` into
     /// `acc[k][c_k]` for every slot `k` of each visited configuration `c`,
     /// and the message is `ln acc`. Every shift (`max vf_j`, `max log φ`,
@@ -937,7 +940,8 @@ impl<'g> LbpEngine<'g> {
     /// * Every other factor, including a two-level table with `Δ ≤ 0`
     ///   (where the sparse form would subtract the high mass from the
     ///   total and cancel catastrophically), visits every configuration
-    ///   with `w(c) = exp(log φ(c) − max log φ)`.
+    ///   with `w(c) = exp(log φ(c) − max log φ)` (again `1.0` without an
+    ///   `exp` at the maximum).
     fn factor_messages_kernel(
         &self,
         params: &Params,
@@ -982,7 +986,7 @@ impl<'g> LbpEngine<'g> {
             potential.log_phi_into(params, &mut scratch.table);
             let max = scratch.table.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             for c in 0..scratch.table.len() {
-                let w = (scratch.table[c] - max).exp();
+                let w = exp_shifted(scratch.table[c], max);
                 scratch.accumulate(c, w);
             }
         }
@@ -994,35 +998,13 @@ impl<'g> LbpEngine<'g> {
         }
     }
 
-    /// Update variable→factor messages for the variables in `selected`.
+    /// Update variable→factor messages for the variables in `selected`
+    /// (synchronous sweeps and warm priming).
     fn update_var_messages(&mut self, selected: &[u32]) {
-        let mut total: Vec<f64> = Vec::new();
         for &v in selected {
-            let vid = VarId(v);
-            if let Some(s) = self.clamps[v as usize] {
-                self.write_clamped_var_messages(vid, s);
-                continue;
-            }
-            let card = self.graph.cardinality(vid) as usize;
-            // Total incoming per state.
-            total.clear();
-            total.resize(card, 0.0);
-            for &e in self.var_out_edges(vid) {
-                let r = self.edge_range(e as usize);
-                for (t, x) in total.iter_mut().zip(&self.fv[r]) {
-                    *t += *x;
-                }
-            }
-            let adj_range = self.var_edge_start[v as usize] as usize
-                ..self.var_edge_start[v as usize + 1] as usize;
-            for ei in adj_range {
-                let e = self.var_edges[ei] as usize;
-                let r = self.edge_range(e);
-                let off = r.start;
-                for (i, &t) in total.iter().enumerate().take(card) {
-                    self.vf[off + i] = t - self.fv[off + i];
-                }
-                log_normalize(&mut self.vf[r]);
+            match self.clamps[v as usize] {
+                Some(s) => self.write_clamped_var_messages(VarId(v), s),
+                None => self.var_messages_kernel(v, |_, _| {}),
             }
         }
     }
@@ -1202,15 +1184,6 @@ impl LbpMessages {
     }
 }
 
-/// Reusable buffers for the residual-mode variable update.
-#[derive(Default)]
-struct VarScratch {
-    /// Per-state total of incoming factor→variable messages.
-    total: Vec<f64>,
-    /// Previous outgoing message of the edge being recomputed.
-    old: Vec<f64>,
-}
-
 /// A bucketed max-priority queue over factor ids with O(1) amortized push
 /// and pop, used by [`ScheduleMode::Residual`].
 ///
@@ -1251,10 +1224,29 @@ impl BucketQueue {
         }
     }
 
-    /// Bucket index of priority `p >= tol`.
+    /// Bucket index of priority `p >= tol`: `⌊log2(p/tol)⌋` clamped to
+    /// `0..NUM_BUCKETS`, read off the exponent bits of `q = p/tol`.
+    ///
+    /// The reference is the libm expression
+    /// `((p/tol).log2().max(0.0) as usize).min(NUM_BUCKETS − 1)`, and the
+    /// bucket — hence every pop order — must be bitwise what it gives.
+    /// Away from a power of two, `log2(q)` is at least `2^-41` from an
+    /// integer, far beyond libm's error, so its floor is the exponent.
+    /// Within `2^-40` of a power of two (mantissa field within `2^12` of
+    /// either end) libm's rounding could decide the floor, so those `q`
+    /// take the libm expression itself; so do `q < 1` and NaN (bucket 0).
     #[inline]
     fn bucket_of(&self, p: f64) -> usize {
-        ((p / self.tol).log2().max(0.0) as usize).min(Self::NUM_BUCKETS - 1)
+        const MANTISSA: u64 = (1 << 52) - 1;
+        const NEAR: u64 = 1 << 12;
+        let q = p / self.tol;
+        let bits = q.to_bits();
+        if q >= 1.0 && (NEAR..=MANTISSA - NEAR).contains(&(bits & MANTISSA)) {
+            // q ≥ 1 with a mid mantissa is a finite normal number (inf's
+            // mantissa is 0), so its biased exponent is at least 1023.
+            return (((bits >> 52) - 1023) as usize).min(Self::NUM_BUCKETS - 1);
+        }
+        (q.log2().max(0.0) as usize).min(Self::NUM_BUCKETS - 1)
     }
 
     /// Record that factor `f`'s priority changed `old → new`. Enqueues or
@@ -1326,7 +1318,8 @@ pub struct Scratch {
 impl Scratch {
     /// Load one factor's incoming messages, one edge range of `vf` per
     /// slot: `p_j(x) = exp(vf_j(x) − max_x vf_j)` (so every slot's
-    /// largest entry is exactly 1), their totals `L_j`, and zeroed
+    /// largest entry is exactly 1, written as the literal `1.0` without
+    /// an `exp` — see [`exp_shifted`]), their totals `L_j`, and zeroed
     /// accumulators.
     fn load_incoming(&mut self, vf: &[f64], slots: impl Iterator<Item = std::ops::Range<usize>>) {
         self.cards.clear();
@@ -1338,7 +1331,7 @@ impl Scratch {
             let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             self.starts.push(self.p.len());
             self.cards.push(row.len());
-            self.p.extend(row.iter().map(|&x| (x - max).exp()));
+            self.p.extend(row.iter().map(|&x| exp_shifted(x, max)));
             self.totals.push(self.p[self.p.len() - row.len()..].iter().sum());
         }
         self.starts.push(self.p.len());
@@ -1352,8 +1345,42 @@ impl Scratch {
     /// configuration `c`, decoded once by mixed radix (slot 0 fastest).
     /// Prefix and suffix products exclude each slot without dividing, so
     /// a zero `p` never turns into a NaN.
+    ///
+    /// Arity 3 (every production factor is unary or ternary) takes
+    /// [`Scratch::accumulate3`]; other arities take the generic loop.
     #[inline]
-    fn accumulate(&mut self, mut c: usize, w: f64) {
+    fn accumulate(&mut self, c: usize, w: f64) {
+        match (self.cards.len(), u32::try_from(c)) {
+            (3, Ok(c)) => self.accumulate3(c, w),
+            _ => self.accumulate_any(c, w),
+        }
+    }
+
+    /// [`Scratch::accumulate`] for arity 3: the generic loop's decode,
+    /// products and additions in the same order, as straight-line code
+    /// with `u32` division. `c` is below the table size (the product of
+    /// the cardinalities), so the last slot's state needs no `%`. The
+    /// generic suffix starts at `1.0`, and `1.0 · x` is `x`, so the slots
+    /// receive `(w·p0)·p1`, `(w·p0)·p2` and `w·(p2·p1)`.
+    #[inline]
+    fn accumulate3(&mut self, c: u32, w: f64) {
+        let (c0, c1) = (self.cards[0] as u32, self.cards[1] as u32);
+        let q0 = c / c0;
+        let q1 = q0 / c1;
+        debug_assert!((q1 as usize) < self.cards[2], "configuration {c} out of range");
+        let i0 = self.starts[0] + (c - q0 * c0) as usize;
+        let i1 = self.starts[1] + (q0 - q1 * c1) as usize;
+        let i2 = self.starts[2] + q1 as usize;
+        let (p0, p1, p2) = (self.p[i0], self.p[i1], self.p[i2]);
+        let prefix = w * p0;
+        self.acc[i2] += prefix * p1;
+        self.acc[i1] += prefix * p2;
+        self.acc[i0] += w * (p2 * p1);
+    }
+
+    /// The generic mixed-radix [`Scratch::accumulate`], any arity.
+    #[inline]
+    fn accumulate_any(&mut self, mut c: usize, w: f64) {
         let mut prefix = w;
         for k in 0..self.cards.len() {
             let card = self.cards[k];
@@ -1391,6 +1418,7 @@ pub fn run_lbp(
 mod tests {
     use super::*;
     use crate::graph::Potential;
+    use crate::logspace::log_normalize;
 
     /// Single binary variable with a unary factor preferring state 1 with
     /// log-odds 1.0: P(1) = sigmoid(1.0).
@@ -1754,6 +1782,68 @@ mod tests {
         batch.clear();
         q.pop_batch(4, &mut prio, &mut batch);
         assert_eq!(batch, vec![1]);
+    }
+
+    /// `bucket_of` reads the exponent bits but must give exactly the
+    /// libm expression's bucket — at and next to every power of two
+    /// `tol·2^k`, and for random priorities over the whole range.
+    #[test]
+    fn bucket_of_matches_the_log2_expression() {
+        let mut rng = proptest::test_runner::TestRng::new(0xb0c4);
+        for tol in [1e-3, 1e-4, 1e-12] {
+            let q = BucketQueue::new(tol, 0);
+            let reference = |p: f64| ((p / tol).log2().max(0.0) as usize).min(63);
+            let mut ps = vec![0.0, tol, f64::MIN_POSITIVE, f64::MAX, f64::INFINITY, f64::NAN];
+            for k in 0..64 {
+                let p = tol * 2f64.powi(k);
+                ps.extend([p, p.next_up(), p.next_down()]);
+            }
+            for _ in 0..20_000 {
+                let k = 72.0 * rng.unit_f64() - 4.0;
+                ps.push(tol * 2f64.powf(k));
+                ps.push(rng.unit_f64());
+            }
+            for p in ps {
+                assert_eq!(q.bucket_of(p), reference(p), "tol {tol} p {p:e}");
+            }
+        }
+    }
+
+    /// The arity-3 decode adds bitwise what the generic loop adds, over
+    /// every configuration of mixed cardinalities 1–8, with incoming
+    /// rows that include clamp rows (`p` of exactly 0) and weights 0, 1
+    /// and random.
+    #[test]
+    fn arity3_accumulate_is_bitwise_the_generic_loop() {
+        let mut rng = proptest::test_runner::TestRng::new(0xacc3);
+        for _ in 0..300 {
+            let cards: Vec<usize> = (0..3).map(|_| 1 + rng.below(8) as usize).collect();
+            let mut vf = Vec::new();
+            let mut slots = Vec::new();
+            for &card in &cards {
+                let clamp = rng.below(4) == 0;
+                slots.push(vf.len()..vf.len() + card);
+                vf.extend((0..card).map(|i| match (clamp, i) {
+                    (true, 0) => 0.0,
+                    (true, _) => LOG_ZERO,
+                    (false, _) => -40.0 * rng.unit_f64(),
+                }));
+            }
+            let (mut fast, mut generic) = (Scratch::default(), Scratch::default());
+            fast.load_incoming(&vf, slots.iter().cloned());
+            generic.load_incoming(&vf, slots.iter().cloned());
+            for c in 0..cards.iter().product::<usize>() {
+                let w = match rng.below(3) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.unit_f64(),
+                };
+                fast.accumulate(c, w);
+                generic.accumulate_any(c, w);
+            }
+            let bits = |s: &Scratch| s.acc.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&generic), "cards {cards:?}");
+        }
     }
 
     /// Warm-started resume on an appended-to graph must reach the cold
