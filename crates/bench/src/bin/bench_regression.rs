@@ -2,8 +2,8 @@
 //!
 //! Re-times the seven hot-path metrics the project optimizes for
 //! (`lbp_sweep`, `graph_build`, `end_to_end`, `train`, `delta_ingest`,
-//! `snapshot_restore`, `replica_catchup`) with criterion-style
-//! median-of-N wall-clock sampling, then compares them against the
+//! `snapshot_restore`, `replica_catchup`) with median-of-N wall-clock
+//! sampling, then compares them against the
 //! checked-in `BENCH_BASELINE.json` at the repository root. Any metric
 //! slower than `baseline × (1 + tolerance)` fails the process (exit 1),
 //! so speedups stop being anecdotes in `BENCH_NOTES.md`: regressing one
@@ -140,7 +140,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
         }),
     ));
 
-    // graph_build + end_to_end share the microbench dataset/signals.
+    // graph_build + end_to_end share one dataset and its signals.
     let dataset = reverb45k_like(5, 0.005);
     let signals = build_signals(
         &dataset.okb,

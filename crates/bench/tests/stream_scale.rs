@@ -17,8 +17,8 @@
 //! for the pinned CI seed/scale (and a 200-case randomized stress run);
 //! if a future seed ever trips it, the decode disagreement will name
 //! the near-threshold pair — tighten `lbp.tol` rather than loosening
-//! the assertion, since bit-identical decode *is* the acceptance
-//! criterion.
+//! the assertion, since bit-identical decode *is* what this gate
+//! accepts.
 //!
 //! Guarded behind `--ignored` like `bin_smoke` (it builds experiment-
 //! scale graphs):

@@ -302,7 +302,7 @@ impl GraphPlan {
             }
             graph.add_factor(&vars, potential, class);
         }
-        let (init, groups) = init_params(config.features);
+        let (init, groups) = init_params(config);
         let num_groups = r.seq_len(8)?;
         if num_groups != init.num_groups() {
             return Err(r.corrupt(format!(
@@ -479,7 +479,12 @@ pub fn transitivity_scores() -> Vec<f64> {
 /// Build the factor graph for `config.variant`: one
 /// [`GraphBuilder::extend`] pass over an empty plan, with the whole
 /// `blocking` as the delta. The result is identical for any
-/// `config.build_threads`.
+/// `config.build_threads`. The plan's parameters are
+/// `config.pretrained_params` when set.
+///
+/// # Panics
+/// Panics if `config.pretrained_params` does not match the parameter
+/// layout of `config.features`.
 pub fn build_graph(
     okb: &Okb,
     ckb: &Ckb,
@@ -487,7 +492,7 @@ pub fn build_graph(
     blocking: &Blocking,
     config: &JoclConfig,
 ) -> GraphPlan {
-    let (params, groups) = init_params(config.features);
+    let (params, groups) = init_params(config);
     let mut plan = GraphPlan::empty(params, groups);
     let input = BuildInput { okb, ckb, signals, config, live: &[] };
     GraphBuilder::new(config).extend(&mut plan, &input, blocking);
@@ -554,10 +559,17 @@ where
     keys.filter(|k| !cache.contains_key(k) && seen.insert(k.clone())).collect()
 }
 
-/// Initial parameters (α = β = 2.0) and group handles for a feature set.
-/// Shared by [`build_graph`], the incremental session and snapshot
-/// import so all address the identical group layout.
-pub(crate) fn init_params(fs: FeatureSet) -> (Params, ParamGroups) {
+/// Initial parameters and group handles for `config.features`: α = β =
+/// 2.0, or `config.pretrained_params` when set. Shared by
+/// [`build_graph`], the incremental session and snapshot import so all
+/// address the identical group layout.
+///
+/// # Panics
+/// Panics if `config.pretrained_params` does not match the layout of
+/// `config.features` (e.g. weights persisted under a different
+/// `FeatureSet`): stale weights fail fast.
+pub(crate) fn init_params(config: &JoclConfig) -> (Params, ParamGroups) {
+    let fs = config.features;
     let mut params = Params::new();
     let groups = ParamGroups {
         alpha1: params.add_group(fs.np_canon_len(), 2.0),
@@ -577,6 +589,21 @@ pub(crate) fn init_params(fs: FeatureSet) -> (Params, ParamGroups) {
         ],
         gamma: params.add_group(1, 2.0),
     };
+    if let Some(pre) = &config.pretrained_params {
+        assert_eq!(
+            pre.num_groups(),
+            params.num_groups(),
+            "pretrained params have a different group count than the graph layout"
+        );
+        for g in 0..pre.num_groups() {
+            assert_eq!(
+                pre.group(g).len(),
+                params.group(g).len(),
+                "pretrained group {g} has a different shape than the graph layout"
+            );
+        }
+        params = pre.clone();
+    }
     (params, groups)
 }
 
@@ -1455,7 +1482,7 @@ mod tests {
         threads: usize,
     ) -> GraphPlan {
         let config = JoclConfig { build_threads: threads, ..config.clone() };
-        let (params, groups) = init_params(config.features);
+        let (params, groups) = init_params(&config);
         let mut plan = GraphPlan::empty(params, groups);
         let mut builder = GraphBuilder::new(&config);
         let mut index = crate::blocking::BlockingIndex::new(&config);

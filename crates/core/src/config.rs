@@ -113,8 +113,6 @@ pub struct JoclConfig {
     pub build_threads: usize,
     /// SGNS options for the embedding signal.
     pub sgns: SgnsOptions,
-    /// Seed for any stochastic tie-breaking.
-    pub seed: u64,
     /// Committed-message representation a long-lived session keeps
     /// between deltas ([`jocl_fg::MessageStore`]). `Exact` (the default)
     /// commits the engine's f64 arenas bit-for-bit; `Quantized` halves
@@ -126,10 +124,11 @@ pub struct JoclConfig {
     pub message_store: jocl_fg::MessageStore,
     /// Previously learned weights (see `crate::persist`). When set,
     /// training is skipped and these weights drive inference directly —
-    /// the serving-mode path. The pipeline **panics** if their shape does
-    /// not match the built graph's parameter groups (e.g. a weight file
-    /// persisted under a different `FeatureSet`): stale weights should
-    /// fail fast, not silently retrain or mis-infer.
+    /// the serving-mode path. The batch pipeline and the incremental
+    /// session **panic** if their shape does not match the parameter
+    /// groups of `features` (e.g. a weight file persisted under a
+    /// different `FeatureSet`): stale weights should fail fast, not
+    /// silently retrain or mis-infer.
     pub pretrained_params: Option<jocl_fg::Params>,
     /// Imported external-KB side information (alias tables, link
     /// dictionaries — [`jocl_kb::SideKb`]). When set, every surface form
@@ -166,7 +165,6 @@ impl Default for JoclConfig {
             merge_by_link: true,
             build_threads: 0,
             sgns: SgnsOptions::default(),
-            seed: 7,
             message_store: jocl_fg::MessageStore::Exact,
             pretrained_params: None,
             side_info: None,

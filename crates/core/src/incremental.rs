@@ -24,13 +24,14 @@
 //!    [`crate::build_graph`] runs once over a whole OKB. Ids and adjacency
 //!    of existing nodes are never disturbed, and the builder's
 //!    per-distinct-key caches and triangle indexes persist across deltas;
-//! 4. **warm-starts LBP** via [`LbpEngine::resume`]: prior messages are
-//!    seeded and only the *dirty* factor blocks — the ones this delta
-//!    appended — are primed into the residual queue, so convergence work
-//!    is proportional to how far the delta's influence actually reaches,
-//!    not to the graph size. Sessions run the residual schedule only
-//!    (`JoclConfig::lbp.mode` must be `ScheduleMode::Residual`, the
-//!    default); the synchronous sweeps are the batch reference oracle;
+//! 4. **warm-starts LBP** via [`LbpEngine::resume_imported`]: prior
+//!    messages are seeded ([`LbpEngine::import_messages`]) and only the
+//!    *dirty* factor blocks — the ones this delta appended — are primed
+//!    into the residual queue, so convergence work is proportional to how
+//!    far the delta's influence actually reaches, not to the graph size.
+//!    Sessions run the residual schedule only (`JoclConfig::lbp.mode`
+//!    must be `ScheduleMode::Residual`, the default); the synchronous
+//!    sweeps are the batch reference oracle;
 //! 5. **re-decodes** with marginals refreshed only for the connected
 //!    components the delta touched (tracked by a growing [`UnionFind`]
 //!    over variables); untouched components keep their messages — and
@@ -294,22 +295,7 @@ impl<'a> IncrementalJocl<'a> {
     /// batch serving path).
     pub fn new(config: JoclConfig, ckb: &'a Ckb, signals: &'a Signals) -> Self {
         assert_residual_schedule(&config);
-        let (mut params, groups) = init_params(config.features);
-        if let Some(pre) = &config.pretrained_params {
-            assert_eq!(
-                pre.num_groups(),
-                params.num_groups(),
-                "pretrained params have a different group count than the session layout"
-            );
-            for g in 0..pre.num_groups() {
-                assert_eq!(
-                    pre.group(g).len(),
-                    params.group(g).len(),
-                    "pretrained group {g} has a different shape than the session layout"
-                );
-            }
-            params = pre.clone();
-        }
+        let (params, groups) = init_params(&config);
         Self {
             blocking: BlockingIndex::new(&config),
             builder: GraphBuilder::new(&config),
@@ -765,7 +751,8 @@ impl<'a> IncrementalJocl<'a> {
     /// [`KbError`]s, never as panics or silently wrong state.
     ///
     /// # Panics
-    /// Panics if `config.lbp.mode` is not `ScheduleMode::Residual`, as
+    /// Panics if `config.lbp.mode` is not `ScheduleMode::Residual` or
+    /// `config.pretrained_params` has the wrong shape, as
     /// [`IncrementalJocl::new`] does.
     pub fn import_state(
         bytes: &[u8],
@@ -931,8 +918,9 @@ impl<'a> IncrementalJocl<'a> {
 }
 
 /// Sessions warm-start every delta with the residual drain
-/// ([`LbpEngine::resume`] rejects anything else); fail at session
-/// construction, naming the field, rather than on the second delta.
+/// ([`LbpEngine::resume_imported`] rejects anything else); fail at
+/// session construction, naming the field, rather than on the second
+/// delta.
 fn assert_residual_schedule(config: &JoclConfig) {
     assert_eq!(
         config.lbp.mode,
@@ -1044,5 +1032,18 @@ mod tests {
             assert_eq!(plan.obj_pair_vars, batch.obj_pair_vars, "{what}");
             assert_eq!(plan.stats, batch.stats, "{what}");
         }
+    }
+
+    /// A session refuses weights whose group layout is not the config's.
+    #[test]
+    #[should_panic(expected = "pretrained params have a different group count")]
+    fn wrong_shape_pretrained_params_panic() {
+        let sgns = jocl_embed::SgnsOptions { dim: 8, epochs: 1, ..Default::default() };
+        let ex = crate::example::figure1();
+        let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &sgns);
+        let mut stale = jocl_fg::Params::new();
+        stale.add_group(1, 2.0);
+        let config = JoclConfig { pretrained_params: Some(stale), ..ex.config() };
+        IncrementalJocl::new(config, &ex.ckb, &signals);
     }
 }

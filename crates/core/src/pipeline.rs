@@ -164,23 +164,9 @@ impl Jocl {
         // --- learning (§3.4) -------------------------------------------------
         let mut train_epochs = 0;
         let mut train_grad_norm = f64::NAN;
-        if let Some(pre) = &config.pretrained_params {
-            // Serving mode: inject persisted weights (see `crate::persist`)
-            // and skip training entirely.
-            assert_eq!(
-                pre.num_groups(),
-                plan.params.num_groups(),
-                "pretrained params have a different group count than the built graph"
-            );
-            for g in 0..pre.num_groups() {
-                assert_eq!(
-                    pre.group(g).len(),
-                    plan.params.group(g).len(),
-                    "pretrained group {g} has a different shape than the built graph"
-                );
-            }
-            plan.params = pre.clone();
-        } else if config.train_epochs > 0 {
+        // Serving mode: `build_graph` installed persisted weights (see
+        // `crate::persist`), so training is skipped entirely.
+        if config.pretrained_params.is_none() && config.train_epochs > 0 {
             if let Some(labels) = labels {
                 let clamp_list = labels.clamps(input.okb, &plan);
                 if !clamp_list.is_empty() {
@@ -248,5 +234,17 @@ mod tests {
         assert_eq!(out.rp_links.len(), 3);
         assert!(out.diagnostics.num_vars > 0);
         assert!(out.diagnostics.lbp.iterations > 0);
+    }
+
+    /// Weights persisted under another feature set fail fast instead of
+    /// mis-inferring.
+    #[test]
+    #[should_panic(expected = "pretrained group 0 has a different shape")]
+    fn wrong_shape_pretrained_params_panic() {
+        let ex = figure1();
+        let single = JoclConfig { features: crate::FeatureSet::Single, ..ex.config() };
+        let (stale, _) = crate::builder::init_params(&single);
+        let config = JoclConfig { pretrained_params: Some(stale), ..ex.config() };
+        Jocl::new(config).run(ex.input(), None);
     }
 }

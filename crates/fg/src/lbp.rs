@@ -333,7 +333,8 @@ impl<'g> LbpEngine<'g> {
         eng
     }
 
-    /// Snapshot the current messages for a later [`LbpEngine::resume`] on
+    /// Snapshot the current messages for a later
+    /// [`LbpEngine::import_messages`] + [`LbpEngine::resume_imported`] on
     /// a graph that *extends* this one (same variables and factors as a
     /// prefix, new ones appended). Commits under the exact `f64` store;
     /// see [`LbpEngine::export_messages_with`] for the quantized form.
@@ -382,10 +383,15 @@ impl<'g> LbpEngine<'g> {
         prior.vf.decode_into(&mut self.vf[..arena]);
     }
 
-    /// Warm-started run: seed from `prior`, then converge with only
-    /// `dirty` factor blocks scheduled up front. `dirty` is typically the
-    /// factors appended since the snapshot; everything else re-enters the
-    /// computation only if dirty propagation actually reaches it.
+    /// Warm-started run over messages seeded by
+    /// [`LbpEngine::import_messages`]: converge with only `dirty` factor
+    /// blocks scheduled up front. `dirty` is typically the factors
+    /// appended since the snapshot; everything else re-enters the
+    /// computation only if dirty propagation actually reaches it. Callers
+    /// may adjust the imported messages first — the serving retraction
+    /// path resets the tombstoned factors' messages to uniform
+    /// ([`LbpEngine::reset_factor_messages`]) and only then warm-starts
+    /// with the tombstones *and their live neighbors* in `dirty`.
     ///
     /// Warm runs are always residual-scheduled: the priming sweep is
     /// restricted to the dirty set and the drain starts from there, so an
@@ -394,28 +400,8 @@ impl<'g> LbpEngine<'g> {
     /// bit-for-bit.
     ///
     /// # Panics
-    /// Panics unless `opts.mode` is [`ScheduleMode::Residual`]; the
-    /// synchronous sweeps are the cold reference oracle only.
-    pub fn resume(
-        &mut self,
-        prior: &LbpMessages,
-        params: &Params,
-        opts: &LbpOptions,
-        dirty: &[u32],
-    ) -> LbpResult {
-        self.import_messages(prior);
-        self.resume_imported(params, opts, dirty)
-    }
-
-    /// The post-import half of [`LbpEngine::resume`], for callers that
-    /// need to adjust the imported messages before converging — the
-    /// serving retraction path imports, resets the tombstoned factors'
-    /// messages to uniform ([`LbpEngine::reset_factor_messages`]), and
-    /// only then warm-starts with the tombstones *and their live
-    /// neighbors* in `dirty`.
-    ///
-    /// # Panics
-    /// Panics unless `opts.mode` is [`ScheduleMode::Residual`], and, like
+    /// Panics unless `opts.mode` is [`ScheduleMode::Residual`] (the
+    /// synchronous sweeps are the cold reference oracle only), and, like
     /// [`LbpEngine::run`], on a non-finite weight in `params`.
     pub fn resume_imported(
         &mut self,
@@ -649,10 +635,10 @@ impl<'g> LbpEngine<'g> {
     ///
     /// With `prime: None`, the cold path: reset, one full priming sweep
     /// in schedule order, then the drain. With `prime: Some(dirty)`, the
-    /// warm path of [`LbpEngine::resume`]: no reset, priming restricted
-    /// to the (scheduled) dirty factors, and the drain starts from the
-    /// priorities that priming produced — factors outside the dirty
-    /// set's reach are never recomputed.
+    /// warm path of [`LbpEngine::resume_imported`]: no reset, priming
+    /// restricted to the (scheduled) dirty factors, and the drain starts
+    /// from the priorities that priming produced — factors outside the
+    /// dirty set's reach are never recomputed.
     fn run_residual_from(
         &mut self,
         params: &Params,
@@ -1108,11 +1094,12 @@ impl<'g> LbpEngine<'g> {
 
 /// A message snapshot exported from one [`LbpEngine`] run and seeded
 /// into a later engine over a graph that appends to the snapshot's graph
-/// (see [`LbpEngine::export_messages`] / [`LbpEngine::resume`]). The
-/// snapshot is tied to the edge enumeration, not to a borrow of the
-/// graph, so a long-lived session can own it across graph growth. Each
-/// arena is stored behind the [`MessageStore`] seam — exact `f64` or
-/// quantized (see [`crate::store`]).
+/// (see [`LbpEngine::export_messages`], [`LbpEngine::import_messages`]
+/// and [`LbpEngine::resume_imported`]). The snapshot is tied to the edge
+/// enumeration, not to a borrow of the graph, so a long-lived session
+/// can own it across graph growth. Each arena is stored behind the
+/// [`MessageStore`] seam — exact `f64` or quantized (see
+/// [`crate::store`]).
 #[derive(Debug, Clone)]
 pub struct LbpMessages {
     /// factor→variable messages (log domain), factor-major arena.
@@ -1883,7 +1870,8 @@ mod tests {
         let snapshot = prefix.export_messages();
 
         let mut warm = LbpEngine::new(&g30);
-        let warm_res = warm.resume(&snapshot, &params, &opts, &dirty);
+        warm.import_messages(&snapshot);
+        let warm_res = warm.resume_imported(&params, &opts, &dirty);
         let mut cold = LbpEngine::new(&g30);
         let cold_res = cold.run(&params, &opts);
         let mut oracle = LbpEngine::new(&g30);
@@ -1922,7 +1910,8 @@ mod tests {
         let opts = LbpOptions::default();
         eng.run(&params, &opts);
         let snapshot = eng.export_messages();
-        eng.resume(&snapshot, &params, &opts, &[0]);
+        eng.import_messages(&snapshot);
+        eng.resume_imported(&params, &opts, &[0]);
     }
 
     /// A connected component the dirty set does not reach performs zero
@@ -1978,7 +1967,8 @@ mod tests {
         let (g1, _) = build(true);
         let dirty: Vec<u32> = (g0.num_factors() as u32..g1.num_factors() as u32).collect();
         let mut warm = LbpEngine::new(&g1);
-        let res = warm.resume(&snapshot, &params, &opts, &dirty);
+        warm.import_messages(&snapshot);
+        let res = warm.resume_imported(&params, &opts, &dirty);
         assert!(res.converged);
         let after = warm.marginals();
         for v in 0..3 {

@@ -82,7 +82,6 @@ fn fingerprint(config: &JoclConfig) -> Vec<(&'static str, u64)> {
         ("top_k_relations", config.candidates.top_k_relations as u64),
         ("cand_min_score", config.candidates.min_score.to_bits()),
         ("cand_lexical_weight", config.candidates.lexical_weight.to_bits()),
-        ("seed", config.seed),
         // The committed-message representation is part of the wire
         // format: a quantized arena cannot restore into an exact
         // session (or vice versa), so mismatches must fail at the
