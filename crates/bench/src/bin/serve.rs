@@ -55,14 +55,13 @@
 //! `JOCL_SIDE_INFO` (side-information TSV to import —
 //! threaded into inference as S1/S2 potentials *and* into `link`
 //! dictionary candidates; the snapshot fingerprint pins it). Inference
-//! runs the residual schedule, the only serving schedule;
-//! `JOCL_SCHEDULE` is accepted blank or as `residual` and selects
-//! nothing. Each LBP run is serial on the thread that owns the
-//! session, as in every other bin.
+//! runs the residual schedule, the only serving schedule. Each LBP run
+//! is serial on the thread that owns the session, as in every other
+//! bin.
 
 use jocl_bench::{
-    env_check_schedule, env_compact_threshold, env_link_threshold, env_listen, env_message_store,
-    env_metrics, env_scale, env_seed, env_side_info, env_snapshot_dir, env_trace,
+    env_compact_threshold, env_link_threshold, env_listen, env_message_store, env_metrics,
+    env_scale, env_seed, env_side_info, env_snapshot_dir, env_trace,
 };
 use jocl_core::signals::build_signals;
 use jocl_core::JoclConfig;
@@ -181,7 +180,6 @@ fn main() {
     jocl_obs::set_trace_enabled(env_trace());
     let scale = env_scale();
     let seed = env_seed();
-    env_check_schedule();
     let threshold = env_compact_threshold();
     let listen = env_listen();
 

@@ -12,9 +12,7 @@
 //! with what `JOCL_STREAM_BATCH` cold batch re-runs would have paid, and
 //! exits non-zero on any decode mismatch.
 
-use jocl_bench::runner::{
-    env_check_schedule, env_message_store, env_scale, env_seed, env_stream_batches,
-};
+use jocl_bench::runner::{env_message_store, env_scale, env_seed, env_stream_batches};
 use jocl_core::signals::build_signals;
 use jocl_core::{IncrementalJocl, Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
@@ -28,7 +26,6 @@ fn main() {
     let scale = env_scale();
     let seed = env_seed();
     let batches = env_stream_batches();
-    env_check_schedule();
 
     let dataset = reverb45k_like(seed, scale);
     let triples: Vec<Triple> = dataset.okb.triples().map(|(_, t)| t.clone()).collect();

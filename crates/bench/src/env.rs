@@ -16,7 +16,6 @@
 //! |---|---|---|
 //! | `JOCL_SCALE` | dataset scale | `0.02` |
 //! | `JOCL_SEED` | generator seed | `42` |
-//! | `JOCL_SCHEDULE` | accepted only as `residual`, the one serving schedule; selects nothing | residual |
 //! | `JOCL_STREAM_BATCH` | streaming arrival batches | `4` |
 //! | `JOCL_SNAPSHOT_DIR` | warm-snapshot directory | process temp dir |
 //! | `JOCL_COMPACT_THRESHOLD` | auto-compaction density, `off` disables | `0.5` |
@@ -67,22 +66,6 @@ pub fn env_scale() -> f64 {
 /// `JOCL_SEED`: the generator seed (default 42).
 pub fn env_seed() -> u64 {
     knob("JOCL_SEED", 42, "a non-negative integer", |t| t.parse().ok())
-}
-
-/// `JOCL_SCHEDULE`: validated, never selected. Sessions and serving run
-/// the residual schedule only (`JoclConfig::default()`), so the knob
-/// accepts blank or `residual` and selects nothing; any other value —
-/// `synchronous` included — panics rather than silently running a
-/// schedule the caller did not ask for. The bins and scale gates call
-/// this at startup.
-pub fn env_check_schedule() {
-    knob(
-        "JOCL_SCHEDULE",
-        (),
-        "'residual' (the synchronous serving schedule was removed; synchronous sweeps are \
-         the reference oracle of the fixed-point tests only)",
-        |t| t.eq_ignore_ascii_case("residual").then_some(()),
-    )
 }
 
 /// `JOCL_STREAM_BATCH`: how many arrival batches the streaming replay
@@ -247,7 +230,7 @@ mod tests {
     use super::*;
 
     /// Satellite regression: the env knobs must accept mixed case and
-    /// stray whitespace (`JOCL_SCHEDULE=Residual` used to panic), and
+    /// stray whitespace, and
     /// still reject garbage with the typed message listing valid values.
     /// Each value has exactly one spelling: the old aliases (`sync`,
     /// `quant`, `1`/`true`/`0`/`false`) are rejected like any typo.
@@ -258,25 +241,6 @@ mod tests {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
             err.downcast_ref::<String>().cloned().unwrap_or_default()
         };
-
-        // `JOCL_SCHEDULE` selects nothing: blank and `residual` pass,
-        // everything else names the removal and the one valid form.
-        for ok in ["", "  ", "residual", "Residual", " residual\t"] {
-            std::env::set_var("JOCL_SCHEDULE", ok);
-            env_check_schedule();
-        }
-        for bad in ["synchronous", "SYNCHRONOUS", "sync", "  Sync ", "residul", "1"] {
-            std::env::set_var("JOCL_SCHEDULE", bad);
-            let msg = panic_msg(&env_check_schedule);
-            assert!(
-                msg.contains("JOCL_SCHEDULE must be 'residual'")
-                    && msg.contains("synchronous serving schedule was removed")
-                    && msg.contains(&format!("{bad:?}")),
-                "{bad:?} must name the removal and the valid form: {msg}"
-            );
-        }
-        std::env::remove_var("JOCL_SCHEDULE");
-        env_check_schedule();
 
         let check_batches = |value: &str, expect: usize| {
             std::env::set_var("JOCL_STREAM_BATCH", value);

@@ -22,9 +22,9 @@ pub mod env;
 pub mod runner;
 
 pub use env::{
-    env_bench_baseline, env_bench_tolerance, env_cesi_threshold, env_check_schedule,
-    env_compact_threshold, env_link_threshold, env_listen, env_mem_ceiling_mb, env_message_store,
-    env_metrics, env_scale, env_seed, env_side_info, env_sist_threshold, env_snapshot_dir,
-    env_stream_batches, env_trace, env_train_epochs,
+    env_bench_baseline, env_bench_tolerance, env_cesi_threshold, env_compact_threshold,
+    env_link_threshold, env_listen, env_mem_ceiling_mb, env_message_store, env_metrics, env_scale,
+    env_seed, env_side_info, env_sist_threshold, env_snapshot_dir, env_stream_batches, env_trace,
+    env_train_epochs,
 };
 pub use runner::{ExperimentContext, MethodScores};

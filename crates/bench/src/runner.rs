@@ -15,8 +15,8 @@ use jocl_kb::{EntityId, NpMention, NpSlot, RelationId, RpMention, TripleId};
 // in [`crate::env`] (PR-6 satellite) and re-exported so every
 // `jocl_bench::runner::env_*` import keeps working.
 pub use crate::env::{
-    env_check_schedule, env_compact_threshold, env_listen, env_message_store, env_scale, env_seed,
-    env_snapshot_dir, env_stream_batches,
+    env_compact_threshold, env_listen, env_message_store, env_scale, env_seed, env_snapshot_dir,
+    env_stream_batches,
 };
 
 /// One method's clustering scores plus a label.
@@ -64,9 +64,8 @@ impl ExperimentContext {
     }
 
     /// Default JOCL configuration for experiments at the current scale
-    /// (residual LBP, the one schedule; `JOCL_SCHEDULE` is validated).
+    /// (residual LBP, the one schedule).
     pub fn jocl_config(&self) -> JoclConfig {
-        env_check_schedule();
         JoclConfig {
             sgns: SgnsOptions { dim: 48, epochs: 4, ..Default::default() },
             train_epochs: crate::env::env_train_epochs(),

@@ -19,7 +19,7 @@
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test link_scale -- --ignored
 //! ```
 
-use jocl_bench::{env_check_schedule, env_scale, env_seed};
+use jocl_bench::{env_scale, env_seed};
 use jocl_core::signals::build_signals;
 use jocl_core::{Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
@@ -34,7 +34,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 fn gate_config(side: Option<Arc<SideKb>>) -> JoclConfig {
-    env_check_schedule();
     let mut config = JoclConfig { train_epochs: 0, side_info: side, ..Default::default() };
     // As in the other serving gates: a budget under which the engine
     // genuinely converges at this scale.

@@ -16,7 +16,7 @@
 //! JOCL_SCALE=1.0 cargo test -p jocl_bench --release --test memory_scale -- --ignored scale_full
 //! ```
 
-use jocl_bench::{env_check_schedule, env_mem_ceiling_mb, env_scale, env_seed};
+use jocl_bench::{env_mem_ceiling_mb, env_scale, env_seed};
 use jocl_core::signals::build_signals;
 use jocl_core::{BlockingIndex, IncrementalJocl, JoclConfig};
 use jocl_datagen::{reverb45k_like, stress_like};
@@ -37,7 +37,6 @@ fn peak_memory_kb() -> Option<u64> {
 fn quantized_store_memory_wall() {
     let scale = env_scale();
     let seed = env_seed();
-    env_check_schedule();
 
     let dataset = reverb45k_like(seed, scale);
     let mut union = Okb::new();
@@ -155,7 +154,6 @@ fn quantized_store_memory_wall() {
 fn scale_full() {
     let scale = env_scale();
     let seed = env_seed();
-    env_check_schedule();
     let ceiling_mb: u64 = env_mem_ceiling_mb(8192);
 
     let t0 = Instant::now();

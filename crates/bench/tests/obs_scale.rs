@@ -18,7 +18,7 @@
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test obs_scale -- --ignored
 //! ```
 
-use jocl_bench::{env_check_schedule, env_scale, env_seed};
+use jocl_bench::{env_scale, env_seed};
 use jocl_core::signals::build_signals;
 use jocl_core::{Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
@@ -103,7 +103,6 @@ fn assert_overhead(name: &str, pairs: &[(u64, u64)]) {
 fn metrics_are_free_deterministic_and_byte_stable() {
     let seed = env_seed();
     let scale = env_scale();
-    env_check_schedule();
     let dataset = reverb45k_like(seed, scale);
     let signals = build_signals(
         &dataset.okb,

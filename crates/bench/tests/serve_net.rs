@@ -22,7 +22,7 @@
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test serve_net -- --ignored
 //! ```
 
-use jocl_bench::{env_check_schedule, env_scale, env_seed};
+use jocl_bench::{env_scale, env_seed};
 use jocl_core::signals::build_signals;
 use jocl_core::{Jocl, JoclConfig, JoclInput, Signals};
 use jocl_datagen::reverb45k_like;
@@ -71,7 +71,6 @@ fn world() -> &'static World {
 }
 
 fn gate_config() -> JoclConfig {
-    env_check_schedule();
     let mut config = JoclConfig { train_epochs: 0, ..Default::default() };
     // As in the other serving gates: a budget under which the engine
     // genuinely converges at this scale.

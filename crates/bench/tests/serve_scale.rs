@@ -19,7 +19,7 @@
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test serve_scale -- --ignored
 //! ```
 
-use jocl_bench::runner::{env_check_schedule, env_scale, env_seed, env_stream_batches};
+use jocl_bench::runner::{env_scale, env_seed, env_stream_batches};
 use jocl_core::signals::build_signals;
 use jocl_core::{DeltaOp, Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
@@ -33,7 +33,6 @@ use std::time::Instant;
 fn retraction_parity_with_warm_and_restore_savings() {
     let scale = env_scale();
     let seed = env_seed();
-    env_check_schedule();
     let batches = env_stream_batches();
 
     let dataset = reverb45k_like(seed, scale);

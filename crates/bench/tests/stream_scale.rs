@@ -27,7 +27,7 @@
 //! JOCL_SCALE=0.02 cargo test -p jocl_bench --release --test stream_scale -- --ignored
 //! ```
 
-use jocl_bench::runner::{env_check_schedule, env_scale, env_seed, env_stream_batches};
+use jocl_bench::runner::{env_scale, env_seed, env_stream_batches};
 use jocl_core::signals::build_signals;
 use jocl_core::{IncrementalJocl, Jocl, JoclConfig, JoclInput};
 use jocl_datagen::reverb45k_like;
@@ -40,7 +40,6 @@ fn streamed_replay_matches_batch_with_warm_savings() {
     let scale = env_scale();
     let seed = env_seed();
     let batches = env_stream_batches();
-    env_check_schedule();
 
     let dataset = reverb45k_like(seed, scale);
     let triples: Vec<Triple> = dataset.okb.triples().map(|(_, t)| t.clone()).collect();

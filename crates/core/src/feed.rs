@@ -42,7 +42,7 @@
 use crate::incremental::DeltaOp;
 use jocl_kb::snap::{fnv1a, SnapReader, SnapWriter};
 use jocl_kb::{KbError, Triple};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Record magic; the trailing digit is the format version.
@@ -165,31 +165,37 @@ pub fn append_entry(path: &Path, entry: &FeedEntry) -> Result<u64, KbError> {
 
 /// Read every *complete* entry starting at byte `offset`, returning the
 /// entries and the offset just past the last complete record (the next
-/// poll's starting point). A missing file reads as an empty feed at
-/// offset `offset` — the writer simply has not committed anything yet.
-/// A torn tail stops the scan; corruption (bad magic, bad checksum on a
-/// complete record, offsets past the end of the file) is a typed error
-/// naming the log file.
+/// poll's starting point). Only the bytes from `offset` on are read, so
+/// a caught-up follower's poll costs the new tail, not the whole log. A
+/// missing file reads as an empty feed at offset `offset` — the writer
+/// simply has not committed anything yet. A torn tail stops the scan;
+/// corruption (bad magic, bad checksum on a complete record, offsets
+/// past the end of the file) is a typed error naming the log file, with
+/// file-absolute offsets.
 pub fn read_entries(path: &Path, offset: u64) -> Result<(Vec<FeedEntry>, u64), KbError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            if offset == 0 {
-                return Ok((Vec::new(), 0));
-            }
-            return Err(KbError::from(e).with_path(path));
+    let with_path = |e: std::io::Error| KbError::from(e).with_path(path);
+    let mut file = match std::fs::File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && offset == 0 => {
+            return Ok((Vec::new(), 0));
         }
-        Err(e) => return Err(KbError::from(e).with_path(path)),
+        Err(e) => return Err(with_path(e)),
     };
     let corrupt = |offset: usize, msg: String| KbError::Snapshot { offset, msg }.with_path(path);
-    let mut pos = usize::try_from(offset)
+    let start = usize::try_from(offset)
         .map_err(|_| corrupt(0, format!("cursor offset {offset} overflows usize")))?;
-    if pos > bytes.len() {
+    let len = file.metadata().map_err(with_path)?.len();
+    if offset > len {
         return Err(corrupt(
-            pos,
-            format!("cursor offset {pos} is past the end of the {}-byte log", bytes.len()),
+            start,
+            format!("cursor offset {start} is past the end of the {len}-byte log"),
         ));
     }
+    file.seek(SeekFrom::Start(offset)).map_err(with_path)?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(with_path)?;
+    // `pos` indexes the tail; `start + pos` is the file-absolute offset.
+    let mut pos = 0;
     let mut entries = Vec::new();
     loop {
         let rest = &bytes[pos..];
@@ -198,7 +204,7 @@ pub fn read_entries(path: &Path, offset: u64) -> Result<(Vec<FeedEntry>, u64), K
         }
         if &rest[..4] != MAGIC {
             return Err(corrupt(
-                pos,
+                start + pos,
                 format!(
                     "bad record magic {:?} (expected {:?}) — cursor desynchronized or log \
                      corrupted",
@@ -216,16 +222,16 @@ pub fn read_entries(path: &Path, offset: u64) -> Result<(Vec<FeedEntry>, u64), K
         let actual = fnv1a(payload);
         if stored != actual {
             return Err(corrupt(
-                pos + HEADER,
+                start + pos + HEADER,
                 format!(
                     "record checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
                 ),
             ));
         }
-        entries.push(decode_payload(payload, pos + HEADER).map_err(|e| e.with_path(path))?);
+        entries.push(decode_payload(payload, start + pos + HEADER).map_err(|e| e.with_path(path))?);
         pos += HEADER + len;
     }
-    Ok((entries, pos as u64))
+    Ok((entries, (start + pos) as u64))
 }
 
 /// Truncate the log to `offset` bytes — the writer calls this when a
@@ -329,6 +335,78 @@ mod tests {
         // A cursor past the end of the log is corruption, not a tail.
         let msg = read_entries(&path, full.len() as u64 + 40).unwrap_err().to_string();
         assert!(msg.contains("past the end"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A poll from a nonzero cursor reads only the tail, yet reports
+    /// every offset file-absolute: the resume point past a torn record,
+    /// and the byte of a corrupt record, a bad checksum or a bad magic.
+    #[test]
+    fn tail_reads_from_a_nonzero_cursor_report_absolute_offsets() {
+        let dir = std::env::temp_dir().join(format!("jocl-feed-tail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("feed.log");
+        std::fs::remove_file(&path).ok();
+        let first = FeedEntry::Ops(vec![DeltaOp::Add(t("a", "b", "c"))]);
+        let second = FeedEntry::Ops(vec![DeltaOp::Retract(t("d", "e", "f"))]);
+        let o1 = append_entry(&path, &first).unwrap();
+        let o2 = append_entry(&path, &second).unwrap();
+        let o3 = append_entry(&path, &FeedEntry::Compact).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        assert_eq!(
+            read_entries(&path, o1).unwrap(),
+            (vec![second.clone(), FeedEntry::Compact], o3)
+        );
+
+        // Torn third record: the cursor parks at its absolute start.
+        std::fs::write(&path, &full[..o3 as usize - 1]).unwrap();
+        assert_eq!(read_entries(&path, o1).unwrap(), (vec![second.clone()], o2));
+        assert_eq!(read_entries(&path, o2).unwrap(), (Vec::new(), o2));
+
+        let snapshot_offset = |e: KbError| match e {
+            KbError::WithPath { source, .. } => match *source {
+                KbError::Snapshot { offset, msg } => (offset, msg),
+                other => panic!("expected a snapshot error, got {other}"),
+            },
+            other => panic!("expected a path-annotated error, got {other}"),
+        };
+
+        // A complete third record whose payload (checksum intact) names
+        // an unknown entry kind: corrupt just past that kind byte.
+        let payload = [7u8];
+        let mut bad = full[..o2 as usize].to_vec();
+        bad.extend_from_slice(MAGIC);
+        bad.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bad.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        bad.extend_from_slice(&payload);
+        std::fs::write(&path, &bad).unwrap();
+        let (offset, msg) = snapshot_offset(read_entries(&path, o1).unwrap_err());
+        assert_eq!(offset, o2 as usize + HEADER + 1, "{msg}");
+        assert!(msg.contains("unknown feed-entry kind 7"), "{msg}");
+
+        // A flipped payload bit in the third record: checksum mismatch at
+        // its payload's first byte.
+        let mut bad = full.clone();
+        bad[o2 as usize + HEADER] ^= 1;
+        std::fs::write(&path, &bad).unwrap();
+        let (offset, msg) = snapshot_offset(read_entries(&path, o1).unwrap_err());
+        assert_eq!(offset, o2 as usize + HEADER, "{msg}");
+        assert!(msg.contains("checksum"), "{msg}");
+
+        // A cursor one byte into a record hits non-magic bytes there, and
+        // a cursor past the end names both numbers.
+        std::fs::write(&path, &full).unwrap();
+        let (offset, msg) = snapshot_offset(read_entries(&path, o1 + 1).unwrap_err());
+        assert_eq!(offset, o1 as usize + 1, "{msg}");
+        assert!(msg.contains("magic"), "{msg}");
+        let (offset, msg) = snapshot_offset(read_entries(&path, o3 + 5).unwrap_err());
+        assert_eq!(offset, o3 as usize + 5);
+        assert!(msg.contains(&format!("past the end of the {o3}-byte log")), "{msg}");
+
+        // A missing log is empty at offset 0 and an error past it.
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(read_entries(&path, 0).unwrap(), (Vec::new(), 0));
+        assert!(read_entries(&path, o1).unwrap_err().to_string().contains("feed.log"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

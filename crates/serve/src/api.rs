@@ -1,8 +1,10 @@
 //! The typed serving API: structured request/response types for the
 //! read-side commands, with **one** serialization path shared by
 //! library callers, the interactive stdin loop and the socket protocol.
+//! Every plane builds its read responses in one place,
+//! [`ReadView::answer`](crate::ReadView::answer).
 //!
-//! Two response families live here:
+//! Four response families live here:
 //!
 //! * [`MentionReport`] + [`format_query`]/[`parse_query`] — the `query`
 //!   command's per-mention cluster/link report (`query.v1` frames);
@@ -250,79 +252,10 @@ pub fn slug(label: &str) -> String {
     out
 }
 
-/// Name/side-information resolution a link answer needs beyond the
-/// decode itself. The live session implements it against the shared
-/// [`Ckb`] ([`CkbLinkContext`]); the captured
-/// [`ReadView`](crate::view::ReadView) implements it from owned maps —
-/// both planes then answer through the same [`link_of`], identically by
-/// construction.
-pub trait LinkContext {
-    /// Canonical name of a curated entity (None when out of range).
-    fn entity_name(&self, id: EntityId) -> Option<String>;
-    /// Canonical name of a curated relation.
-    fn relation_name(&self, id: RelationId) -> Option<String>;
-    /// Imported side-table entity rows for a surface form, resolved to
-    /// curated ids (empty when no table is active).
-    fn side_entities(&self, surface: &str) -> Vec<(EntityId, f64)>;
-    /// Imported side-table relation rows for a surface form.
-    fn side_relations(&self, surface: &str) -> Vec<(RelationId, f64)>;
-}
-
-/// [`LinkContext`] over the live serving resources: the shared curated
-/// KB plus the session's imported side table.
-pub struct CkbLinkContext<'a> {
-    ckb: &'a Ckb,
-    side: Option<&'a SideKb>,
-}
-
-impl<'a> CkbLinkContext<'a> {
-    /// `side` should already be filtered for emptiness (an empty table
-    /// is contractually inert — pass `None`).
-    pub fn new(ckb: &'a Ckb, side: Option<&'a SideKb>) -> Self {
-        Self { ckb, side }
-    }
-}
-
-impl LinkContext for CkbLinkContext<'_> {
-    fn entity_name(&self, id: EntityId) -> Option<String> {
-        (id.idx() < self.ckb.num_entities()).then(|| self.ckb.entity(id).name.clone())
-    }
-
-    fn relation_name(&self, id: RelationId) -> Option<String> {
-        (id.idx() < self.ckb.num_relations()).then(|| self.ckb.relation(id).name.clone())
-    }
-
-    fn side_entities(&self, surface: &str) -> Vec<(EntityId, f64)> {
-        let Some(side) = self.side else { return Vec::new() };
-        let rows = |key: &str| -> Vec<(EntityId, f64)> {
-            side.entity_links(key)
-                .iter()
-                .filter_map(|l| {
-                    self.ckb.entity_by_name(side.resolve(l.target)).map(|id| (id, l.weight))
-                })
-                .collect()
-        };
-        with_determiner_fallback(surface, rows)
-    }
-
-    fn side_relations(&self, surface: &str) -> Vec<(RelationId, f64)> {
-        let Some(side) = self.side else { return Vec::new() };
-        side.relation_links(surface)
-            .iter()
-            .filter_map(|l| {
-                self.ckb.relation_by_name(side.resolve(l.target)).map(|id| (id, l.weight))
-            })
-            .collect()
-    }
-}
-
 /// NP surface lookup falls back to the determiner-stripped key, exactly
 /// as the inference-side injection does (`jocl_core`'s side lookup), so
 /// the factors and the serving answer agree on which rows apply.
-pub(crate) fn with_determiner_fallback<T>(
-    surface: &str,
-    lookup: impl Fn(&str) -> Vec<T>,
-) -> Vec<T> {
+fn with_determiner_fallback<T>(surface: &str, lookup: impl Fn(&str) -> Vec<T>) -> Vec<T> {
     let rows = lookup(surface);
     if rows.is_empty() {
         if let Some(stripped) = surface.trim().strip_prefix("the ") {
@@ -332,28 +265,32 @@ pub(crate) fn with_determiner_fallback<T>(
     rows
 }
 
-/// Shared implementation of `ServeSession::link` and `ReadView::link`:
-/// resolve `req.target` against the committed decode (`out`) plus the
-/// context's side information. `None` output (pre-delta session) still
-/// answers surface targets from the side table alone.
+/// Resolve `req.target` against a committed decode (`out`), the shared
+/// curated KB and the imported side table (`side`, already filtered for
+/// emptiness) — the body of [`ReadView::link`](crate::ReadView::link).
+/// `None` output (pre-delta session) still answers surface targets from
+/// the side table alone.
 pub(crate) fn link_of(
     okb: &Okb,
     is_live: &dyn Fn(TripleId) -> bool,
     out: Option<&JoclOutput>,
-    ctx: &dyn LinkContext,
+    ckb: &Ckb,
+    side: Option<&SideKb>,
     req: &LinkRequest,
     default_threshold: f64,
 ) -> LinkReport {
     let limit = req.limit.unwrap_or(DEFAULT_LINK_LIMIT);
     let threshold = req.threshold.unwrap_or(default_threshold);
     let (mut np, mut rp) = match (&req.target, out) {
-        (LinkTarget::Surface(phrase), _) => surface_candidates(okb, is_live, out, ctx, phrase),
+        (LinkTarget::Surface(phrase), _) => {
+            surface_candidates(okb, is_live, out, ckb, side, phrase)
+        }
         (_, None) => (Vec::new(), Vec::new()),
         (&LinkTarget::NpCluster(c), Some(out)) => {
-            (cluster_candidates::<NpFamily>(okb, is_live, out, ctx, c), Vec::new())
+            (cluster_candidates::<NpFamily>(okb, is_live, out, ckb, c), Vec::new())
         }
         (&LinkTarget::RpCluster(c), Some(out)) => {
-            (Vec::new(), cluster_candidates::<RpFamily>(okb, is_live, out, ctx, c))
+            (Vec::new(), cluster_candidates::<RpFamily>(okb, is_live, out, ckb, c))
         }
         (&LinkTarget::Entity(e), Some(out)) => {
             (reverse_candidates::<NpFamily>(okb, is_live, out, EntityId(e)), Vec::new())
@@ -364,9 +301,8 @@ pub(crate) fn link_of(
     };
     for cands in [&mut np, &mut rp] {
         cands.retain(|c| c.confidence >= threshold);
-        // Confidence descending, URI ascending: a total, plane-invariant
-        // order (candidate *construction* order may differ between the
-        // session and captured-view planes).
+        // Confidence descending, URI ascending: a total order, so the
+        // answer does not depend on candidate construction order.
         cands.sort_by(|a, b| b.confidence.total_cmp(&a.confidence).then_with(|| a.uri.cmp(&b.uri)));
         cands.truncate(limit);
     }
@@ -385,7 +321,8 @@ trait Family {
     fn cluster_of(out: &JoclOutput, dense: usize) -> u32;
     fn link_of_mention(out: &JoclOutput, dense: usize) -> Option<Self::Target>;
     fn target_id(t: Self::Target) -> u32;
-    fn target_name(ctx: &dyn LinkContext, t: Self::Target) -> Option<String>;
+    /// Canonical name of a curated target (`None` when out of range).
+    fn target_name(ckb: &Ckb, t: Self::Target) -> Option<&str>;
 }
 
 struct NpFamily;
@@ -411,8 +348,8 @@ impl Family for NpFamily {
     fn target_id(t: EntityId) -> u32 {
         t.0
     }
-    fn target_name(ctx: &dyn LinkContext, t: EntityId) -> Option<String> {
-        ctx.entity_name(t)
+    fn target_name(ckb: &Ckb, t: EntityId) -> Option<&str> {
+        (t.idx() < ckb.num_entities()).then(|| ckb.entity(t).name.as_str())
     }
 }
 
@@ -439,8 +376,8 @@ impl Family for RpFamily {
     fn target_id(t: RelationId) -> u32 {
         t.0
     }
-    fn target_name(ctx: &dyn LinkContext, t: RelationId) -> Option<String> {
-        ctx.relation_name(t)
+    fn target_name(ckb: &Ckb, t: RelationId) -> Option<&str> {
+        (t.idx() < ckb.num_relations()).then(|| ckb.relation(t).name.as_str())
     }
 }
 
@@ -469,7 +406,7 @@ fn surface_family<F: Family>(
     okb: &Okb,
     is_live: &dyn Fn(TripleId) -> bool,
     out: Option<&JoclOutput>,
-    ctx: &dyn LinkContext,
+    ckb: &Ckb,
     needle: &str,
     side_rows: &[(F::Target, f64)],
 ) -> Vec<LinkCandidate> {
@@ -520,7 +457,7 @@ fn surface_family<F: Family>(
             let mut ordered_targets: Vec<(F::Target, usize)> = target_votes.into_iter().collect();
             ordered_targets.sort_unstable_by_key(|&(t, _)| F::target_id(t));
             for (t, votes) in ordered_targets {
-                let label = F::target_name(ctx, t).unwrap_or_else(|| "?".to_string());
+                let label = F::target_name(ckb, t).unwrap_or("?").to_string();
                 cands.push(LinkCandidate {
                     uri: ckb_uri::<F>(F::target_id(t), &label),
                     label,
@@ -534,7 +471,7 @@ fn surface_family<F: Family>(
     // Side-table rows: dictionary evidence for targets the decode has
     // not already nominated (decoded votes win on a shared URI).
     for &(t, weight) in side_rows {
-        let label = F::target_name(ctx, t).unwrap_or_else(|| "?".to_string());
+        let label = F::target_name(ckb, t).unwrap_or("?").to_string();
         let uri = ckb_uri::<F>(F::target_id(t), &label);
         if cands.iter().any(|c| c.uri == uri) {
             continue;
@@ -548,14 +485,29 @@ fn surface_candidates(
     okb: &Okb,
     is_live: &dyn Fn(TripleId) -> bool,
     out: Option<&JoclOutput>,
-    ctx: &dyn LinkContext,
+    ckb: &Ckb,
+    side: Option<&SideKb>,
     phrase: &str,
 ) -> (Vec<LinkCandidate>, Vec<LinkCandidate>) {
     let needle = phrase.trim().to_lowercase();
-    let np =
-        surface_family::<NpFamily>(okb, is_live, out, ctx, &needle, &ctx.side_entities(&needle));
-    let rp =
-        surface_family::<RpFamily>(okb, is_live, out, ctx, &needle, &ctx.side_relations(&needle));
+    // Side-table rows resolved to curated ids; NP keys fall back to the
+    // determiner-stripped form.
+    let (mut side_entities, mut side_relations) = (Vec::new(), Vec::new());
+    if let Some(side) = side {
+        side_entities = with_determiner_fallback(&needle, |key| {
+            side.entity_links(key)
+                .iter()
+                .filter_map(|l| ckb.entity_by_name(side.resolve(l.target)).map(|id| (id, l.weight)))
+                .collect()
+        });
+        side_relations = side
+            .relation_links(&needle)
+            .iter()
+            .filter_map(|l| ckb.relation_by_name(side.resolve(l.target)).map(|id| (id, l.weight)))
+            .collect();
+    }
+    let np = surface_family::<NpFamily>(okb, is_live, out, ckb, &needle, &side_entities);
+    let rp = surface_family::<RpFamily>(okb, is_live, out, ckb, &needle, &side_relations);
     (np, rp)
 }
 
@@ -567,7 +519,7 @@ fn cluster_candidates<F: Family>(
     okb: &Okb,
     is_live: &dyn Fn(TripleId) -> bool,
     out: &JoclOutput,
-    ctx: &dyn LinkContext,
+    ckb: &Ckb,
     cluster: u32,
 ) -> Vec<LinkCandidate> {
     let mut members = 0usize;
@@ -599,7 +551,7 @@ fn cluster_candidates<F: Family>(
     let mut ordered_targets: Vec<(F::Target, usize)> = target_votes.into_iter().collect();
     ordered_targets.sort_unstable_by_key(|&(t, _)| F::target_id(t));
     for (t, votes) in ordered_targets {
-        let label = F::target_name(ctx, t).unwrap_or_else(|| "?".to_string());
+        let label = F::target_name(ckb, t).unwrap_or("?").to_string();
         cands.push(LinkCandidate {
             uri: ckb_uri::<F>(F::target_id(t), &label),
             label,

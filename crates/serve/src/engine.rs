@@ -4,6 +4,13 @@
 //! — so "the serve loop" has exactly one behavior regardless of how the
 //! line arrived.
 //!
+//! Reads (`query`, `link`, `stats`, `metrics`) are answered from the
+//! engine's committed [`ReadView`] ([`ReadView::answer`], the same call
+//! the socket handlers make on the published view). The engine
+//! recaptures that view after every other command — a panicking one
+//! included, since it may have died mid-apply — and after each replica
+//! catch-up, so a read always sees the state the last command left.
+//!
 //! The engine also owns the **replication feed** plumbing
 //! ([`FeedRole`]):
 //!
@@ -26,16 +33,16 @@
 //! `ERR panic …` so one bad request can never take down the loop or the
 //! listener.
 
-use crate::api::{format_link, format_metrics, format_query, format_stats};
 use crate::obs;
 use crate::protocol::{format_delta, Command, ErrCode, Response, TripleRef, WireError};
-use crate::view::{ReadView, SessionStats};
+use crate::view::ReadView;
 use crate::{ServeConfig, ServeSession};
 use jocl_core::feed::{append_entry, read_entries, truncate_to, FeedEntry};
 use jocl_core::{DeltaOp, DeltaOutput, JoclConfig, Signals};
 use jocl_kb::{Ckb, FeedCursor, KbError, Triple, TripleId};
 use jocl_obs::Stopwatch;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The engine's relationship to the replication feed log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +88,8 @@ pub struct Engine<'a> {
     feed_offset: u64,
     opts: EngineOptions,
     version: u64,
+    /// The committed read view every read is answered from.
+    view: Arc<ReadView<'a>>,
 }
 
 impl<'a> Engine<'a> {
@@ -96,6 +105,8 @@ impl<'a> Engine<'a> {
         // Pin the uptime epoch before the first request can ask for it.
         obs::process_start();
         let session = ServeSession::open(config.clone(), serve.clone(), ckb, signals);
+        let replica = matches!(opts.feed, FeedRole::Follower(_));
+        let view = Arc::new(ReadView::capture(&session, 0, replica));
         Self {
             session,
             config,
@@ -107,6 +118,7 @@ impl<'a> Engine<'a> {
             feed_offset: 0,
             opts,
             version: 0,
+            view,
         }
     }
 
@@ -128,21 +140,10 @@ impl<'a> Engine<'a> {
             "open_replica requires FeedRole::Follower"
         );
         let mut engine = Self::open(config, serve, ckb, signals, pool, opts);
-        if engine.opts.snapshot_path.exists() {
-            let sw = Stopwatch::start();
-            let cursor_path = engine.opts.snapshot_path.with_extension("cursor");
-            let cursor = FeedCursor::load(&cursor_path)?;
-            engine.session = ServeSession::restore_from(
-                &engine.opts.snapshot_path,
-                engine.config.clone(),
-                engine.serve.clone(),
-                engine.ckb,
-                engine.signals,
-            )?;
-            engine.pool_cursor = (cursor.pool_cursor as usize).min(engine.pool.len());
-            engine.set_feed_offset(cursor.feed_offset);
-            engine.version = 1;
-            obs::plane(true).snapshot_restore_ns.record(sw.ns());
+        let path = engine.opts.snapshot_path.clone();
+        if path.exists() {
+            engine.restore_session(&path, Stopwatch::start())?;
+            engine.refresh_view();
         }
         Ok(engine)
     }
@@ -157,7 +158,9 @@ impl<'a> Engine<'a> {
         &self.session
     }
 
-    /// Mutable session access (state export needs `&mut`).
+    /// Mutable session access (state export needs `&mut`). Reads keep
+    /// answering from the view the last command captured, so a change
+    /// made through this handle is not served until the next command.
     pub fn session_mut(&mut self) -> &mut ServeSession<'a> {
         &mut self.session
     }
@@ -177,30 +180,15 @@ impl<'a> Engine<'a> {
         self.version
     }
 
-    /// Capture the committed state as an immutable read view. The
-    /// registry-sourced stats fields are stamped at capture time, so a
-    /// socket `stats` read reports totals as of the last published
-    /// view (readers stay lock-free; the next commit refreshes them).
-    pub fn read_view(&self) -> ReadView {
-        let mut view = ReadView::capture(&self.session, self.version, self.is_replica());
-        view.stats = self.decorate_stats(view.stats);
-        view
+    /// The committed read view every read is answered from — the
+    /// state as of the last command or replica catch-up.
+    pub fn read_view(&self) -> Arc<ReadView<'a>> {
+        Arc::clone(&self.view)
     }
 
-    /// Current session summary.
-    pub fn session_stats(&self) -> SessionStats {
-        self.decorate_stats(SessionStats::of(&self.session, self.version, self.is_replica()))
-    }
-
-    /// Fill the registry-sourced summary fields (uptime, this plane's
-    /// request/error totals, last compaction duration).
-    fn decorate_stats(&self, mut stats: SessionStats) -> SessionStats {
-        let m = obs::plane(self.is_replica());
-        stats.uptime_ms = obs::process_start().ms_u64();
-        stats.requests = m.requests_total.get();
-        stats.errors = m.errors_total.get();
-        stats.last_compaction_ms = obs::last_compaction_ms().get();
-        stats
+    /// Recapture the read view from the session.
+    fn refresh_view(&mut self) {
+        self.view = Arc::new(ReadView::capture(&self.session, self.version, self.is_replica()));
     }
 
     /// Execute one command, converting a panic into `ERR panic …` so a
@@ -218,8 +206,10 @@ impl<'a> Engine<'a> {
                     .unwrap_or_else(|| "non-string panic payload".to_string());
                 // The panic unwound past `execute`'s bookkeeping, so the
                 // error is counted here (the request itself was already
-                // counted on entry).
+                // counted on entry) and the view recaptured: the request
+                // may have died mid-apply.
                 obs::plane(self.is_replica()).record_err(ErrCode::Panic);
+                self.refresh_view();
                 Response::Err(WireError::new(
                     ErrCode::Panic,
                     format!("request panicked ({msg}); session may be degraded"),
@@ -230,7 +220,8 @@ impl<'a> Engine<'a> {
 
     /// Execute one command against the session. Every failure is a
     /// typed [`Response::Err`] that leaves the session consistent (the
-    /// checks run before any mutation).
+    /// checks run before any mutation). Reads are answered from the
+    /// committed view; every other command recaptures it afterwards.
     ///
     /// Every request except `metrics` records into this plane's
     /// request counter, per-command latency histogram and (for `ERR`s)
@@ -240,7 +231,14 @@ impl<'a> Engine<'a> {
         let m = obs::plane(self.is_replica());
         m.record_request(cmd);
         let sw = Stopwatch::start();
-        let resp = self.execute_inner(cmd, sw);
+        let resp = match self.view.answer(cmd) {
+            Some(resp) => resp,
+            None => {
+                let resp = self.execute_inner(cmd, sw);
+                self.refresh_view();
+                resp
+            }
+        };
         m.record_response(cmd, &resp, &sw);
         resp
     }
@@ -280,14 +278,9 @@ impl<'a> Engine<'a> {
                 Ok(old) => self.delta_response(vec![DeltaOp::Revise { old, new: new.clone() }], t0),
                 Err(e) => Response::Err(e),
             },
-            Command::Query(phrase) => {
-                Response::Ok(format_query(phrase, &self.session.query_phrase(phrase)))
+            Command::Query(_) | Command::Link(_) | Command::Stats | Command::Metrics => {
+                unreachable!("reads are answered by ReadView::answer")
             }
-            Command::Link(req) => Response::Ok(format_link(&self.session.link(req))),
-            Command::Stats => Response::line(format_stats(&self.session_stats())),
-            // A point-in-time read of the process-wide registry. Never
-            // routed through any recording path (see `execute`).
-            Command::Metrics => Response::Ok(format_metrics(&jocl_obs::registry().snapshot())),
             Command::Snapshot(path) => self.snapshot(path.as_deref(), t0),
             Command::Restore(path) => self.restore(path.as_deref(), t0),
             Command::Compact => {
@@ -345,6 +338,7 @@ impl<'a> Engine<'a> {
         }
         self.set_feed_offset(end);
         m.replication_lag.set(0);
+        self.refresh_view();
         Ok(applied)
     }
 
@@ -440,51 +434,9 @@ impl<'a> Engine<'a> {
 
     fn restore(&mut self, path: Option<&Path>, t0: Stopwatch) -> Response {
         let path = path.map(Path::to_path_buf).unwrap_or_else(|| self.opts.snapshot_path.clone());
-        let restored = match ServeSession::restore_from(
-            &path,
-            self.config.clone(),
-            self.serve.clone(),
-            self.ckb,
-            self.signals,
-        ) {
-            Ok(s) => s,
-            Err(e) => return Response::Err(WireError::from_kb(&e)),
-        };
-        // Resync the feed positions before committing the session swap.
-        let (pool_cursor, feed_offset) = match FeedCursor::load(&path.with_extension("cursor")) {
-            Ok(c) => ((c.pool_cursor as usize).min(self.pool.len()), c.feed_offset),
-            Err(e) if matches!(self.opts.feed, FeedRole::Writer(_)) => {
-                // A writer rewinding to an unknown log position would
-                // silently desync every replica — refuse instead.
-                return Response::Err(WireError::new(
-                    ErrCode::Snapshot,
-                    format!(
-                        "snapshot has no usable cursor sidecar ({e}); cannot resync the \
-                         replication log"
-                    ),
-                ));
-            }
-            Err(_) => {
-                // Feedless session: fall back to the longest feed prefix
-                // present in the restored store (exact unless compaction
-                // has dropped retracted texts — the sidecar covers that).
-                let seen: std::collections::HashSet<&Triple> =
-                    restored.session().okb().triples().map(|(_, t)| t).collect();
-                (self.pool.iter().take_while(|t| seen.contains(t)).count(), 0)
-            }
-        };
-        if let FeedRole::Writer(feed_path) = &self.opts.feed {
-            // The log must end where the restored state ends, or a
-            // replica would replay operations the writer no longer has.
-            if let Err(e) = truncate_to(feed_path, feed_offset) {
-                return Response::Err(WireError::from_kb(&e));
-            }
+        if let Err(e) = self.restore_session(&path, t0) {
+            return Response::Err(WireError::from_kb(&e));
         }
-        self.session = restored;
-        self.pool_cursor = pool_cursor;
-        self.set_feed_offset(feed_offset);
-        self.version += 1;
-        obs::plane(self.is_replica()).snapshot_restore_ns.record(t0.ns());
         Response::line(format!(
             "  restored warm from {} ({} triples, {} live, feed cursor -> {}, {:.1} ms)",
             path.display(),
@@ -493,6 +445,46 @@ impl<'a> Engine<'a> {
             self.pool_cursor,
             t0.ms()
         ))
+    }
+
+    /// Replace the session with the snapshot at `path` and resync both
+    /// feed positions from its cursor sidecar — the one restore path of
+    /// the `restore` command and a replica's warm boot. Sidecar rules by
+    /// role: a writer must have it (rewinding to an unknown log position
+    /// would silently desync every replica) and truncates its log to the
+    /// snapshot's offset, so replicas never replay operations the writer
+    /// no longer has; a follower must have it to know where its log
+    /// replay resumes; a feedless session falls back to the longest feed
+    /// prefix present in the restored store (exact unless compaction
+    /// has dropped retracted texts — the sidecar covers that). Nothing
+    /// changes on error. Bumps the version and records the restore
+    /// latency since `t0`; the caller recaptures the view.
+    fn restore_session(&mut self, path: &Path, t0: Stopwatch) -> Result<(), KbError> {
+        let restored = ServeSession::restore_from(
+            path,
+            self.config.clone(),
+            self.serve.clone(),
+            self.ckb,
+            self.signals,
+        )?;
+        let (pool_cursor, feed_offset) = match FeedCursor::load(&path.with_extension("cursor")) {
+            Ok(c) => ((c.pool_cursor as usize).min(self.pool.len()), c.feed_offset),
+            Err(e) if self.opts.feed != FeedRole::None => return Err(e),
+            Err(_) => {
+                let seen: std::collections::HashSet<&Triple> =
+                    restored.session().okb().triples().map(|(_, t)| t).collect();
+                (self.pool.iter().take_while(|t| seen.contains(t)).count(), 0)
+            }
+        };
+        if let FeedRole::Writer(feed_path) = &self.opts.feed {
+            truncate_to(feed_path, feed_offset)?;
+        }
+        self.session = restored;
+        self.pool_cursor = pool_cursor;
+        self.set_feed_offset(feed_offset);
+        self.version += 1;
+        obs::plane(self.is_replica()).snapshot_restore_ns.record(t0.ns());
+        Ok(())
     }
 }
 

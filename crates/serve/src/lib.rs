@@ -25,9 +25,11 @@
 //!   process resumes with **bitwise-identical** LBP messages instead of
 //!   a cold rebuild;
 //! * **queries** — [`ServeSession::live_view`] exposes the decoded
-//!   output re-indexed over the live triples (the natural serving
-//!   read), [`ServeSession::query_phrase`] answers "what cluster is
-//!   this phrase in, and where does it link" per mention.
+//!   output re-indexed over the live triples (the batch-parity shape);
+//!   every served read — `query` ("what cluster is this phrase in, and
+//!   where does it link" per mention), `link`, `stats`, `metrics` — is
+//!   answered from a committed [`view::ReadView`] capture of the
+//!   session, on every plane.
 //!
 //! The CKB, the frozen [`Signals`](jocl_core::Signals) and the
 //! [`JoclConfig`] are shared serving resources provided at open/restore
@@ -38,12 +40,12 @@
 //! The serve loop itself is transport-agnostic ([`engine::Engine`]
 //! executes parsed [`protocol::Command`]s): the `serve` binary of
 //! `jocl_bench` drives it from stdin or — with `JOCL_LISTEN` — behind
-//! the [`net`] socket front-end, which serves concurrent reads from an
-//! atomically-swapped [`view::ReadView`] while the single writer
-//! applies deltas and feeds read replicas through the [`engine`]'s
-//! replication log. The `serve_scale` and `serve_net` gates certify
-//! retraction parity, warm-restore savings, replica bitwise parity and
-//! serve-loop robustness at CI scale.
+//! the [`net`] socket front-end, which serves concurrent reads from the
+//! engine's atomically-swapped [`view::ReadView`] while the single
+//! writer applies deltas and feeds read replicas through the
+//! [`engine`]'s replication log. The `serve_scale` and `serve_net`
+//! gates certify retraction parity, warm-restore savings, replica
+//! bitwise parity and serve-loop robustness at CI scale.
 
 pub mod api;
 pub mod engine;
@@ -265,33 +267,6 @@ impl<'a> ServeSession<'a> {
     pub fn live_view(&self) -> Option<LiveView> {
         let out = self.last.as_ref()?;
         Some(view::live_view_of(self.inner.okb(), &|t| self.inner.is_live(t), out))
-    }
-
-    /// Every live mention whose phrase equals `phrase`
-    /// (case-insensitively), with its cluster and link. Empty before the
-    /// first delta or when nothing matches.
-    pub fn query_phrase(&self, phrase: &str) -> Vec<MentionReport> {
-        let Some(out) = self.last.as_ref() else { return Vec::new() };
-        view::query_phrase_of(self.inner.okb(), &|t| self.inner.is_live(t), out, phrase)
-    }
-
-    /// Resolve a surface form (or a canonical URI) to ranked link
-    /// candidates — see [`api`] for the target grammar, URI scheme and
-    /// confidence calibration. Answers identically to
-    /// [`ReadView::link`] over the same committed state; an imported
-    /// side table ([`JoclConfig::side_info`]) contributes dictionary
-    /// candidates even before the first delta.
-    pub fn link(&self, req: &LinkRequest) -> LinkReport {
-        let side = self.inner.config().side_info.as_deref().filter(|s| !s.is_empty());
-        let ctx = api::CkbLinkContext::new(self.inner.ckb(), side);
-        api::link_of(
-            self.inner.okb(),
-            &|t| self.inner.is_live(t),
-            self.last.as_ref(),
-            &ctx,
-            req,
-            self.serve.link_threshold,
-        )
     }
 
     /// Persist the warm session to `path` (see [`snapshot`] for the file

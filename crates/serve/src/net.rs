@@ -8,12 +8,15 @@
 //!   answered with a per-request reply channel, so writes serialize by
 //!   construction (no lock on the factor graph at all);
 //! * each accepted connection gets a **handler thread** that parses
-//!   lines and answers `query`/`link`/`stats` directly from the published
-//!   [`SharedView`] — readers never wait for an in-flight delta, they
+//!   lines and answers `query`/`link`/`stats`/`metrics` from the
+//!   published [`SharedView`] through
+//!   [`ReadView::answer`](crate::view::ReadView::answer), the engine's
+//!   own read path — readers never wait for an in-flight delta, they
 //!   see the last committed decode;
-//! * after each committed write (and each replica catch-up batch) the
-//!   writer captures a fresh [`ReadView`](crate::view::ReadView) and
-//!   swaps it in atomically.
+//! * after each command (and each replica catch-up batch) the writer
+//!   publishes the engine's freshly captured
+//!   [`ReadView`](crate::view::ReadView) — the same `Arc`, never a
+//!   second capture.
 //!
 //! On a follower engine the writer thread doubles as the replication
 //! poller: idle channel ticks run [`Engine::poll_feed`] and republish
@@ -25,7 +28,6 @@
 //! returns the engine so the caller can print totals / export state —
 //! the serve loop *returns*, it does not `exit()`.
 
-use crate::api::{format_link, format_metrics, format_query, format_stats};
 use crate::engine::Engine;
 use crate::obs;
 use crate::protocol::{parse_command, Command, Response, WireError};
@@ -261,11 +263,11 @@ pub fn serve<'a>(
     Ok((engine, stats))
 }
 
-fn writer_loop<'a, 'e>(
+fn writer_loop<'e>(
     mut engine: Engine<'e>,
     rx: mpsc::Receiver<WriteReq>,
-    view: &'a SharedView,
-    stop: &'a AtomicBool,
+    view: &SharedView<'e>,
+    stop: &AtomicBool,
 ) -> Engine<'e> {
     loop {
         match rx.recv_timeout(TICK) {
@@ -279,7 +281,8 @@ fn writer_loop<'a, 'e>(
                         let resp = engine.execute_caught(cmd);
                         // Republish unconditionally: even an errored or
                         // panicked request may have advanced state (a
-                        // feed-append failure after a successful apply).
+                        // feed-append failure after a successful apply),
+                        // and the engine has recaptured its view for it.
                         view.store(engine.read_view());
                         resp
                     }
@@ -308,7 +311,7 @@ fn writer_loop<'a, 'e>(
 fn handle_connection(
     stream: AnyStream,
     tx: mpsc::Sender<WriteReq>,
-    view: &SharedView,
+    view: &SharedView<'_>,
     stop: &AtomicBool,
     counters: &Counters,
 ) {
@@ -361,7 +364,11 @@ fn handle_connection(
 /// Answer one request line: reads from the published view, writes via
 /// the writer channel. `(None, _)` for blank/comment lines; the bool
 /// asks the connection loop to close after replying.
-fn answer(line: &str, tx: &mpsc::Sender<WriteReq>, view: &SharedView) -> (Option<Response>, bool) {
+fn answer(
+    line: &str,
+    tx: &mpsc::Sender<WriteReq>,
+    view: &SharedView<'_>,
+) -> (Option<Response>, bool) {
     let cmd = match parse_command(line) {
         Ok(None) => return (None, false),
         Ok(Some(cmd)) => cmd,
@@ -374,25 +381,16 @@ fn answer(line: &str, tx: &mpsc::Sender<WriteReq>, view: &SharedView) -> (Option
     };
     match cmd {
         Command::Quit => (Some(Response::line("bye")), true),
-        // Served straight from the registry, never recorded, so two
-        // reads of an idle server return byte-identical frames.
-        Command::Metrics => {
-            (Some(Response::Ok(format_metrics(&jocl_obs::registry().snapshot()))), false)
-        }
         // View-served reads record on the plane the view was published
-        // by; writes are recorded by the engine on the writer thread.
-        cmd @ (Command::Query(_) | Command::Link(_) | Command::Stats) => {
+        // by (`metrics` records nothing, so two reads of an idle server
+        // return byte-identical frames); writes are recorded by the
+        // engine on the writer thread.
+        cmd if cmd.is_read() => {
             let v = view.load();
             let m = obs::plane(v.stats.replica);
             m.record_request(&cmd);
             let sw = Stopwatch::start();
-            let resp = match &cmd {
-                Command::Query(phrase) => {
-                    Response::Ok(format_query(phrase, &v.query_phrase(phrase)))
-                }
-                Command::Link(req) => Response::Ok(format_link(&v.link(req))),
-                _ => Response::line(format_stats(&v.stats)),
-            };
+            let resp = v.answer(&cmd).expect("the view answers every read command");
             m.record_response(&cmd, &resp, &sw);
             (Some(resp), false)
         }

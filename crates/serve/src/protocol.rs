@@ -90,6 +90,12 @@ impl Command {
                 | Command::Compact
         )
     }
+
+    /// Whether the command is a read, answered from a committed
+    /// [`ReadView`](crate::view::ReadView) on any plane.
+    pub fn is_read(&self) -> bool {
+        matches!(self, Command::Query(_) | Command::Link(_) | Command::Stats | Command::Metrics)
+    }
 }
 
 /// Machine-readable error class of an `ERR` response.

@@ -1,31 +1,32 @@
-//! The serving read model behind the networked front-end.
+//! The serving read model: every `query`, `link`, `stats` and
+//! `metrics` answer, on every plane, comes from one [`ReadView`].
 //!
 //! A [`ServeSession`] is single-writer: every delta mutates the factor
-//! graph in place, so readers cannot touch it while a write is in
-//! flight. The network plane therefore serves queries from a
-//! [`ReadView`] — an immutable capture of the last **committed** decode
-//! (cloned OKB + live mask + cached output) — published through a
-//! [`SharedView`]. Publication swaps one `Arc` pointer under a
-//! short-lived lock; readers clone the `Arc` and then work entirely on
-//! immutable data, so a view is observed either wholly pre-delta or
-//! wholly post-delta. A torn view is structurally impossible — there is
-//! no moment at which a reader holds half-updated state.
-//!
-//! The query/live-view logic itself lives in the free functions
-//! [`live_view_of`] and [`query_phrase_of`], shared verbatim between
-//! the in-place session reads ([`ServeSession::query_phrase`]) and the
-//! captured view, so both planes answer identically by construction.
+//! graph in place, so reads never touch it. The
+//! [`Engine`](crate::engine::Engine) instead keeps an immutable
+//! [`ReadView`] of the last **committed** decode (cloned OKB + live
+//! mask + cached output, borrowing the shared CKB and side table) and
+//! recaptures it after every command that may have changed state. Its
+//! own reads and the socket handlers' reads both go through
+//! [`ReadView::answer`]; the socket front-end publishes the engine's
+//! view through a [`SharedView`]. Publication swaps one `Arc` pointer
+//! under a short-lived lock; readers clone the `Arc` and then work
+//! entirely on immutable data, so a view is observed either wholly
+//! pre-delta or wholly post-delta. A torn view is structurally
+//! impossible — there is no moment at which a reader holds
+//! half-updated state.
 
-use crate::api::{self, LinkContext, LinkReport, LinkRequest, MentionReport};
-use crate::{LiveView, ServeSession};
+use crate::api::{self, format_link, format_metrics, format_query, format_stats};
+use crate::api::{LinkReport, LinkRequest, MentionReport};
+use crate::protocol::{Command, Response};
+use crate::{obs, LiveView, ServeSession};
 use jocl_cluster::Clustering;
 use jocl_core::JoclOutput;
-use jocl_kb::{EntityId, NpMention, NpSlot, Okb, RelationId, RpMention, TripleId};
+use jocl_kb::{Ckb, NpMention, NpSlot, Okb, RpMention, SideKb, TripleId};
 use jocl_text::fx::FxHashMap;
 use std::sync::{Arc, RwLock};
 
-/// Session summary served by `stats` (both planes format the same
-/// struct, so writer and view stats lines stay comparable).
+/// Session summary served by `stats`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionStats {
     /// Total session triples (live + tombstoned).
@@ -52,113 +53,98 @@ pub struct SessionStats {
     /// blocking index, graph plan, committed messages, marginals).
     pub heap_bytes: usize,
     /// Milliseconds since the serving process started (monotonic —
-    /// never a wall-clock read). Sourced from the metrics plane by the
-    /// engine; `0` as captured here.
+    /// never a wall-clock read). Like the three fields below, sourced
+    /// from the metrics registry when the `stats` answer is formatted;
+    /// `0` as captured.
     pub uptime_ms: u64,
     /// Requests answered on this plane (`metrics` reads excluded —
-    /// they record nothing, by the byte-stability contract). Sourced
-    /// from the registry by the engine; `0` as captured here.
+    /// they record nothing, by the byte-stability contract).
     pub requests: u64,
-    /// `ERR` responses sent on this plane. Sourced from the registry by
-    /// the engine; `0` as captured here.
+    /// `ERR` responses sent on this plane.
     pub errors: u64,
     /// Duration of the most recent compaction (any plane in this
-    /// process), `0` before the first. Sourced from the registry by the
-    /// engine; `0` as captured here.
+    /// process), `0` before the first.
     pub last_compaction_ms: u64,
 }
 
-impl SessionStats {
-    /// Capture the summary of a session at write version `version`.
-    pub fn of(session: &ServeSession<'_>, version: u64, replica: bool) -> Self {
-        let inner = session.session();
-        Self {
-            triples: inner.len(),
-            live: inner.num_live(),
-            vars: inner.num_vars(),
-            factors: inner.num_factors(),
-            tombstone_density: inner.tombstone_density(),
-            ops_applied: session.ops_applied,
-            compactions: session.compactions,
-            total_message_updates: inner.total_message_updates,
-            version,
-            replica,
-            heap_bytes: inner.heap_bytes(),
-            uptime_ms: 0,
-            requests: 0,
-            errors: 0,
-            last_compaction_ms: 0,
-        }
-    }
-}
-
 /// An immutable capture of a committed decode, self-contained enough to
-/// answer `query` and `stats` without touching the live session.
-#[derive(Debug, Clone)]
-pub struct ReadView {
+/// answer every read without touching the live session. Names and
+/// side-table rows are looked up in the shared CKB and side table it
+/// borrows.
+#[derive(Debug)]
+pub struct ReadView<'a> {
+    ckb: &'a Ckb,
+    /// The imported side table; `None` when absent or empty (an empty
+    /// table is contractually inert).
+    side: Option<Arc<SideKb>>,
     okb: Okb,
     live: Vec<bool>,
     output: Option<JoclOutput>,
-    /// Curated names for every entity id the decode or side table
-    /// references — captured so `link` answers without touching the
-    /// shared CKB (the view must stay self-contained).
-    entity_names: FxHashMap<u32, String>,
-    relation_names: FxHashMap<u32, String>,
-    /// Side-table rows pre-resolved to curated ids, keyed by the
-    /// imported (lowercased) surface form.
-    side_entities: FxHashMap<String, Vec<(EntityId, f64)>>,
-    side_relations: FxHashMap<String, Vec<(RelationId, f64)>>,
     link_threshold: f64,
     /// Summary at capture time (carries the view's version).
     pub stats: SessionStats,
 }
 
-impl ReadView {
+impl<'a> ReadView<'a> {
     /// Capture the current committed state of `session`.
-    pub fn capture(session: &ServeSession<'_>, version: u64, replica: bool) -> Self {
+    pub fn capture(session: &ServeSession<'a>, version: u64, replica: bool) -> Self {
         let inner = session.session();
-        let ckb = inner.ckb();
-        let live: Vec<bool> = (0..inner.len() as u32).map(|i| inner.is_live(TripleId(i))).collect();
-        let mut entity_names: FxHashMap<u32, String> = FxHashMap::default();
-        let mut relation_names: FxHashMap<u32, String> = FxHashMap::default();
-        if let Some(out) = session.last_output() {
-            for e in out.np_links.iter().flatten() {
-                entity_names.entry(e.0).or_insert_with(|| ckb.entity(*e).name.clone());
-            }
-            for r in out.rp_links.iter().flatten() {
-                relation_names.entry(r.0).or_insert_with(|| ckb.relation(*r).name.clone());
-            }
-        }
-        let mut side_entities: FxHashMap<String, Vec<(EntityId, f64)>> = FxHashMap::default();
-        let mut side_relations: FxHashMap<String, Vec<(RelationId, f64)>> = FxHashMap::default();
-        if let Some(side) = inner.config().side_info.as_deref().filter(|s| !s.is_empty()) {
-            for (kind, surface, target, weight) in side.canonical_rows() {
-                if kind == 'e' {
-                    if let Some(id) = ckb.entity_by_name(target) {
-                        entity_names.entry(id.0).or_insert_with(|| ckb.entity(id).name.clone());
-                        side_entities.entry(surface.to_string()).or_default().push((id, weight));
-                    }
-                } else if let Some(id) = ckb.relation_by_name(target) {
-                    relation_names.entry(id.0).or_insert_with(|| ckb.relation(id).name.clone());
-                    side_relations.entry(surface.to_string()).or_default().push((id, weight));
-                }
-            }
-        }
         Self {
+            ckb: inner.ckb(),
+            side: inner.config().side_info.clone().filter(|s| !s.is_empty()),
             okb: inner.okb().clone(),
-            live,
+            live: (0..inner.len() as u32).map(|i| inner.is_live(TripleId(i))).collect(),
             output: session.last_output().cloned(),
-            entity_names,
-            relation_names,
-            side_entities,
-            side_relations,
             link_threshold: session.serve_config().link_threshold,
-            stats: SessionStats::of(session, version, replica),
+            stats: SessionStats {
+                triples: inner.len(),
+                live: inner.num_live(),
+                vars: inner.num_vars(),
+                factors: inner.num_factors(),
+                tombstone_density: inner.tombstone_density(),
+                ops_applied: session.ops_applied,
+                compactions: session.compactions,
+                total_message_updates: inner.total_message_updates,
+                version,
+                replica,
+                heap_bytes: inner.heap_bytes(),
+                uptime_ms: 0,
+                requests: 0,
+                errors: 0,
+                last_compaction_ms: 0,
+            },
         }
     }
 
     fn is_live(&self, t: TripleId) -> bool {
         self.live.get(t.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Answer a read command — `query`, `link`, `stats` or `metrics`
+    /// ([`Command::is_read`]) — from this view; `None` for any other
+    /// command. The one read path of every plane. The registry-sourced
+    /// `stats` fields (uptime, this plane's request and error totals,
+    /// last compaction) are stamped now, as the answer is formatted.
+    pub fn answer(&self, cmd: &Command) -> Option<Response> {
+        Some(match cmd {
+            Command::Query(phrase) => {
+                Response::Ok(format_query(phrase, &self.query_phrase(phrase)))
+            }
+            Command::Link(req) => Response::Ok(format_link(&self.link(req))),
+            Command::Stats => {
+                let mut stats = self.stats;
+                let m = obs::plane(stats.replica);
+                stats.uptime_ms = obs::process_start().ms_u64();
+                stats.requests = m.requests_total.get();
+                stats.errors = m.errors_total.get();
+                stats.last_compaction_ms = obs::last_compaction_ms().get();
+                Response::line(format_stats(&stats))
+            }
+            // A point-in-time read of the process-wide registry, never
+            // recorded (see `obs`).
+            Command::Metrics => Response::Ok(format_metrics(&jocl_obs::registry().snapshot())),
+            _ => return None,
+        })
     }
 
     /// The live-indexed read model; `None` before the first delta.
@@ -167,45 +153,94 @@ impl ReadView {
         Some(live_view_of(&self.okb, &|t| self.is_live(t), out))
     }
 
-    /// Every live mention whose phrase equals `phrase`
-    /// (case-insensitively). Empty before the first delta.
-    pub fn query_phrase(&self, phrase: &str) -> Vec<MentionReport> {
-        let Some(out) = self.output.as_ref() else { return Vec::new() };
-        query_phrase_of(&self.okb, &|t| self.is_live(t), out, phrase)
-    }
-
-    /// Resolve a link request against this committed view — the same
-    /// [`api::link_of`] the live session uses, so writer, stdin loop
-    /// and replica answer identically over identical state.
+    /// Resolve a link request against this committed view (see [`api`]
+    /// for the target grammar, URI scheme and confidence calibration).
+    /// An imported side table contributes dictionary candidates even
+    /// before the first delta.
     pub fn link(&self, req: &LinkRequest) -> LinkReport {
         api::link_of(
             &self.okb,
             &|t| self.is_live(t),
             self.output.as_ref(),
-            self,
+            self.ckb,
+            self.side.as_deref(),
             req,
             self.link_threshold,
         )
     }
-}
 
-impl LinkContext for ReadView {
-    fn entity_name(&self, id: EntityId) -> Option<String> {
-        self.entity_names.get(&id.0).cloned()
-    }
-
-    fn relation_name(&self, id: RelationId) -> Option<String> {
-        self.relation_names.get(&id.0).cloned()
-    }
-
-    fn side_entities(&self, surface: &str) -> Vec<(EntityId, f64)> {
-        api::with_determiner_fallback(surface, |key| {
-            self.side_entities.get(key.trim()).cloned().unwrap_or_default()
-        })
-    }
-
-    fn side_relations(&self, surface: &str) -> Vec<(RelationId, f64)> {
-        self.side_relations.get(surface.trim()).cloned().unwrap_or_default()
+    /// Every live mention whose phrase equals `phrase`
+    /// (case-insensitively), with its cluster and link. Empty before the
+    /// first delta or when nothing matches.
+    pub fn query_phrase(&self, phrase: &str) -> Vec<MentionReport> {
+        let Some(out) = self.output.as_ref() else { return Vec::new() };
+        let okb = &self.okb;
+        let needle = phrase.trim().to_lowercase();
+        let mut reports = Vec::new();
+        // Live cluster membership, built in one pass per family (not one
+        // scan per matching mention).
+        let mut np_members: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
+        for d in 0..okb.num_np_mentions() {
+            if self.is_live(NpMention::from_dense(d).triple) {
+                np_members.entry(out.np_clustering.cluster_of(d)).or_default().push(d);
+            }
+        }
+        let mut rp_members: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
+        for d in 0..okb.num_rp_mentions() {
+            if self.is_live(TripleId(d as u32)) {
+                rp_members.entry(out.rp_clustering.cluster_of(d)).or_default().push(d);
+            }
+        }
+        for (t, triple) in okb.triples() {
+            if !self.is_live(t) {
+                continue;
+            }
+            for (slot, role, text) in [
+                (NpSlot::Subject, "subject", &triple.subject),
+                (NpSlot::Object, "object", &triple.object),
+            ] {
+                if text.to_lowercase() != needle {
+                    continue;
+                }
+                let d = NpMention { triple: t, slot }.dense();
+                let members = &np_members[&out.np_clustering.cluster_of(d)];
+                let mut phrases: Vec<String> = members
+                    .iter()
+                    .map(|&m| okb.np_phrase(NpMention::from_dense(m)).to_string())
+                    .collect();
+                phrases.sort_unstable();
+                phrases.dedup();
+                reports.push(MentionReport {
+                    triple: t,
+                    role,
+                    phrase: text.clone(),
+                    cluster_size: members.len(),
+                    cluster_phrases: phrases,
+                    entity: out.np_links[d],
+                    relation: None,
+                });
+            }
+            if triple.predicate.to_lowercase() == needle {
+                let d = RpMention(t).dense();
+                let members = &rp_members[&out.rp_clustering.cluster_of(d)];
+                let mut phrases: Vec<String> = members
+                    .iter()
+                    .map(|&m| okb.rp_phrase(RpMention(TripleId(m as u32))).to_string())
+                    .collect();
+                phrases.sort_unstable();
+                phrases.dedup();
+                reports.push(MentionReport {
+                    triple: t,
+                    role: "predicate",
+                    phrase: triple.predicate.clone(),
+                    cluster_size: members.len(),
+                    cluster_phrases: phrases,
+                    entity: None,
+                    relation: out.rp_links[d],
+                });
+            }
+        }
+        reports
     }
 }
 
@@ -217,17 +252,17 @@ impl LinkContext for ReadView {
 /// [`store`]: SharedView::store
 /// [`load`]: SharedView::load
 #[derive(Debug)]
-pub struct SharedView(RwLock<Arc<ReadView>>);
+pub struct SharedView<'a>(RwLock<Arc<ReadView<'a>>>);
 
-impl SharedView {
+impl<'a> SharedView<'a> {
     /// Publish an initial view.
-    pub fn new(view: ReadView) -> Self {
-        Self(RwLock::new(Arc::new(view)))
+    pub fn new(view: Arc<ReadView<'a>>) -> Self {
+        Self(RwLock::new(view))
     }
 
     /// The current committed view. The lock is held only for the `Arc`
     /// clone; all query work happens on the returned immutable view.
-    pub fn load(&self) -> Arc<ReadView> {
+    pub fn load(&self) -> Arc<ReadView<'a>> {
         // A poisoned lock only means a reader/writer panicked while
         // holding it for the pointer copy — the Arc itself is intact.
         match self.0.read() {
@@ -237,17 +272,16 @@ impl SharedView {
     }
 
     /// Publish a new committed view (single writer).
-    pub fn store(&self, view: ReadView) {
-        let arc = Arc::new(view);
+    pub fn store(&self, view: Arc<ReadView<'a>>) {
         match self.0.write() {
-            Ok(mut g) => *g = arc,
-            Err(p) => *p.into_inner() = arc,
+            Ok(mut g) => *g = view,
+            Err(p) => *p.into_inner() = view,
         }
     }
 }
 
-/// Shared implementation of [`ServeSession::live_view`]: re-index the
-/// decode over the live triples (survivor `k` gets the dense slots a
+/// Re-index the decode over the live triples (shared by
+/// [`ServeSession::live_view`] and [`ReadView::live_view`]) (survivor `k` gets the dense slots a
 /// batch run on the survivors would assign).
 pub(crate) fn live_view_of(
     okb: &Okb,
@@ -277,79 +311,4 @@ pub(crate) fn live_view_of(
         np_clustering: Clustering::from_labels(&np_labels),
         rp_clustering: Clustering::from_labels(&rp_labels),
     }
-}
-
-/// Shared implementation of [`ServeSession::query_phrase`].
-pub(crate) fn query_phrase_of(
-    okb: &Okb,
-    is_live: &dyn Fn(TripleId) -> bool,
-    out: &JoclOutput,
-    phrase: &str,
-) -> Vec<MentionReport> {
-    let needle = phrase.trim().to_lowercase();
-    let mut reports = Vec::new();
-    // Live cluster membership, built in one pass per family (not one
-    // scan per matching mention).
-    let mut np_members: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-    for d in 0..okb.num_np_mentions() {
-        if is_live(NpMention::from_dense(d).triple) {
-            np_members.entry(out.np_clustering.cluster_of(d)).or_default().push(d);
-        }
-    }
-    let mut rp_members: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-    for d in 0..okb.num_rp_mentions() {
-        if is_live(TripleId(d as u32)) {
-            rp_members.entry(out.rp_clustering.cluster_of(d)).or_default().push(d);
-        }
-    }
-    for (t, triple) in okb.triples() {
-        if !is_live(t) {
-            continue;
-        }
-        for (slot, role, text) in [
-            (NpSlot::Subject, "subject", &triple.subject),
-            (NpSlot::Object, "object", &triple.object),
-        ] {
-            if text.to_lowercase() != needle {
-                continue;
-            }
-            let d = NpMention { triple: t, slot }.dense();
-            let members = &np_members[&out.np_clustering.cluster_of(d)];
-            let mut phrases: Vec<String> = members
-                .iter()
-                .map(|&m| okb.np_phrase(NpMention::from_dense(m)).to_string())
-                .collect();
-            phrases.sort_unstable();
-            phrases.dedup();
-            reports.push(MentionReport {
-                triple: t,
-                role,
-                phrase: text.clone(),
-                cluster_size: members.len(),
-                cluster_phrases: phrases,
-                entity: out.np_links[d],
-                relation: None,
-            });
-        }
-        if triple.predicate.to_lowercase() == needle {
-            let d = RpMention(t).dense();
-            let members = &rp_members[&out.rp_clustering.cluster_of(d)];
-            let mut phrases: Vec<String> = members
-                .iter()
-                .map(|&m| okb.rp_phrase(RpMention(TripleId(m as u32))).to_string())
-                .collect();
-            phrases.sort_unstable();
-            phrases.dedup();
-            reports.push(MentionReport {
-                triple: t,
-                role: "predicate",
-                phrase: triple.predicate.clone(),
-                cluster_size: members.len(),
-                cluster_phrases: phrases,
-                entity: None,
-                relation: out.rp_links[d],
-            });
-        }
-    }
-    reports
 }

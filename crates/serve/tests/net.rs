@@ -14,6 +14,9 @@
 //! * **Replication**: a follower replaying the writer's log reaches
 //!   bitwise-identical exported state, including after manual
 //!   compaction and writer restore.
+//! * **Read after commit**: reads answered by `Engine::execute` see the
+//!   state each command (or replica catch-up, or panicked request)
+//!   left — the engine's cached view is never stale.
 
 use jocl_core::signals::build_signals;
 use jocl_core::{JoclConfig, Signals};
@@ -21,14 +24,14 @@ use jocl_datagen::reverb45k_like;
 use jocl_embed::SgnsOptions;
 use jocl_kb::{Ckb, Okb, Triple};
 use jocl_serve::{
-    parse_command, Engine, EngineOptions, ErrCode, FeedRole, ListenAddr, ReadView, Response,
-    ServeConfig, SharedView,
+    parse_command, Command, Engine, EngineOptions, ErrCode, FeedRole, ListenAddr, ReadView,
+    Response, ServeConfig, SharedView,
 };
 use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 struct World {
@@ -111,7 +114,7 @@ fn malformed_commands_leave_the_session_consistent() {
     let dir = temp_dir("malformed");
     let mut engine = open_engine(&dir, FeedRole::None);
     ok_lines(run(&mut engine, "ingest 10"));
-    let stats_before = engine.session_stats();
+    let stats_before = engine.read_view().stats;
 
     let expect_err = |engine: &mut Engine<'static>, line: &str, code: ErrCode| {
         let resp = match parse_command(line) {
@@ -141,12 +144,12 @@ fn malformed_commands_leave_the_session_consistent() {
 
     // The session stayed consistent: only the one successful retract
     // changed state, and the loop keeps serving.
-    let stats_after = engine.session_stats();
+    let stats_after = engine.read_view().stats;
     assert_eq!(stats_after.triples, stats_before.triples);
     assert_eq!(stats_after.live, stats_before.live - 1);
     assert_eq!(stats_after.ops_applied, stats_before.ops_applied + 1);
     ok_lines(run(&mut engine, "add Acme Corp | be base in | Springfield"));
-    assert_eq!(engine.session_stats().live, stats_after.live + 1);
+    assert_eq!(engine.read_view().stats.live, stats_after.live + 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -158,11 +161,11 @@ fn shared_view_swaps_are_never_torn() {
     let dir = temp_dir("tornview");
     let mut engine = open_engine(&dir, FeedRole::None);
     ok_lines(run(&mut engine, "ingest 12"));
-    let view_a: ReadView = engine.read_view();
+    let view_a: Arc<ReadView> = engine.read_view();
     let stats_a = view_a.stats;
     ok_lines(run(&mut engine, "retract #1"));
     ok_lines(run(&mut engine, "retract #2"));
-    let view_b: ReadView = engine.read_view();
+    let view_b: Arc<ReadView> = engine.read_view();
     let stats_b = view_b.stats;
     assert_ne!(stats_a.version, stats_b.version);
     assert_eq!(stats_b.live, stats_a.live - 2);
@@ -490,5 +493,113 @@ fn replica_reaches_bitwise_identical_state() {
     assert!(after_restore < before_restore, "restore rewound the log");
     ok_lines(run(&mut writer, "add Post Restore | flow | Again"));
     assert!(writer.feed_offset() > after_restore, "the log grows again after restore");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Answer `query`/`link`/`stats` for `phrase` through `Engine::execute`
+/// and check each against a fresh capture of the session (registry
+/// fields of `stats` aside); returns the query frame's header.
+fn reads_match_a_fresh_capture(engine: &mut Engine<'static>, phrase: &str) -> String {
+    let fresh = ReadView::capture(engine.session(), engine.version(), engine.is_replica());
+    for line in [format!("query {phrase}"), format!("link {phrase}")] {
+        let cmd = parse_command(&line).unwrap().unwrap();
+        assert_eq!(engine.execute(&cmd), fresh.answer(&cmd).unwrap(), "{line}: stale view");
+    }
+    let session_fields = |resp: Response| {
+        let mut s = jocl_serve::parse_stats(&ok_lines(resp)[0]).expect("stats.v1 line");
+        (s.uptime_ms, s.requests, s.errors, s.last_compaction_ms) = (0, 0, 0, 0);
+        s
+    };
+    assert_eq!(
+        session_fields(engine.execute(&Command::Stats)),
+        session_fields(fresh.answer(&Command::Stats).unwrap()),
+        "stats: stale view"
+    );
+    ok_lines(engine.execute(&parse_command(&format!("query {phrase}")).unwrap().unwrap())).remove(0)
+}
+
+/// The engine caches its read view; every state change must recapture
+/// it. Checked on the stdin plane (`Engine::execute`) right after an
+/// add, a retract, a manual compact, a restore, a follower's
+/// `poll_feed` and a request that panicked mid-apply.
+#[test]
+fn stdin_reads_see_the_state_after_every_commit() {
+    let dir = temp_dir("readcommit");
+    let feed = dir.join("feed.log");
+    let mut writer = open_engine(&dir, FeedRole::Writer(feed.clone()));
+    let widget = "add Acme Widgets | be base in | Springfield";
+    ok_lines(run(&mut writer, "ingest 10"));
+    reads_match_a_fresh_capture(&mut writer, "acme widgets");
+    ok_lines(run(&mut writer, "snapshot"));
+
+    ok_lines(run(&mut writer, widget));
+    let q = reads_match_a_fresh_capture(&mut writer, "acme widgets");
+    assert!(q.starts_with("query.v1 matches=1"), "add: {q}");
+
+    ok_lines(run(&mut writer, "retract Acme Widgets | be base in | Springfield"));
+    let q = reads_match_a_fresh_capture(&mut writer, "acme widgets");
+    assert!(q.starts_with("query.v1 matches=0"), "retract: {q}");
+
+    ok_lines(run(&mut writer, widget));
+    let compactions = writer.read_view().stats.compactions;
+    ok_lines(run(&mut writer, "compact"));
+    reads_match_a_fresh_capture(&mut writer, "acme widgets");
+    assert_eq!(writer.read_view().stats.compactions, compactions + 1, "compact");
+
+    ok_lines(run(&mut writer, "restore"));
+    let q = reads_match_a_fresh_capture(&mut writer, "acme widgets");
+    assert!(q.starts_with("query.v1 matches=0"), "restore rewinds past the add: {q}");
+
+    // A follower warm-boots from the snapshot, then catches up on a
+    // post-restore write.
+    let w = world();
+    let mut replica = Engine::open_replica(
+        config(),
+        ServeConfig::default(),
+        &w.ckb,
+        &w.signals,
+        w.pool.clone(),
+        EngineOptions { snapshot_path: dir.join("session.snap"), feed: FeedRole::Follower(feed) },
+    )
+    .expect("replica warm-boot");
+    reads_match_a_fresh_capture(&mut replica, "beta gadgets");
+    ok_lines(run(&mut writer, "add Beta Gadgets | be base in | Springfield"));
+    assert_eq!(replica.poll_feed().expect("catch up"), 1);
+    let q = reads_match_a_fresh_capture(&mut replica, "beta gadgets");
+    assert!(q.starts_with("query.v1 matches=1"), "poll_feed: {q}");
+
+    // A non-finite weight passes the shape check at open but panics the
+    // first LBP run — after the delta's triples were ingested.
+    let mut poisoned = config();
+    let fs = poisoned.features;
+    let mut params = jocl_fg::Params::new();
+    for len in [
+        fs.np_canon_len(),
+        fs.rp_canon_len(),
+        fs.np_canon_len(),
+        fs.entity_link_len(),
+        fs.relation_link_len(),
+        fs.entity_link_len(),
+    ] {
+        params.add_group(len, 2.0);
+    }
+    for _ in 0..8 {
+        params.add_group(1, f64::NAN);
+    }
+    poisoned.pretrained_params = Some(params);
+    let mut engine = Engine::open(
+        poisoned,
+        ServeConfig::default(),
+        &w.ckb,
+        &w.signals,
+        w.pool.clone(),
+        EngineOptions { snapshot_path: dir.join("poisoned.snap"), feed: FeedRole::None },
+    );
+    match run(&mut engine, "ingest 5") {
+        Response::Err(e) => assert_eq!(e.code, ErrCode::Panic, "{e}"),
+        Response::Ok(l) => panic!("a NaN weight must panic the apply: {l:?}"),
+    }
+    reads_match_a_fresh_capture(&mut engine, "acme widgets");
+    assert_eq!(engine.read_view().stats.triples, 5, "the panicked delta's triples were ingested");
     std::fs::remove_dir_all(&dir).ok();
 }

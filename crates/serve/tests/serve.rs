@@ -20,9 +20,15 @@ use jocl_datagen::reverb45k_like;
 use jocl_embed::SgnsOptions;
 use jocl_kb::{Ckb, EntityId, KbError, Okb, RelationId, SideKb, Triple};
 use jocl_serve::{parse_link_target, snapshot, LinkRequest, ReadView, ServeConfig, ServeSession};
+
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::OnceLock;
+
+/// A committed read view of `session` (the serving read path).
+fn view<'a>(session: &ServeSession<'a>) -> ReadView<'a> {
+    ReadView::capture(session, 0, false)
+}
 
 /// `threads` is the graph-build worker count (`build_threads`).
 fn parity_config(threads: usize) -> JoclConfig {
@@ -539,20 +545,21 @@ fn auto_compaction_triggers_and_preserves_live_decode() {
     assert_eq!(view.np_links[3], view_before[5]);
 }
 
-/// `query_phrase` resolves live mentions to their clusters and links,
-/// and retracted mentions drop out of the answers.
+/// `query_phrase` on a captured [`ReadView`] resolves live mentions to
+/// their clusters and links, and retracted mentions drop out of the
+/// answers.
 #[test]
 fn query_phrase_reports_clusters_and_respects_retraction() {
     let ex = figure1();
     let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &ex.config().sgns);
     let triples: Vec<Triple> = ex.okb.triples().map(|(_, t)| t.clone()).collect();
     let mut session = ServeSession::open(ex.config(), ServeConfig::default(), &ex.ckb, &signals);
-    assert!(session.query_phrase("UMD").is_empty(), "no state before the first delta");
+    assert!(view(&session).query_phrase("UMD").is_empty(), "no state before the first delta");
     session.add_all(&triples);
 
     // "UMD" (subject of triple 1) clusters with "University of Maryland"
     // and links to the UMD entity in the figure's joint decode.
-    let reports = session.query_phrase("umd");
+    let reports = view(&session).query_phrase("umd");
     assert_eq!(reports.len(), 1);
     let r = &reports[0];
     assert_eq!(r.role, "subject");
@@ -567,8 +574,8 @@ fn query_phrase_reports_clusters_and_respects_retraction() {
     // Retract triple 1: the mention disappears from query results and
     // from other mentions' clusters.
     session.apply(&[DeltaOp::Retract(triples[1].clone())]);
-    assert!(session.query_phrase("umd").is_empty(), "retracted mentions must not answer");
-    let reports = session.query_phrase("University of Maryland");
+    assert!(view(&session).query_phrase("umd").is_empty(), "retracted mentions must not answer");
+    let reports = view(&session).query_phrase("University of Maryland");
     assert_eq!(reports.len(), 1);
     assert!(
         reports[0].cluster_phrases.iter().all(|p| p != "UMD"),
@@ -577,14 +584,14 @@ fn query_phrase_reports_clusters_and_respects_retraction() {
     );
 }
 
-/// The tentpole acceptance on the Figure 1 fixture: `link` resolves
-/// surface forms to canonical cluster URIs and calibrated CKB
-/// candidates; the live-session plane and the captured [`ReadView`]
-/// plane answer **identically**; side-information dictionary rows
+/// `link` on the Figure 1 fixture, answered by a captured [`ReadView`]
+/// (the one read path): surface forms resolve to canonical cluster URIs
+/// and calibrated CKB candidates; side-information dictionary rows
 /// surface as candidates even without a live mention; unknown URIs
-/// answer empty rather than erroring; and thresholds filter.
+/// answer empty rather than erroring; thresholds filter; and a fresh
+/// capture sees a retraction.
 #[test]
-fn link_resolves_surfaces_identically_on_both_planes() {
+fn link_resolves_surfaces_through_the_read_view() {
     let ex = figure1();
     let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &ex.config().sgns);
     let triples: Vec<Triple> = ex.okb.triples().map(|(_, t)| t.clone()).collect();
@@ -597,7 +604,7 @@ fn link_resolves_surfaces_identically_on_both_planes() {
     config.side_info = Some(std::sync::Arc::new(side));
     let mut session = ServeSession::open(config, ServeConfig::default(), &ex.ckb, &signals);
     assert!(
-        session.link(&LinkRequest::surface("umd")).is_empty(),
+        view(&session).link(&LinkRequest::surface("umd")).is_empty(),
         "no candidates before the first delta"
     );
     session.add_all(&triples);
@@ -605,7 +612,7 @@ fn link_resolves_surfaces_identically_on_both_planes() {
     // A live surface form: the cluster URI candidate covers the
     // {UMD, University of Maryland} group, and the link votes put the
     // CKB entity candidate at full confidence.
-    let report = session.link(&LinkRequest::surface("UMD"));
+    let report = view(&session).link(&LinkRequest::surface("UMD"));
     assert_eq!(report.target, "UMD");
     assert!(report.rp.is_empty(), "an NP surface yields no relation candidates: {report:?}");
     let cluster = report
@@ -625,14 +632,14 @@ fn link_resolves_surfaces_identically_on_both_planes() {
 
     // Dictionary-only surface: no live mention, but the imported alias
     // row yields the CKB candidate at the import's weight.
-    let dict = session.link(&LinkRequest::surface("The Terrapins"));
+    let dict = view(&session).link(&LinkRequest::surface("The Terrapins"));
     assert_eq!(dict.np.len(), 1, "{dict:?}");
     assert!(dict.np[0].uri.starts_with(&format!("ckb://entity/{}/", ex.e_umd.idx())));
     assert_eq!(dict.np[0].confidence, 0.7);
     assert_eq!(dict.np[0].support, 0, "no live mention backs a dictionary row");
 
     // RP surface: clusters with its paraphrase and links to r_member.
-    let rp = session.link(&LinkRequest::surface("be an early member of"));
+    let rp = view(&session).link(&LinkRequest::surface("be an early member of"));
     assert!(rp.np.is_empty(), "{rp:?}");
     assert!(
         rp.rp.iter().any(|c| c.uri.starts_with(&format!("ckb://relation/{}/", ex.r_member.idx()))),
@@ -646,7 +653,7 @@ fn link_resolves_surfaces_identically_on_both_planes() {
         limit: None,
         threshold: None,
     };
-    let by_uri = session.link(&req);
+    let by_uri = view(&session).link(&req);
     let selfc =
         by_uri.np.iter().find(|c| c.uri == cluster.uri).expect("the cluster answers for itself");
     assert_eq!(selfc.confidence, 1.0, "{by_uri:?}");
@@ -658,7 +665,7 @@ fn link_resolves_surfaces_identically_on_both_planes() {
         limit: None,
         threshold: None,
     };
-    assert!(session.link(&missing).is_empty());
+    assert!(view(&session).link(&missing).is_empty());
 
     // A request-level threshold filters candidates below it.
     let strict = LinkRequest {
@@ -666,24 +673,17 @@ fn link_resolves_surfaces_identically_on_both_planes() {
         limit: None,
         threshold: Some(0.9),
     };
-    assert!(session.link(&strict).is_empty(), "0.7 dictionary row filtered at 0.9");
+    assert!(view(&session).link(&strict).is_empty(), "0.7 dictionary row filtered at 0.9");
 
-    // Plane parity: the captured ReadView answers every request
-    // identically to the live session.
-    let view = ReadView::capture(&session, 1, false);
-    for target in
-        ["UMD", "The Terrapins", "be an early member of", "locate in", "U21", "never seen"]
-    {
-        let req = LinkRequest::surface(target);
-        assert_eq!(view.link(&req), session.link(&req), "plane divergence on {target:?}");
-    }
-    assert_eq!(view.link(&req), session.link(&req));
-    assert_eq!(view.link(&missing), session.link(&missing));
+    // A request-level limit caps each family; an unlimited request over
+    // the same view lists the same candidates first.
+    let capped = LinkRequest { target: req.target.clone(), limit: Some(1), threshold: None };
+    let capped = view(&session).link(&capped);
+    assert_eq!(capped.np.len(), 1, "{capped:?}");
+    assert_eq!(capped.np[0], by_uri.np[0]);
 
     // Retraction is visible to link reads on a fresh capture.
     session.apply(&[DeltaOp::Retract(triples[1].clone())]);
-    let after = session.link(&LinkRequest::surface("umd"));
+    let after = view(&session).link(&LinkRequest::surface("umd"));
     assert!(after.is_empty(), "retracted mentions must not vote: {after:?}");
-    let view = ReadView::capture(&session, 2, false);
-    assert_eq!(view.link(&LinkRequest::surface("umd")), after);
 }

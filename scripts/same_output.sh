@@ -5,15 +5,21 @@
 #
 #   scripts/same_output.sh <rev>        # e.g. scripts/same_output.sh HEAD~
 #
-# Builds <rev> in a temporary `git worktree` (its own target directory)
-# and the working tree in the usual `target/`, then runs on both:
+# Exports <rev> with `git archive` into a temporary directory (built in
+# its own target directory) and builds the working tree in the usual
+# `target/`, then runs on both:
 #
 #   table1            JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_TRAIN_EPOCHS=2
 #   fig2_convergence  JOCL_SCALE=0.02 JOCL_SEED=42
+#   serve             JOCL_SCALE=0.02 JOCL_SEED=42, a fixed stdin script
+#                     (ingest, query, link by surface and URI, retract,
+#                     query, compact, link)
 #
-# and compares each stdout with `cmp`. Exits 0 only if both are
-# identical; the worktree is removed on exit. Set TMPDIR to choose where
-# the worktree and its build go (~1 GB).
+# and compares each stdout with `cmp`. For `serve` only the `query.v1` /
+# `link.v1` frame lines are compared; the delta and stats lines carry
+# timings. Exits 0 only if all three are identical; the temporary
+# directory is removed on exit. Set TMPDIR to choose where the export and
+# its build go (~1 GB).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,15 +30,11 @@ fi
 rev=$(git rev-parse --verify "$1^{commit}")
 
 work=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$work/tree" 2>/dev/null || true
-    git worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
-git worktree add --quiet --detach "$work/tree" "$rev"
-bins=(--bin table1 --bin fig2_convergence)
+mkdir "$work/tree"
+git archive "$rev" | tar -x -C "$work/tree"
+bins=(--bin table1 --bin fig2_convergence --bin serve)
 echo "building $rev ..." >&2
 (cd "$work/tree" && CARGO_TARGET_DIR="$work/target" \
     cargo build --release --offline --quiet -p jocl_bench "${bins[@]}")
@@ -40,9 +42,26 @@ echo "building the working tree ..." >&2
 cargo build --release --offline --quiet -p jocl_bench "${bins[@]}"
 here=${CARGO_TARGET_DIR:-target}
 
+serve_script='ingest 200
+query tarrazu group
+link Tarrazu Group
+link brisharo by
+link jocl://np/3
+link ckb://entity/34
+retract #7
+query tarrazu group
+compact
+link tarrazu group
+link jocl://np/3
+quit'
+
 run() { # <side> <bin dir>
     JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_TRAIN_EPOCHS=2 "$2/release/table1" >"$work/$1.table1"
     JOCL_SCALE=0.02 JOCL_SEED=42 "$2/release/fig2_convergence" >"$work/$1.fig2_convergence"
+    rm -rf "$work/snap"
+    printf '%s\n' "$serve_script" |
+        JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_SNAPSHOT_DIR="$work/snap" "$2/release/serve" |
+        grep -E '^(query\.v1|mention |link\.v1|np |rp )' >"$work/$1.serve"
 }
 echo "running $rev ..." >&2
 run rev "$work/target"
@@ -50,7 +69,7 @@ echo "running the working tree ..." >&2
 run tree "$here"
 
 status=0
-for bin in table1 fig2_convergence; do
+for bin in table1 fig2_convergence serve; do
     if cmp "$work/rev.$bin" "$work/tree.$bin"; then
         echo "$bin: byte-identical ($(wc -c <"$work/tree.$bin") bytes)"
     else
