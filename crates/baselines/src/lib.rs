@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-baselines
 //!
 //! Reimplementations of every system the paper compares against

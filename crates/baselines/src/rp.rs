@@ -2,7 +2,7 @@
 
 use jocl_cluster::{Clustering, UnionFind};
 use jocl_kb::Okb;
-use jocl_rules::{AmieOptions, AmieRules, ParaphraseStore};
+use jocl_rules::{AmieOptions, ParaphraseStore};
 use jocl_text::fx::FxHashMap;
 use jocl_text::normalize::{morph_normalize, morph_normalize_rp};
 
@@ -12,11 +12,6 @@ use jocl_text::normalize::{morph_normalize, morph_normalize_rp};
 /// very few RPs" because most fall under the support threshold.
 pub fn amie_baseline(okb: &Okb, opts: AmieOptions) -> Clustering {
     let rules = jocl_rules::amie::mine(okb, opts);
-    cluster_rp_by(okb, |a, b| rules.sim(a, b) == 1.0)
-}
-
-/// AMIE clustering from pre-mined rules.
-pub fn amie_from_rules(okb: &Okb, rules: &AmieRules) -> Clustering {
     cluster_rp_by(okb, |a, b| rules.sim(a, b) == 1.0)
 }
 

@@ -40,7 +40,6 @@
 //! baseline deliberately via the script, never by hand-editing.
 
 use jocl_bench::runner::validation_labels;
-use jocl_core::config::paper_schedule;
 use jocl_core::signals::build_signals;
 use jocl_core::{block_pairs, build_graph, Jocl, JoclConfig};
 use jocl_datagen::reverb45k_like;
@@ -186,7 +185,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
         max_epochs: 2,
         grad_tol: 0.0,
         l2: 1e-3,
-        lbp: LbpOptions { schedule: paper_schedule(), ..config.lbp.clone() },
+        lbp: config.lbp.clone(),
     };
     metrics.push_calibrated((
         "train",

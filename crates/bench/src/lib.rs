@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's

@@ -11,7 +11,6 @@
 //! cargo test -p jocl_bench --release --test schedule_scale -- --ignored
 //! ```
 
-use jocl_core::config::paper_schedule;
 use jocl_core::signals::build_signals;
 use jocl_core::{block_pairs, build_graph, JoclConfig, ScheduleMode};
 use jocl_datagen::reverb45k_like;
@@ -46,7 +45,6 @@ fn residual_halves_message_updates_at_scale_002() {
     // with the tolerance tightened a notch so "same fixed point within
     // tol" is measured where both engines genuinely converge.
     let mut opts = config.lbp.clone();
-    opts.schedule = paper_schedule();
     opts.tol = 1e-4;
     opts.max_iters = 100;
 

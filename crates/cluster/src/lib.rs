@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-cluster
 //!
 //! Clustering substrate for the JOCL reproduction.

@@ -55,7 +55,7 @@
 
 use crate::config::JoclConfig;
 use crate::signals::Signals;
-use jocl_kb::{NpSlot, Okb, Triple, TripleId};
+use jocl_kb::{Okb, Triple, TripleId};
 use jocl_text::fx::FxHashMap;
 use jocl_text::tokenize;
 use jocl_text::{Interner, Sym};
@@ -646,39 +646,6 @@ fn read_vu64(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
             return Ok(v);
         }
         shift += 7;
-    }
-}
-
-/// Convenience: the phrase of the subject / predicate / object slot used
-/// by a pair family.
-pub fn family_phrase(okb: &Okb, t: TripleId, family: PairFamily) -> &str {
-    let tr = okb.triple(t);
-    match family {
-        PairFamily::Subject => &tr.subject,
-        PairFamily::Predicate => &tr.predicate,
-        PairFamily::Object => &tr.object,
-    }
-}
-
-/// The three canonicalization variable families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PairFamily {
-    /// `x_ij` over subjects.
-    Subject,
-    /// `y_ij` over predicates.
-    Predicate,
-    /// `z_ij` over objects.
-    Object,
-}
-
-impl PairFamily {
-    /// The NP slot corresponding to this family (predicates have none).
-    pub fn np_slot(self) -> Option<NpSlot> {
-        match self {
-            PairFamily::Subject => Some(NpSlot::Subject),
-            PairFamily::Object => Some(NpSlot::Object),
-            PairFamily::Predicate => None,
-        }
     }
 }
 

@@ -27,14 +27,13 @@
 //! (candidate retrieval, similarity features, two-level tables) is split
 //! into contiguous parts computed on scoped worker threads, then the
 //! graph is assembled serially from the precomputed caches with
-//! [`FactorGraph::reserve`] + batched factor insertion. Part boundaries
-//! never influence values, so the built graph is identical for any
-//! `JoclConfig::build_threads`.
+//! [`FactorGraph::reserve`] + in-order factor insertion. A build uses one
+//! worker per hardware thread. Part boundaries never influence values,
+//! so the built graph is identical for any worker count.
 
 use crate::blocking::Blocking;
 use crate::config::{classes, FeatureSet, JoclConfig, Variant};
 use crate::signals::{PhraseCtx, Signals};
-use jocl_fg::graph::FactorSpec;
 use jocl_fg::{FactorGraph, Params, Potential, VarId};
 use jocl_kb::{
     CandidateGen, Ckb, EntityId, NpMention, NpSlot, Okb, RelationId, RpMention, TripleId,
@@ -478,8 +477,8 @@ pub fn transitivity_scores() -> Vec<f64> {
 
 /// Build the factor graph for `config.variant`: one
 /// [`GraphBuilder::extend`] pass over an empty plan, with the whole
-/// `blocking` as the delta. The result is identical for any
-/// `config.build_threads`. The plan's parameters are
+/// `blocking` as the delta. The result is identical for any worker
+/// count. The plan's parameters are
 /// `config.pretrained_params` when set.
 ///
 /// # Panics
@@ -509,17 +508,6 @@ fn graph_build_ns() -> &'static std::sync::Arc<jocl_obs::Histogram> {
 /// Smallest part of sharded per-key computation: fewer items than this
 /// are not worth a thread.
 const MIN_SHARD: usize = 8;
-
-/// Worker count for a build: `requested`, capped at the hardware's
-/// parallelism (`0` = all hardware threads).
-fn build_workers(requested: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
-    if requested == 0 {
-        hw
-    } else {
-        requested.min(hw)
-    }
-}
 
 /// Compute `work` over every element of `items` on up to `threads`
 /// workers, preserving item order in the output. `items` splits into
@@ -822,12 +810,13 @@ impl GraphBuilder {
     ///
     /// Per-key values (candidates, link features, pair similarities)
     /// missing from the caches are computed on scoped worker threads
-    /// sized by how many there are, in contiguous parts; the graph is then
-    /// assembled in a fixed order — NP link variables with F4/F6/S1, RP
-    /// link variables with F5/S2, pair variables with F1–F3 per family,
-    /// U1–U3 triangles that gained an edge, U4, then U5–U7 — so the
-    /// result is identical for any `config.build_threads`, and one pass
-    /// over a whole OKB is exactly the batch graph.
+    /// sized by how many there are (one per hardware thread, or the
+    /// caller's alone for at most [`MIN_SHARD`] keys), in contiguous
+    /// parts; the graph is then assembled in a fixed order — NP link
+    /// variables with F4/F6/S1, RP link variables with F5/S2, pair
+    /// variables with F1–F3 per family, U1–U3 triangles that gained an
+    /// edge, U4, then U5–U7 — so the result is identical for any worker
+    /// count, and one pass over a whole OKB is exactly the batch graph.
     pub(crate) fn extend(
         &mut self,
         plan: &mut GraphPlan,
@@ -836,7 +825,7 @@ impl GraphBuilder {
     ) {
         let sw = jocl_obs::Stopwatch::start();
         let _span = jocl_obs::span!("graph_build");
-        let threads = build_workers(input.config.build_threads);
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
         self.extend_on(plan, input, delta, threads);
         graph_build_ns().record(sw.ns());
     }
@@ -1033,14 +1022,19 @@ impl GraphBuilder {
             ];
             for (fam, (group, class, sims)) in canon.into_iter().enumerate() {
                 let (pairs, phrase) = families[fam];
-                let vars = plan.graph.add_vars(pairs.len(), 2, classes::VAR_CANON);
+                plan.graph.reserve(pairs.len(), 0);
+                let vars: Vec<VarId> = pairs
+                    .iter()
+                    .map(|_| plan.graph.add_var_with_class(2, classes::VAR_CANON))
+                    .collect();
                 let potentials: Vec<Potential> = sharded_map(threads, pairs, |&(ti, tj)| {
                     let key = ordered_key(phrase(okb.triple(ti)), phrase(okb.triple(tj)));
                     pair_potential(group, &sims[&key])
                 });
-                plan.graph.add_factor_batch(
-                    vars.iter().zip(potentials).map(|(&v, p)| FactorSpec::new(vec![v], p, class)),
-                );
+                plan.graph.reserve(0, potentials.len());
+                for (&v, p) in vars.iter().zip(potentials) {
+                    plan.graph.add_factor(&[v], p, class);
+                }
                 pair_vars[fam] = vars;
             }
 
@@ -1078,7 +1072,7 @@ impl GraphBuilder {
                     Some((sv, rv, plan.np_link_vars[om]?, sm, rm, om))
                 })
                 .collect();
-            let specs: Vec<FactorSpec> =
+            let factors: Vec<([VarId; 3], Potential)> =
                 sharded_map(threads, &items, |&(sv, rv, ov, sm, rm, om)| {
                     let cs = &plan.np_candidates[sm];
                     let cr = &plan.rp_candidates[rm];
@@ -1094,14 +1088,15 @@ impl GraphBuilder {
                             }
                         }
                     }
-                    FactorSpec::new(
-                        vec![sv, rv, ov],
-                        Potential::two_level(groups.beta[3], ks * kr * ko, high, 0.9, 0.1),
-                        classes::U4,
-                    )
+                    let potential =
+                        Potential::two_level(groups.beta[3], ks * kr * ko, high, 0.9, 0.1);
+                    ([sv, rv, ov], potential)
                 });
-            plan.stats.fact_factors += specs.len();
-            plan.graph.add_factor_batch(specs);
+            plan.stats.fact_factors += factors.len();
+            plan.graph.reserve(0, factors.len());
+            for (vars, potential) in factors {
+                plan.graph.add_factor(&vars, potential, classes::U4);
+            }
         }
 
         // ---------------- U5–U7 consistency -----------------------------
@@ -1131,7 +1126,7 @@ impl GraphBuilder {
                         Some((va?, vb?, pair_var, ma, mb))
                     })
                     .collect();
-                let specs: Vec<FactorSpec> =
+                let factors: Vec<([VarId; 3], Potential)> =
                     sharded_map(threads, &items, |&(va, vb, pair_var, ma, mb)| {
                         let same_fn: EqualityTable = match slot {
                             Some(_) => {
@@ -1150,14 +1145,14 @@ impl GraphBuilder {
                             high.push((a + ka * b + ka * kb * x) as u32);
                         }
                         let beta = groups.beta[4 + fam];
-                        FactorSpec::new(
-                            vec![va, vb, pair_var],
-                            Potential::two_level(beta, ka * kb * 2, high, 0.7, 0.3),
-                            class,
-                        )
+                        let potential = Potential::two_level(beta, ka * kb * 2, high, 0.7, 0.3);
+                        ([va, vb, pair_var], potential)
                     });
-                plan.stats.consistency_factors += specs.len();
-                plan.graph.add_factor_batch(specs);
+                plan.stats.consistency_factors += factors.len();
+                plan.graph.reserve(0, factors.len());
+                for (vars, potential) in factors {
+                    plan.graph.add_factor(&vars, potential, class);
+                }
             }
         }
 
@@ -1471,8 +1466,8 @@ mod tests {
     }
 
     /// Grow a plan from `okb` in `deltas` contiguous arrival batches on
-    /// `threads` workers (unclamped: `build_workers` would cap it at the
-    /// hardware).
+    /// `threads` workers (unclamped: `extend` would use the hardware's
+    /// count).
     fn grow(
         okb: &Okb,
         ckb: &Ckb,
@@ -1481,11 +1476,10 @@ mod tests {
         deltas: usize,
         threads: usize,
     ) -> GraphPlan {
-        let config = JoclConfig { build_threads: threads, ..config.clone() };
-        let (params, groups) = init_params(&config);
+        let (params, groups) = init_params(config);
         let mut plan = GraphPlan::empty(params, groups);
-        let mut builder = GraphBuilder::new(&config);
-        let mut index = crate::blocking::BlockingIndex::new(&config);
+        let mut builder = GraphBuilder::new(config);
+        let mut index = crate::blocking::BlockingIndex::new(config);
         let mut prefix = Okb::new();
         let triples: Vec<jocl_kb::Triple> = okb.triples().map(|(_, t)| t.clone()).collect();
         for chunk in triples.chunks(triples.len().div_ceil(deltas)) {
@@ -1497,16 +1491,16 @@ mod tests {
             for pairs in [&mut delta.subj_pairs, &mut delta.pred_pairs, &mut delta.obj_pairs] {
                 pairs.sort_unstable();
             }
-            let input = BuildInput { okb: &prefix, ckb, signals, config: &config, live: &[] };
+            let input = BuildInput { okb: &prefix, ckb, signals, config, live: &[] };
             builder.extend_on(&mut plan, &input, &delta, threads);
         }
         plan
     }
 
-    /// Sharding must not influence the built graph: any `build_threads`
+    /// Sharding must not influence the built graph: any worker count
     /// produces an identical structure, identical potentials, and
-    /// identical plan indexes — for a whole-OKB build and for a warm
-    /// plan grown by three deltas alike.
+    /// identical plan indexes — for a whole-OKB build, for a warm plan
+    /// grown by three deltas and under imported side information alike.
     #[test]
     fn build_is_identical_for_any_thread_count() {
         let sgns = jocl_embed::SgnsOptions { dim: 8, epochs: 2, ..Default::default() };
@@ -1521,13 +1515,31 @@ mod tests {
         let signals =
             crate::signals::build_signals(&okb, &world.ckb, &world.ppdb, &world.corpus, &sgns);
         let world_config = JoclConfig::default();
+        // An alias table over the world's own surface forms, so S1/S2
+        // potentials and appended candidates are built too.
+        let mut side = jocl_kb::SideKb::new();
+        for (i, (_, t)) in okb.triples().take(20).enumerate() {
+            let e = EntityId((i % world.ckb.num_entities()) as u32);
+            side.add_entity_link(&t.subject, &world.ckb.entity(e).name, 0.5);
+            let r = RelationId((i % world.ckb.num_relations()) as u32);
+            side.add_relation_link(&t.predicate, &world.ckb.relation(r).name, 0.5);
+        }
+        let side_config =
+            JoclConfig { side_info: Some(std::sync::Arc::new(side)), ..JoclConfig::default() };
         for (what, okb, ckb, signals, config, deltas) in [
             ("figure 1", &ex.okb, &ex.ckb, &ex_signals, &ex.config(), 1),
             ("world batch", &okb, &world.ckb, &signals, &world_config, 1),
             ("world warm", &okb, &world.ckb, &signals, &world_config, 3),
+            ("world side info", &okb, &world.ckb, &signals, &side_config, 1),
         ] {
             let base = grow(okb, ckb, signals, config, deltas, 1);
             assert!(base.graph.num_factors() > 0, "{what}: nothing built");
+            if config.side_info.is_some() {
+                let side_factors = (0..base.graph.num_factors() as u32)
+                    .filter(|&f| base.graph.factor_class(jocl_fg::FactorId(f)) == classes::S1)
+                    .count();
+                assert!(side_factors > 0, "{what}: no side-information potentials");
+            }
             for threads in [2usize, 4] {
                 let plan = grow(okb, ckb, signals, config, deltas, threads);
                 // Debug output covers cardinalities, adjacency, classes,

@@ -83,8 +83,10 @@ pub struct JoclConfig {
     pub blocking_threshold: f64,
     /// Candidate generation options (top-K etc.).
     pub candidates: CandidateOptions,
-    /// LBP options; the phased schedule of §3.4 is installed by the
-    /// pipeline regardless of `schedule` here. The update-selection
+    /// LBP options, used as they are by batch runs, training and
+    /// sessions. `schedule` must be the phased schedule of §3.4,
+    /// [`paper_schedule`] (the default): [`crate::Jocl::new`] and the
+    /// incremental session panic on anything else. The update-selection
     /// `mode` defaults to [`jocl_fg::ScheduleMode::Residual`], the one
     /// schedule sessions and serving run (an incremental session panics
     /// on anything else). A batch run still honors
@@ -106,11 +108,6 @@ pub struct JoclConfig {
     /// Merge final clusters through shared link targets (Assumption 1
     /// applied at decode time).
     pub merge_by_link: bool,
-    /// Worker threads for the sharded graph build (`0` = all hardware
-    /// threads). The built graph is identical for any value; this also
-    /// determines the shard count of the per-blocking-key feature
-    /// computation.
-    pub build_threads: usize,
     /// SGNS options for the embedding signal.
     pub sgns: SgnsOptions,
     /// Committed-message representation a long-lived session keeps
@@ -154,8 +151,8 @@ impl Default for JoclConfig {
                 max_iters: 20,
                 tol: 1e-3,
                 damping: 0.1,
+                schedule: paper_schedule(),
                 mode: jocl_fg::ScheduleMode::Residual,
-                ..Default::default()
             },
             learning_rate: 0.05,
             train_epochs: 6,
@@ -163,7 +160,6 @@ impl Default for JoclConfig {
             max_group_clique: 5,
             cross_cap: 3,
             merge_by_link: true,
-            build_threads: 0,
             sgns: SgnsOptions::default(),
             message_store: jocl_fg::MessageStore::Exact,
             pretrained_params: None,
@@ -221,7 +217,7 @@ pub mod classes {
 /// runs without side information are untouched by S1/S2.
 pub fn paper_schedule() -> jocl_fg::Schedule {
     use classes::*;
-    jocl_fg::Schedule::Phased {
+    jocl_fg::Schedule {
         factor_phases: vec![
             vec![F1, F2, F3],
             vec![U1, U2, U3],
@@ -254,15 +250,14 @@ mod tests {
         assert_eq!(c.learning_rate, 0.05); // §4.1
         assert_eq!(c.lbp.max_iters, 20); // §3.4 "within twenty iterations"
         assert_eq!(c.lbp.mode, jocl_fg::ScheduleMode::Residual, "the serving schedule");
+        assert_eq!(c.lbp.schedule, paper_schedule(), "§3.4 phases");
         assert_eq!(c.variant, Variant::Full);
     }
 
     #[test]
     fn schedule_contains_all_classes_in_order() {
         use classes::*;
-        let jocl_fg::Schedule::Phased { factor_phases, var_phases } = paper_schedule() else {
-            panic!("paper schedule must be phased")
-        };
+        let jocl_fg::Schedule { factor_phases, var_phases } = paper_schedule();
         assert_eq!(factor_phases.len(), 5);
         assert_eq!(factor_phases[0], vec![F1, F2, F3]);
         assert_eq!(

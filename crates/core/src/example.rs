@@ -65,8 +65,7 @@ impl Figure1 {
                 max_iters: 30,
                 tol: 1e-6,
                 damping: 0.1,
-                mode: jocl_fg::ScheduleMode::Residual,
-                ..Default::default()
+                ..JoclConfig::default().lbp
             },
             ..Default::default()
         }

@@ -117,9 +117,8 @@
 
 use crate::blocking::{Blocking, BlockingIndex};
 use crate::builder::{init_params, BuildInput, GraphBuilder, GraphPlan};
-use crate::config::JoclConfig;
+use crate::config::{paper_schedule, JoclConfig};
 use crate::decode::{decode_live, Diagnostics, JoclOutput};
-use crate::pipeline::lbp_options;
 use crate::signals::Signals;
 use jocl_cluster::UnionFind;
 use jocl_fg::lbp::LbpEngine;
@@ -288,12 +287,13 @@ impl<'a> IncrementalJocl<'a> {
     /// Open a session with an empty OKB.
     ///
     /// # Panics
-    /// Panics if `config.lbp.mode` is not `ScheduleMode::Residual` (warm
-    /// deltas run the residual drain only), or if
-    /// `config.pretrained_params` is set with a shape that does not match
-    /// `config.features` (stale weights must fail fast, exactly as in the
-    /// batch serving path).
+    /// Panics if `config.lbp.schedule` is not [`paper_schedule`], if
+    /// `config.lbp.mode` is not `ScheduleMode::Residual` (warm deltas run
+    /// the residual drain only), or if `config.pretrained_params` is set
+    /// with a shape that does not match `config.features` (stale weights
+    /// must fail fast, exactly as in the batch serving path).
     pub fn new(config: JoclConfig, ckb: &'a Ckb, signals: &'a Signals) -> Self {
+        assert_paper_schedule(&config);
         assert_residual_schedule(&config);
         let (params, groups) = init_params(&config);
         Self {
@@ -451,7 +451,6 @@ impl<'a> IncrementalJocl<'a> {
         self.num_dead_factors += newly_dead.len();
 
         // --- 4. warm-started inference -----------------------------------
-        let opts = lbp_options(&self.config);
         // After an unconverged run, prime the *whole* factor set: the
         // warm messages are still a better start than uniform, but only
         // a full priming lets an empty residual queue certify a global
@@ -490,9 +489,9 @@ impl<'a> IncrementalJocl<'a> {
             Some(prior) => {
                 engine.import_messages(prior);
                 engine.reset_factor_messages(&newly_dead);
-                engine.resume_imported(&self.plan.params, &opts, &dirty)
+                engine.resume_imported(&self.plan.params, &self.config.lbp, &dirty)
             }
-            None => engine.run(&self.plan.params, &opts),
+            None => engine.run(&self.plan.params, &self.config.lbp),
         };
         self.total_message_updates += lbp.message_updates;
 
@@ -751,7 +750,8 @@ impl<'a> IncrementalJocl<'a> {
     /// [`KbError`]s, never as panics or silently wrong state.
     ///
     /// # Panics
-    /// Panics if `config.lbp.mode` is not `ScheduleMode::Residual` or
+    /// Panics if `config.lbp.schedule` is not [`paper_schedule`],
+    /// `config.lbp.mode` is not `ScheduleMode::Residual` or
     /// `config.pretrained_params` has the wrong shape, as
     /// [`IncrementalJocl::new`] does.
     pub fn import_state(
@@ -760,6 +760,7 @@ impl<'a> IncrementalJocl<'a> {
         ckb: &'a Ckb,
         signals: &'a Signals,
     ) -> Result<Self, KbError> {
+        assert_paper_schedule(&config);
         assert_residual_schedule(&config);
         let mut r = SnapReader::new(bytes);
         let okb = Okb::import_state(&mut r)?;
@@ -917,6 +918,17 @@ impl<'a> IncrementalJocl<'a> {
     }
 }
 
+/// Batch runs, training and sessions all converge the paper's phased
+/// schedule (§3.4) and run `config.lbp` as it is, so any other schedule
+/// fails here, naming the field, instead of being replaced silently.
+pub(crate) fn assert_paper_schedule(config: &JoclConfig) {
+    assert!(
+        config.lbp.schedule == paper_schedule(),
+        "JOCL runs need lbp.schedule = paper_schedule() (the §3.4 phases); the flooding \
+         schedule and other phase lists are for jocl_fg-level use only"
+    );
+}
+
 /// Sessions warm-start every delta with the residual drain
 /// ([`LbpEngine::resume_imported`] rejects anything else); fail at
 /// session construction, naming the field, rather than on the second
@@ -1045,5 +1057,32 @@ mod tests {
         stale.add_group(1, 2.0);
         let config = JoclConfig { pretrained_params: Some(stale), ..ex.config() };
         IncrementalJocl::new(config, &ex.ckb, &signals);
+    }
+
+    /// The figure 1 config under the flooding schedule (one phase of
+    /// every class), which JOCL runs reject rather than replace.
+    fn flooding_config() -> JoclConfig {
+        let config = crate::example::figure1().config();
+        let lbp = jocl_fg::LbpOptions { schedule: jocl_fg::Schedule::default(), ..config.lbp };
+        JoclConfig { lbp, ..config }
+    }
+
+    #[test]
+    #[should_panic(expected = "lbp.schedule")]
+    fn sessions_reject_a_flooding_schedule() {
+        let sgns = jocl_embed::SgnsOptions { dim: 8, epochs: 1, ..Default::default() };
+        let ex = crate::example::figure1();
+        let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &sgns);
+        IncrementalJocl::new(flooding_config(), &ex.ckb, &signals);
+    }
+
+    #[test]
+    #[should_panic(expected = "lbp.schedule")]
+    fn restore_rejects_a_flooding_schedule() {
+        let sgns = jocl_embed::SgnsOptions { dim: 8, epochs: 1, ..Default::default() };
+        let ex = crate::example::figure1();
+        let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &sgns);
+        let bytes = IncrementalJocl::new(ex.config(), &ex.ckb, &signals).export_state();
+        let _ = IncrementalJocl::import_state(&bytes, flooding_config(), &ex.ckb, &signals);
     }
 }

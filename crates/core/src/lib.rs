@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-core
 //!
 //! The paper's primary contribution: **JOCL**, joint Open Knowledge Base

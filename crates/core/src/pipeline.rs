@@ -12,8 +12,9 @@
 
 use crate::blocking::block_pairs;
 use crate::builder::{build_graph, GraphPlan};
-use crate::config::{paper_schedule, JoclConfig};
+use crate::config::JoclConfig;
 use crate::decode::{decode, Diagnostics, JoclOutput};
+use crate::incremental::assert_paper_schedule;
 use crate::signals::{build_signals, Signals};
 use jocl_fg::lbp::LbpEngine;
 use jocl_fg::{train, TrainOptions, VarId};
@@ -131,7 +132,12 @@ pub struct Jocl {
 
 impl Jocl {
     /// Create with a configuration.
+    ///
+    /// # Panics
+    /// Panics if `config.lbp.schedule` is not
+    /// [`crate::config::paper_schedule`].
     pub fn new(config: JoclConfig) -> Self {
+        assert_paper_schedule(&config);
         Self { config }
     }
 
@@ -175,7 +181,7 @@ impl Jocl {
                         max_epochs: config.train_epochs,
                         grad_tol: 1e-2,
                         l2: 1e-3,
-                        lbp: lbp_options(config),
+                        lbp: config.lbp.clone(),
                     };
                     let report = train(&plan.graph, &mut plan.params, &clamp_list, &opts);
                     train_epochs = report.epochs;
@@ -186,7 +192,7 @@ impl Jocl {
 
         // --- inference (§3.4) -----------------------------------------------
         let mut engine = LbpEngine::new(&plan.graph);
-        let lbp_result = engine.run(&plan.params, &lbp_options(config));
+        let lbp_result = engine.run(&plan.params, &config.lbp);
         let marginals = engine.marginals();
 
         let diagnostics = Diagnostics {
@@ -202,13 +208,6 @@ impl Jocl {
         out.learned_params = Some(plan.params);
         out
     }
-}
-
-/// The inference options every decode-producing run uses: the config's
-/// LBP settings under the paper's phased schedule. Shared with the
-/// incremental session so warm runs converge the identical system.
-pub(crate) fn lbp_options(config: &JoclConfig) -> jocl_fg::LbpOptions {
-    jocl_fg::LbpOptions { schedule: paper_schedule(), ..config.lbp.clone() }
 }
 
 #[cfg(test)]
@@ -246,5 +245,15 @@ mod tests {
         let (stale, _) = crate::builder::init_params(&single);
         let config = JoclConfig { pretrained_params: Some(stale), ..ex.config() };
         Jocl::new(config).run(ex.input(), None);
+    }
+
+    /// The paper's phases are validated, not silently installed: a
+    /// flooding schedule (one phase of every class) fails at `Jocl::new`.
+    #[test]
+    #[should_panic(expected = "lbp.schedule")]
+    fn batch_rejects_a_flooding_schedule() {
+        let config = figure1().config();
+        let lbp = jocl_fg::LbpOptions { schedule: jocl_fg::Schedule::default(), ..config.lbp };
+        Jocl::new(JoclConfig { lbp, ..config });
     }
 }

@@ -425,19 +425,15 @@ fn parity_worlds() -> &'static Vec<ParityWorld> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any contiguous partition of the arrival sequence, any graph-build
-    /// thread count: the final delta's decode equals the batch decode on
-    /// the union.
+    /// Any contiguous partition of the arrival sequence: the final
+    /// delta's decode equals the batch decode on the union.
     #[test]
     fn interleaved_deltas_decode_like_batch(
         world_idx in 0usize..3,
         cuts in proptest::collection::vec(0usize..200, 0..4),
-        threads in 1usize..3,
     ) {
         let world = &parity_worlds()[world_idx];
         let n = world.triples.len();
-        let mut config = parity_config();
-        config.build_threads = threads;
 
         // Contiguous arrival batches from the random cut points: the
         // union okb (and thus every dense mention index) matches batch.
@@ -447,7 +443,7 @@ proptest! {
         bounds.sort_unstable();
         bounds.dedup();
 
-        let mut session = IncrementalJocl::new(config, &world.ckb, &world.signals);
+        let mut session = IncrementalJocl::new(parity_config(), &world.ckb, &world.signals);
         let mut last = session.apply_delta(&[]); // empty prefix delta
         let mut appended = 0usize;
         for w in bounds.windows(2) {

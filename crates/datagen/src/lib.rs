@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-datagen
 //!
 //! Synthetic benchmark generator for the JOCL reproduction.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-embed
 //!
 //! Word-embedding substrate for the JOCL reproduction.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-eval
 //!
 //! Evaluation suite for the JOCL reproduction.

@@ -219,28 +219,6 @@ pub(crate) struct FactorData {
     pub table_size: usize,
 }
 
-/// A factor waiting to be inserted — the unit of batched graph
-/// construction. Builders assemble `FactorSpec` lists off-thread (e.g. one
-/// batch per blocking shard) and merge them with
-/// [`FactorGraph::add_factor_batch`].
-#[derive(Debug, Clone)]
-pub struct FactorSpec {
-    /// Variables in slot order (must be distinct and already added).
-    pub vars: Vec<VarId>,
-    /// The potential; its table length must match the joint configuration
-    /// count of `vars`.
-    pub potential: Potential,
-    /// Scheduling class.
-    pub class: u8,
-}
-
-impl FactorSpec {
-    /// Convenience constructor.
-    pub fn new(vars: impl Into<Vec<VarId>>, potential: Potential, class: u8) -> Self {
-        Self { vars: vars.into(), potential, class }
-    }
-}
-
 /// A discrete factor graph.
 #[derive(Debug, Clone, Default)]
 pub struct FactorGraph {
@@ -347,29 +325,6 @@ impl FactorGraph {
         self.var_classes.reserve(extra_vars);
         self.var_adj.reserve(extra_vars);
         self.factors.reserve(extra_factors);
-    }
-
-    /// Add `count` variables sharing one cardinality and scheduling class;
-    /// returns their ids (consecutive). The bulk form of
-    /// [`FactorGraph::add_var_with_class`] used when a shard's variables
-    /// are allocated before its factor batch is computed.
-    pub fn add_vars(&mut self, count: usize, cardinality: u32, class: u8) -> Vec<VarId> {
-        self.reserve(count, 0);
-        (0..count).map(|_| self.add_var_with_class(cardinality, class)).collect()
-    }
-
-    /// Insert a batch of factors in order; returns the id of the first
-    /// (ids are consecutive, so spec `i` becomes `FactorId(first.0 + i)`).
-    /// Equivalent to calling [`FactorGraph::add_factor`] per spec, with
-    /// one up-front reservation instead of incremental growth.
-    pub fn add_factor_batch(&mut self, specs: impl IntoIterator<Item = FactorSpec>) -> FactorId {
-        let specs = specs.into_iter();
-        self.reserve(0, specs.size_hint().0);
-        let first = FactorId(self.factors.len() as u32);
-        for spec in specs {
-            self.add_factor(&spec.vars, spec.potential, spec.class);
-        }
-        first
     }
 
     /// Number of variables.
@@ -558,53 +513,6 @@ mod tests {
         assert_eq!(g.var_class(a), 7);
     }
 
-    #[test]
-    fn add_vars_bulk_matches_singles() {
-        let mut g = FactorGraph::new();
-        let vars = g.add_vars(3, 2, 5);
-        assert_eq!(vars, vec![VarId(0), VarId(1), VarId(2)]);
-        assert!(vars.iter().all(|&v| g.cardinality(v) == 2 && g.var_class(v) == 5));
-        // Ids keep advancing across bulk and single adds.
-        assert_eq!(g.add_var(3), VarId(3));
-    }
-
-    #[test]
-    fn factor_batch_matches_sequential_adds() {
-        let build = |batched: bool| -> FactorGraph {
-            let mut g = FactorGraph::new();
-            let a = g.add_var(2);
-            let b = g.add_var(3);
-            let specs = vec![
-                FactorSpec::new(vec![a], Potential::Scores { group: 0, scores: vec![0.1, 0.9] }, 1),
-                FactorSpec::new(
-                    vec![a, b],
-                    Potential::Scores { group: 0, scores: vec![0.0; 6] },
-                    2,
-                ),
-            ];
-            if batched {
-                let first = g.add_factor_batch(specs);
-                assert_eq!(first, FactorId(0));
-            } else {
-                for s in specs {
-                    g.add_factor(&s.vars, s.potential, s.class);
-                }
-            }
-            g
-        };
-        let (batched, sequential) = (build(true), build(false));
-        assert_eq!(batched.num_factors(), sequential.num_factors());
-        for f in 0..batched.num_factors() {
-            let f = FactorId(f as u32);
-            assert_eq!(batched.factor_vars(f), sequential.factor_vars(f));
-            assert_eq!(batched.factor_class(f), sequential.factor_class(f));
-            assert_eq!(batched.table_size(f), sequential.table_size(f));
-        }
-        let adj_b: Vec<_> = batched.var_factors(VarId(0)).collect();
-        let adj_s: Vec<_> = sequential.var_factors(VarId(0)).collect();
-        assert_eq!(adj_b, adj_s);
-    }
-
     /// The append-safe growth contract the incremental pipeline relies
     /// on: adding vars/factors never renumbers existing nodes, never
     /// reorders existing adjacency, and leaves existing potentials
@@ -623,11 +531,7 @@ mod tests {
         let before = format!("{grown:?}");
         // Append a second stage touching an old variable.
         let c = grown.add_var(2);
-        grown.add_factor_batch([FactorSpec::new(
-            vec![VarId(0), c],
-            Potential::Scores { group: 0, scores: vec![0.0; 4] },
-            3,
-        )]);
+        grown.add_factor(&[VarId(0), c], Potential::Scores { group: 0, scores: vec![0.0; 4] }, 3);
         assert_eq!(c, VarId(2), "ids keep advancing");
         assert_eq!(grown.num_factors(), 3);
         // Old factors and their var lists are untouched…

@@ -33,7 +33,11 @@
 //!   within an iteration, factor classes update in a fixed order
 //!   (canonicalization factors → transitive factors → linking factors →
 //!   fact-inclusion factors → consistency factors), then variable classes
-//!   (canonicalization variables first, then linking variables);
+//!   (canonicalization variables first, then linking variables). A
+//!   [`Schedule`] is just those two phase lists; JOCL runs the paper's
+//!   (`jocl_core::config::paper_schedule`), and the default — one phase
+//!   holding every class — is the flooding schedule of the fg-level
+//!   tests and learning defaults;
 //! * messages are damped and normalized for stability;
 //! * evidence is injected by **clamping** variables, which is how learning
 //!   conditions on the labeled configuration `Y|Y_L` (paper Eq. 5).
@@ -139,22 +143,35 @@ pub enum ScheduleMode {
     Residual,
 }
 
-/// Message-passing schedule.
-#[derive(Debug, Clone)]
-pub enum Schedule {
-    /// All factors update together, then all variables. The textbook
-    /// flooding schedule.
-    Synchronous,
-    /// The paper's §3.4 procedure: factor classes update phase by phase,
-    /// then variable classes phase by phase. Classes absent from any phase
-    /// never update.
-    Phased {
-        /// Ordered factor-class phases, e.g. `[[F_CANON], [U_TRANS], ...]`.
-        factor_phases: Vec<Vec<u8>>,
-        /// Ordered variable-class phases.
-        var_phases: Vec<Vec<u8>>,
-    },
+/// Message-passing schedule: the class structure of one iteration.
+/// Factor classes update phase by phase, then variable classes phase by
+/// phase; a class absent from every phase never updates. The paper's §3.4
+/// procedure is one such list (`jocl_core::config::paper_schedule`). The
+/// default is one phase holding every class: all factors update together,
+/// then all variables — the textbook flooding schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Schedule {
+    /// Ordered factor-class phases, e.g. `[[F_CANON], [U_TRANS], ...]`.
+    pub factor_phases: Vec<Vec<u8>>,
+    /// Ordered variable-class phases.
+    pub var_phases: Vec<Vec<u8>>,
 }
+
+impl Default for Schedule {
+    fn default() -> Self {
+        let all: Vec<u8> = (0..=u8::MAX).collect();
+        Self { factor_phases: vec![all.clone()], var_phases: vec![all] }
+    }
+}
+
+/// Factor blocks drained from the priority queue per round in
+/// [`ScheduleMode::Residual`]: the schedule's granularity. Each round
+/// updates its blocks against the same variable→factor messages, then
+/// refreshes the variables they touch and re-prioritizes, so smaller
+/// batches follow the priorities more faithfully and larger ones spend
+/// fewer refresh rounds. It shapes the trajectory, and therefore the bits
+/// of every message.
+const RESIDUAL_BATCH: usize = 32;
 
 /// Options for [`LbpEngine::run`].
 #[derive(Debug, Clone)]
@@ -170,14 +187,6 @@ pub struct LbpOptions {
     pub schedule: Schedule,
     /// Update-selection mode (see [`ScheduleMode`]).
     pub mode: ScheduleMode,
-    /// Factor blocks drained from the priority queue per round in
-    /// [`ScheduleMode::Residual`]: the schedule's granularity. Each round
-    /// updates its blocks against the same variable→factor messages, then
-    /// refreshes the variables they touch and re-prioritizes, so smaller
-    /// batches follow the priorities more faithfully and larger ones
-    /// spend fewer refresh rounds. It shapes the trajectory, and
-    /// therefore the bits of every message.
-    pub residual_batch: usize,
 }
 
 impl Default for LbpOptions {
@@ -186,9 +195,8 @@ impl Default for LbpOptions {
             max_iters: 50,
             tol: 1e-4,
             damping: 0.1,
-            schedule: Schedule::Synchronous,
+            schedule: Schedule::default(),
             mode: ScheduleMode::Synchronous,
-            residual_batch: 32,
         }
     }
 }
@@ -493,11 +501,6 @@ impl<'g> LbpEngine<'g> {
         self.clamps[v.idx()] = state;
     }
 
-    /// Remove all clamps.
-    pub fn clear_clamps(&mut self) {
-        self.clamps.fill(None);
-    }
-
     /// Number of edges (factor-slot pairs).
     pub fn num_edges(&self) -> usize {
         self.edge_offset.len()
@@ -521,43 +524,29 @@ impl<'g> LbpEngine<'g> {
     }
 
     /// Materialize the per-phase factor/variable id lists of a schedule
-    /// once per run instead of re-filtering every iteration.
+    /// once per run instead of re-filtering every iteration. Membership
+    /// goes through a per-phase class mask, so a phase of all 256 classes
+    /// still costs O(factors + vars).
     fn phase_selections(&self, schedule: &Schedule) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
-        let (factor_phases, var_phases): (Vec<Vec<u8>>, Vec<Vec<u8>>) = match schedule {
-            Schedule::Synchronous => {
-                let mut all_f: Vec<u8> = (0..self.graph.num_factors())
-                    .map(|f| self.graph.factor_class(FactorId(f as u32)))
-                    .collect();
-                all_f.sort_unstable();
-                all_f.dedup();
-                let mut all_v: Vec<u8> = (0..self.graph.num_vars())
-                    .map(|v| self.graph.var_class(VarId(v as u32)))
-                    .collect();
-                all_v.sort_unstable();
-                all_v.dedup();
-                (vec![all_f], vec![all_v])
-            }
-            Schedule::Phased { factor_phases, var_phases } => {
-                (factor_phases.clone(), var_phases.clone())
-            }
-        };
-        let factor_sel: Vec<Vec<u32>> = factor_phases
-            .iter()
-            .map(|classes| {
-                (0..self.graph.num_factors() as u32)
-                    .filter(|&f| classes.contains(&self.graph.factor_class(FactorId(f))))
-                    .collect()
-            })
-            .collect();
-        let var_sel: Vec<Vec<u32>> = var_phases
-            .iter()
-            .map(|classes| {
-                (0..self.graph.num_vars() as u32)
-                    .filter(|&v| classes.contains(&self.graph.var_class(VarId(v))))
-                    .collect()
-            })
-            .collect();
-        (factor_sel, var_sel)
+        fn select(phases: &[Vec<u8>], len: usize, class: impl Fn(u32) -> u8) -> Vec<Vec<u32>> {
+            phases
+                .iter()
+                .map(|classes| {
+                    let mut mask = [false; 256];
+                    for &c in classes {
+                        mask[c as usize] = true;
+                    }
+                    (0..len as u32).filter(|&i| mask[class(i) as usize]).collect()
+                })
+                .collect()
+        }
+        let graph = self.graph;
+        (
+            select(&schedule.factor_phases, graph.num_factors(), |f| {
+                graph.factor_class(FactorId(f))
+            }),
+            select(&schedule.var_phases, graph.num_vars(), |v| graph.var_class(VarId(v))),
+        )
     }
 
     /// Factor→variable messages recomputed by one update of factor `f`.
@@ -685,7 +674,7 @@ impl<'g> LbpEngine<'g> {
             .map(|(f, _)| self.factor_message_count(f))
             .sum();
         let budget = (opts.max_iters as u64).saturating_mul(sweep_messages);
-        let batch_cap = opts.residual_batch.max(1);
+        let batch_cap = RESIDUAL_BATCH;
         let mut prio = vec![0.0f64; nf];
         let mut queue = BucketQueue::new(opts.tol, nf);
         let mut batch: Vec<u32> = Vec::with_capacity(batch_cap);
@@ -1503,7 +1492,7 @@ mod tests {
             &params,
             &[],
             &LbpOptions {
-                schedule: Schedule::Phased {
+                schedule: Schedule {
                     factor_phases: vec![vec![0], vec![1], vec![2]],
                     var_phases: vec![vec![0], vec![1]],
                 },
@@ -1605,24 +1594,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn residual_small_batch_matches_large_batch_fixed_point() {
-        let (g, params, vars) = chain_graph();
-        let base = LbpOptions {
-            mode: ScheduleMode::Residual,
-            tol: 1e-10,
-            max_iters: 500,
-            ..Default::default()
-        };
-        let (m1, r1) = run_lbp(&g, &params, &[], &LbpOptions { residual_batch: 1, ..base.clone() });
-        let (m64, r64) =
-            run_lbp(&g, &params, &[], &LbpOptions { residual_batch: 64, ..base.clone() });
-        assert!(r1.converged && r64.converged);
-        for &v in &vars {
-            assert!((m1.prob(v, 1) - m64.prob(v, 1)).abs() < 1e-8);
-        }
-    }
-
     /// Regression: a phased schedule that excludes a variable class must
     /// keep those variables' messages frozen in residual mode too —
     /// dirty propagation may only wake *scheduled* variables, or the two
@@ -1641,7 +1612,7 @@ mod tests {
             Potential::Scores { group: grp, scores: vec![0.8, 0.0, 0.0, 0.8] },
             0,
         );
-        let schedule = Schedule::Phased {
+        let schedule = Schedule {
             factor_phases: vec![vec![0]],
             var_phases: vec![vec![0]], // class 1 frozen
         };

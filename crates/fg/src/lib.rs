@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-fg
 //!
 //! Discrete factor-graph substrate with loopy belief propagation (LBP) and
@@ -26,11 +25,13 @@
 //! ## Inference
 //!
 //! [`lbp`] implements sum-product LBP (log-domain messages, linear-domain
-//! factor kernels) with damping, message normalization and two
-//! scheduling modes: synchronous flooding and the paper's **phased
-//! schedule** (§3.4), in which factor classes update in a fixed order
-//! within each iteration. [`exact`] provides
-//! brute-force enumeration used to validate LBP in tests.
+//! factor kernels) with damping, message normalization and one class
+//! [`Schedule`]: ordered factor-class and variable-class phases, e.g. the
+//! paper's **phased schedule** (§3.4), in which factor classes update in
+//! a fixed order within each iteration; the default, one phase of every
+//! class, is flooding. [`ScheduleMode`] selects full sweeps or residual
+//! updates within it. [`exact`] provides brute-force enumeration used to
+//! validate LBP in tests.
 //!
 //! ## Learning
 //!
@@ -47,7 +48,7 @@ pub mod logspace;
 pub mod params;
 pub mod store;
 
-pub use graph::{FactorGraph, FactorId, FactorSpec, Potential, VarId};
+pub use graph::{FactorGraph, FactorId, Potential, VarId};
 pub use lbp::{LbpMessages, LbpOptions, LbpResult, Marginals, Schedule, ScheduleMode};
 pub use learn::{train, TrainOptions, TrainReport};
 pub use params::Params;

@@ -125,12 +125,12 @@ fn mixed_model(
             let clamps: Vec<(VarId, u32)> =
                 clamps.into_iter().map(|(v, s)| (vars[v], s % g.cardinality(vars[v]))).collect();
             let schedule = if phased {
-                jocl_fg::Schedule::Phased {
+                jocl_fg::Schedule {
                     factor_phases: vec![vec![0], vec![1, 2]],
                     var_phases: vec![vec![0], vec![1]],
                 }
             } else {
-                jocl_fg::Schedule::Synchronous
+                jocl_fg::Schedule::default()
             };
             (g, params, clamps, schedule)
         })

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-kb
 //!
 //! Knowledge-base substrate for the JOCL reproduction: the data models for

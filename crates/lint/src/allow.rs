@@ -2,8 +2,8 @@
 //! reviewable diff under `lint/` instead of silent drift.
 //!
 //! The files are a deliberately tiny TOML subset (the offline
-//! dependency set has no `toml` crate): `[[allow]]` / `[[site]]` entry
-//! headers followed by `key = "string"` / `key = integer` lines, plus
+//! dependency set has no `toml` crate): `[[allow]]` entry headers
+//! followed by `key = "string"` / `key = integer` lines, plus
 //! `#` comments. Anything else is a hard configuration error — a
 //! malformed allowlist must fail the run, not silently allow nothing.
 //!
@@ -18,7 +18,7 @@
 
 use std::path::Path;
 
-/// One allowlist / inventory entry.
+/// One allowlist entry.
 #[derive(Debug, Clone)]
 pub struct Entry {
     /// Root-relative path the entry applies to.
@@ -33,10 +33,9 @@ pub struct Entry {
     pub defined_at: usize,
 }
 
-/// Parse one allowlist file. `header` is the expected entry header
-/// (`allow` or `site`). Returns entries or a description of the first
-/// syntax error.
-pub fn parse_entries(path: &Path, source: &str, header: &str) -> Result<Vec<Entry>, String> {
+/// Parse one allowlist file. Returns entries or a description of the
+/// first syntax error.
+pub fn parse_entries(path: &Path, source: &str) -> Result<Vec<Entry>, String> {
     let mut entries: Vec<Entry> = Vec::new();
     let mut open = false;
     let err =
@@ -47,7 +46,7 @@ pub fn parse_entries(path: &Path, source: &str, header: &str) -> Result<Vec<Entr
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line == format!("[[{header}]]") {
+        if line == "[[allow]]" {
             entries.push(Entry {
                 file: String::new(),
                 context: String::new(),
@@ -59,17 +58,17 @@ pub fn parse_entries(path: &Path, source: &str, header: &str) -> Result<Vec<Entr
             continue;
         }
         if line.starts_with("[[") {
-            return Err(err(line_no, &format!("expected [[{header}]] entries, got {line}")));
+            return Err(err(line_no, &format!("expected [[allow]] entries, got {line}")));
         }
         if !open {
-            return Err(err(line_no, &format!("key outside an [[{header}]] entry")));
+            return Err(err(line_no, "key outside an [[allow]] entry"));
         }
         let (key, value) =
             line.split_once('=').ok_or_else(|| err(line_no, "expected `key = value`"))?;
         let (key, value) = (key.trim(), value.trim());
         let entry = entries.last_mut().expect("open entry");
         match key {
-            "file" | "context" | "reason" | "note" => {
+            "file" | "context" | "reason" => {
                 let s = parse_string(value).ok_or_else(|| {
                     err(line_no, &format!("{key} must be a double-quoted string"))
                 })?;
@@ -94,10 +93,7 @@ pub fn parse_entries(path: &Path, source: &str, header: &str) -> Result<Vec<Entr
             return Err(err(e.defined_at, "entry needs both `file` and `context`"));
         }
         if e.reason.is_empty() {
-            return Err(err(
-                e.defined_at,
-                "entry needs a `reason` (allow) or `note` (site) documenting why",
-            ));
+            return Err(err(e.defined_at, "entry needs a `reason` documenting why"));
         }
     }
     Ok(entries)
@@ -147,7 +143,7 @@ context = ".values()"
 count = 2
 reason = "order-insensitive \"sum\""
 "#;
-        let entries = parse_entries(&p(), src, "allow").unwrap();
+        let entries = parse_entries(&p(), src).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].file, "crates/kb/src/side.rs");
         assert_eq!(entries[0].context, ".values()");
@@ -165,15 +161,8 @@ reason = "order-insensitive \"sum\""
             ("[[site]]\n", "expected [[allow]]"),
             ("[[allow]]\nfile = \"x\"\ncontext = \"y\"\nreason = \"z\"\ncount = -1\n", "count"),
         ] {
-            let e = parse_entries(&p(), src, "allow").unwrap_err();
+            let e = parse_entries(&p(), src).unwrap_err();
             assert!(e.contains(what), "{src:?} -> {e}");
         }
-    }
-
-    #[test]
-    fn site_header_for_inventory() {
-        let src = "[[site]]\nfile = \"a.rs\"\ncontext = \"unsafe impl\"\nnote = \"why\"\n";
-        let entries = parse_entries(&p(), src, "site").unwrap();
-        assert_eq!(entries[0].reason, "why");
     }
 }

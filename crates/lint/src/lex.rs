@@ -3,7 +3,7 @@
 //! `syn` (the offline dependency set has no registry access, and the
 //! rules only need lexical context anyway).
 //!
-//! For every input line the scan produces three parallel views:
+//! For every input line the scan produces two parallel views:
 //!
 //! * **code** — the line with comments removed and string/char literal
 //!   *contents* blanked (the delimiters survive so expressions keep
@@ -13,8 +13,6 @@
 //!   the line (a multi-line literal contributes one fragment per line).
 //!   The wire-literal rule matches against these, so a `"link.v1"`
 //!   hiding in a doc comment stays invisible to it.
-//! * **comment** — the comment text on the line (line, block and doc
-//!   comments alike), which is where `// SAFETY:` justifications live.
 //!
 //! Handled syntax: line comments, nested block comments, plain /
 //! byte / raw (`r"…"`, `r#"…"#`, `br#"…"#`) strings with escapes, char
@@ -29,8 +27,6 @@ pub struct Line {
     pub code: String,
     /// String-literal fragments on this line.
     pub strings: Vec<String>,
-    /// Comment text on this line.
-    pub comment: String,
 }
 
 /// A fully scanned source file.
@@ -58,11 +54,6 @@ impl ScannedFile {
     /// The `code` view of 1-indexed line `n` (empty for out-of-range).
     pub fn code_line(&self, n: usize) -> &str {
         self.lines.get(n.wrapping_sub(1)).map_or("", |l| l.code.as_str())
-    }
-
-    /// The comment text of 1-indexed line `n`.
-    pub fn comment_line(&self, n: usize) -> &str {
-        self.lines.get(n.wrapping_sub(1)).map_or("", |l| l.comment.as_str())
     }
 
     /// The raw text of 1-indexed line `n`.
@@ -99,7 +90,7 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Scan one file into per-line code/strings/comment views.
+/// Scan one file into per-line code/strings views.
 pub fn scan_source(rel: &str, source: &str) -> ScannedFile {
     let chars: Vec<char> = source.chars().collect();
     let mut lines: Vec<Line> = Vec::new();
@@ -202,7 +193,6 @@ pub fn scan_source(rel: &str, source: &str) -> ScannedFile {
                 }
             }
             State::LineComment => {
-                cur.comment.push(c);
                 cur.code.push(' ');
                 i += 1;
             }
@@ -215,13 +205,10 @@ pub fn scan_source(rel: &str, source: &str) -> ScannedFile {
                     i += 2;
                 } else if c == '/' && next == Some('*') {
                     state = State::BlockComment(depth + 1);
-                    cur.comment.push(c);
-                    cur.comment.push('*');
                     cur.code.push(' ');
                     cur.code.push(' ');
                     i += 2;
                 } else {
-                    cur.comment.push(c);
                     cur.code.push(' ');
                     i += 1;
                 }
@@ -324,7 +311,8 @@ mod tests {
         let f = scan_source("t.rs", src);
         assert!(f.lines[0].code.contains("let x = \"          \";"), "{:?}", f.lines[0].code);
         assert_eq!(f.lines[0].strings, vec!["JOCL_SCALE".to_string()]);
-        assert!(f.lines[0].comment.contains("SAFETY:"));
+        assert!(!f.lines[0].code.contains("SAFETY"), "{:?}", f.lines[0].code);
+        assert!(f.lines[0].strings.iter().all(|s| !s.contains("SAFETY")));
         assert_eq!(f.lines[1].strings, vec!["a".to_string()]);
     }
 
@@ -351,7 +339,7 @@ mod tests {
         let f = scan_source("t.rs", src);
         assert!(f.lines[0].code.contains("let x = 1;"));
         assert!(!f.lines[0].code.contains("inner"));
-        assert!(f.lines[0].comment.contains("inner"));
+        assert!(!f.lines[0].code.contains("still"));
     }
 
     #[test]

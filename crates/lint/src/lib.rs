@@ -1,16 +1,16 @@
-#![forbid(unsafe_code)]
 //! `jocl_lint` — the workspace invariant checker.
 //!
 //! The repo's correctness story rests on invariants no compiler checks:
 //! bitwise-identical decodes across threads/schedules/replicas, the
 //! PR-6 poison-recovery contract on every lock, the PR-8
 //! one-serialization-path discipline for `query.v1`/`link.v1` frames,
-//! confinement of `JOCL_*` env knobs to `jocl_bench::env`, and a
-//! by-name inventory of every `unsafe` site. This crate turns those
-//! from prose into machine-enforced lints: a comments/strings-aware
-//! lexical scanner ([`lex`]), five rule families ([`rules`]), and
-//! checked-in allowlists ([`allow`]) under `lint/` whose entries are
-//! themselves validated for staleness.
+//! and confinement of `JOCL_*` env knobs to `jocl_bench::env`. This
+//! crate turns those from prose into machine-enforced lints: a
+//! comments/strings-aware lexical scanner ([`lex`]), four rule families
+//! ([`rules`]), and checked-in allowlists ([`allow`]) under `lint/` whose
+//! entries are themselves validated for staleness. The one invariant the
+//! compiler can check, "no `unsafe`", it does: the workspace lints set
+//! `unsafe_code = "forbid"` for every crate.
 //!
 //! Entry point: [`lint_root`]. The `jocl-lint` bin wraps it with
 //! `--deny` / `--explain <rule>`.
@@ -59,8 +59,6 @@ pub fn lint_root(root: &Path) -> Result<Report, String> {
         r2.extend(rules::check_poison_recovery(f));
         r4.extend(rules::check_determinism(f));
         r5.extend(rules::check_wire_path(f));
-        // R3a: SAFETY comments are mandatory, never allowlistable.
-        findings.extend(rules::check_safety_comments(f));
     }
     for (rule, batch) in [
         (Rule::EnvConfinement, r1),
@@ -68,13 +66,9 @@ pub fn lint_root(root: &Path) -> Result<Report, String> {
         (Rule::Determinism, r4),
         (Rule::WirePath, r5),
     ] {
-        let entries = load_entries(root, rule, "allow")?;
+        let entries = load_entries(root, rule)?;
         findings.extend(apply_allowlist(batch, &entries, &files, rule));
     }
-    // R3b: every unsafe site must be registered in the inventory.
-    findings.extend(check_inventory(root, &files)?);
-    // R3c: unsafe-free crates must forbid unsafe outright.
-    findings.extend(check_forbid(&files));
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(Report { findings, files_scanned: files.len() })
@@ -118,11 +112,11 @@ fn allowlist_rel(rule: Rule) -> String {
     format!("lint/{}", rule.allowlist_file().expect("rule with allowlist"))
 }
 
-fn load_entries(root: &Path, rule: Rule, header: &str) -> Result<Vec<Entry>, String> {
+fn load_entries(root: &Path, rule: Rule) -> Result<Vec<Entry>, String> {
     let Some(name) = rule.allowlist_file() else { return Ok(Vec::new()) };
     let path = root.join("lint").join(name);
     match fs::read_to_string(&path) {
-        Ok(s) => allow::parse_entries(&path, &s, header),
+        Ok(s) => allow::parse_entries(&path, &s),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
         Err(e) => Err(format!("{}: read failed: {e}", path.display())),
     }
@@ -187,91 +181,9 @@ fn staleness(entries: &[Entry], matched: &[usize], rule: Rule) -> Vec<Finding> {
     out
 }
 
-/// R3b: match every `unsafe` site against `lint/unsafe_inventory.toml`.
-/// Unregistered sites and stale/miscounted entries are both findings.
-fn check_inventory(
-    root: &Path,
-    files: &BTreeMap<String, ScannedFile>,
-) -> Result<Vec<Finding>, String> {
-    let entries = load_entries(root, Rule::UnsafeInventory, "site")?;
-    let mut matched = vec![0usize; entries.len()];
-    let mut out = Vec::new();
-    for f in files.values() {
-        'sites: for line in rules::unsafe_sites(f) {
-            for (i, e) in entries.iter().enumerate() {
-                if e.file == f.rel && f.raw_line(line).contains(&e.context) {
-                    matched[i] += 1;
-                    continue 'sites;
-                }
-            }
-            out.push(Finding {
-                rule: Rule::UnsafeInventory,
-                file: f.rel.clone(),
-                line,
-                msg: "unsafe site not registered in lint/unsafe_inventory.toml".to_string(),
-            });
-        }
-    }
-    out.extend(staleness(&entries, &matched, Rule::UnsafeInventory));
-    Ok(out)
-}
-
-/// R3c: a crate whose `src/` has zero unsafe sites must declare
-/// `#![forbid(unsafe_code)]` in its `src/lib.rs`, so unsafe cannot
-/// creep in silently (source-level forbid outrules the workspace-level
-/// `unsafe_code = "allow"`).
-fn check_forbid(files: &BTreeMap<String, ScannedFile>) -> Vec<Finding> {
-    // crate dir prefix ("" for the root facade) -> unsafe site count in src/.
-    let mut unsafe_in_src: BTreeMap<String, usize> = BTreeMap::new();
-    for f in files.values() {
-        let Some((dir, is_src)) = crate_of(&f.rel) else { continue };
-        if is_src {
-            *unsafe_in_src.entry(dir).or_insert(0) += rules::unsafe_sites(f).len();
-        }
-    }
-    let mut out = Vec::new();
-    for (dir, count) in &unsafe_in_src {
-        let lib =
-            if dir.is_empty() { "src/lib.rs".to_string() } else { format!("{dir}/src/lib.rs") };
-        let Some(lib_file) = files.get(&lib) else { continue };
-        if *count == 0 && !lib_file.code.contains("#![forbid(unsafe_code)]") {
-            out.push(Finding {
-                rule: Rule::UnsafeInventory,
-                file: lib,
-                line: 1,
-                msg: "crate has no unsafe code but src/lib.rs lacks #![forbid(unsafe_code)]"
-                    .to_string(),
-            });
-        }
-    }
-    out
-}
-
-/// (crate directory prefix, is-under-`src/`) for a scanned path.
-fn crate_of(rel: &str) -> Option<(String, bool)> {
-    if let Some(rest) = rel.strip_prefix("crates/") {
-        let name = rest.split('/').next()?;
-        let dir = format!("crates/{name}");
-        let is_src = rel.starts_with(&format!("{dir}/src/"));
-        Some((dir, is_src))
-    } else if rel.starts_with("src/") {
-        Some((String::new(), true))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crate_of_classifies_paths() {
-        assert_eq!(crate_of("crates/kb/src/lib.rs"), Some(("crates/kb".into(), true)));
-        assert_eq!(crate_of("crates/kb/tests/t.rs"), Some(("crates/kb".into(), false)));
-        assert_eq!(crate_of("src/lib.rs"), Some((String::new(), true)));
-        assert_eq!(crate_of("build.rs"), None);
-    }
 
     #[test]
     fn staleness_reports_zero_and_miscounted_entries() {

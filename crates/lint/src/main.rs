@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: jocl-lint [--deny] [--root <dir>] [--explain <rule>|all]\n\
-    rules: R1 env-confinement, R2 poison-recovery, R3 unsafe-inventory,\n\
-           R4 determinism, R5 one-serialization-path, LINT lint-config";
+    rules: R1 env-confinement, R2 poison-recovery, R4 determinism,\n\
+           R5 one-serialization-path, LINT lint-config";
 
 fn main() -> ExitCode {
     let mut deny = false;

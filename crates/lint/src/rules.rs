@@ -1,7 +1,8 @@
-//! The five rule families. Each rule is a pure function from a
-//! [`ScannedFile`] to raw findings; allowlist filtering and staleness
-//! live in the runner (`lib.rs`), so rules stay side-effect free and
-//! fixture-testable in isolation.
+//! The four rule families (R1, R2, R4, R5; no R3, because rustc rejects
+//! `unsafe` through the workspace lints' `unsafe_code = "forbid"`). Each
+//! rule is a pure function from a [`ScannedFile`] to raw findings;
+//! allowlist filtering and staleness live in the runner (`lib.rs`), so
+//! rules stay side-effect free and fixture-testable in isolation.
 
 use crate::lex::ScannedFile;
 use std::collections::BTreeSet;
@@ -11,7 +12,6 @@ use std::collections::BTreeSet;
 pub enum Rule {
     EnvConfinement,
     PoisonRecovery,
-    UnsafeInventory,
     Determinism,
     WirePath,
     /// Allowlist/configuration integrity (stale entries, bad TOML).
@@ -23,7 +23,6 @@ impl Rule {
         match self {
             Rule::EnvConfinement => "R1",
             Rule::PoisonRecovery => "R2",
-            Rule::UnsafeInventory => "R3",
             Rule::Determinism => "R4",
             Rule::WirePath => "R5",
             Rule::Config => "LINT",
@@ -34,7 +33,6 @@ impl Rule {
         match self {
             Rule::EnvConfinement => "env-confinement",
             Rule::PoisonRecovery => "poison-recovery",
-            Rule::UnsafeInventory => "unsafe-inventory",
             Rule::Determinism => "determinism",
             Rule::WirePath => "one-serialization-path",
             Rule::Config => "lint-config",
@@ -46,7 +44,6 @@ impl Rule {
         match self {
             Rule::EnvConfinement => Some("r1_env.toml"),
             Rule::PoisonRecovery => Some("r2_locks.toml"),
-            Rule::UnsafeInventory => Some("unsafe_inventory.toml"),
             Rule::Determinism => Some("r4_determinism.toml"),
             Rule::WirePath => Some("r5_wire.toml"),
             Rule::Config => None,
@@ -62,10 +59,6 @@ impl Rule {
             Rule::PoisonRecovery => {
                 "recover the guard with .unwrap_or_else(std::sync::PoisonError::into_inner) \
                  (the PR-6 contract: one panicking request must not take down the listener)"
-            }
-            Rule::UnsafeInventory => {
-                "add a `// SAFETY:` comment at the site and register it in \
-                 lint/unsafe_inventory.toml so new unsafe is reviewed by name"
             }
             Rule::Determinism => {
                 "iterate a sorted Vec instead (collect + sort_unstable_by_key), or allowlist \
@@ -95,14 +88,6 @@ impl Rule {
                  the serve listener. Recover the guard with \
                  .unwrap_or_else(std::sync::PoisonError::into_inner) — state behind jocl locks \
                  is written atomically under the guard, so recovery is sound (PR-6 contract)."
-            }
-            Rule::UnsafeInventory => {
-                "R3 unsafe-inventory: every `unsafe` block/impl/fn must carry a `// SAFETY:` \
-                 comment within 3 lines above (or 2 below, for unsafe fns documented in-body) \
-                 AND be registered in lint/unsafe_inventory.toml. Crates with no unsafe at all \
-                 must declare #![forbid(unsafe_code)] in src/lib.rs so unsafe cannot creep in \
-                 silently. The inventory pins sites by (file, context substring, count), so a \
-                 new unsafe site is a reviewable allowlist diff, never a silent addition."
             }
             Rule::Determinism => {
                 "R4 determinism: inside the designated serialization/fingerprint modules \
@@ -138,14 +123,8 @@ impl Rule {
     }
 }
 
-pub const ALL_RULES: [Rule; 6] = [
-    Rule::EnvConfinement,
-    Rule::PoisonRecovery,
-    Rule::UnsafeInventory,
-    Rule::Determinism,
-    Rule::WirePath,
-    Rule::Config,
-];
+pub const ALL_RULES: [Rule; 5] =
+    [Rule::EnvConfinement, Rule::PoisonRecovery, Rule::Determinism, Rule::WirePath, Rule::Config];
 
 /// One violation.
 #[derive(Debug, Clone)]
@@ -285,40 +264,6 @@ pub fn check_poison_recovery(f: &ScannedFile) -> Vec<Finding> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// R3 unsafe-inventory (site scan; inventory matching lives in lib.rs)
-// ---------------------------------------------------------------------
-
-/// Every `unsafe` token site (1-indexed lines) in the file.
-pub fn unsafe_sites(f: &ScannedFile) -> Vec<usize> {
-    find_all(&f.code, "unsafe")
-        .into_iter()
-        .filter(|&at| is_word(&f.code, at, "unsafe".len()))
-        .map(|at| f.line_of(at))
-        .collect()
-}
-
-/// SAFETY-comment check for one unsafe site: a comment containing
-/// `SAFETY` within 3 lines above through 2 lines below (unsafe fns are
-/// conventionally documented just inside the body).
-pub fn has_safety_comment(f: &ScannedFile, line: usize) -> bool {
-    let lo = line.saturating_sub(3).max(1);
-    (lo..=line + 2).any(|n| f.comment_line(n).contains("SAFETY"))
-}
-
-pub fn check_safety_comments(f: &ScannedFile) -> Vec<Finding> {
-    unsafe_sites(f)
-        .into_iter()
-        .filter(|&line| !has_safety_comment(f, line))
-        .map(|line| Finding {
-            rule: Rule::UnsafeInventory,
-            file: f.rel.clone(),
-            line,
-            msg: "unsafe site without an adjacent // SAFETY: comment".to_string(),
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -549,25 +494,6 @@ mod tests {
         assert!(check_poison_recovery(&test_file).is_empty());
         let args = scan_source("crates/x/src/lib.rs", "fn f() { file.write(buf).unwrap(); }\n");
         assert!(check_poison_recovery(&args).is_empty());
-    }
-
-    #[test]
-    fn r3_safety_comment_window() {
-        let bad = scan_source("crates/x/src/lib.rs", "fn f() { unsafe { danger() } }\n");
-        assert_eq!(check_safety_comments(&bad).len(), 1);
-        let above = scan_source(
-            "crates/x/src/lib.rs",
-            "// SAFETY: sound because reasons.\nfn f() { unsafe { danger() } }\n",
-        );
-        assert!(check_safety_comments(&above).is_empty());
-        let below = scan_source(
-            "crates/x/src/lib.rs",
-            "unsafe fn g(p: *const ()) {\n    // SAFETY: caller contract.\n    danger(p)\n}\n",
-        );
-        assert!(check_safety_comments(&below).is_empty());
-        // `unsafe_code` in an attribute is not an unsafe site.
-        let attr = scan_source("crates/x/src/lib.rs", "#![forbid(unsafe_code)]\n");
-        assert!(unsafe_sites(&attr).is_empty());
     }
 
     #[test]

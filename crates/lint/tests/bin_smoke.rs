@@ -38,7 +38,6 @@ fn deny_gates_the_workspace_and_fixtures() {
     for needle in [
         "[R1 env-confinement]",
         "[R2 poison-recovery]",
-        "[R3 unsafe-inventory]",
         "[R4 determinism]",
         "[R5 one-serialization-path]",
         "fix:",
@@ -64,9 +63,10 @@ fn explain_renders_rule_contracts() {
 
     let (code, stdout, _) = run(&["--explain", "all"]);
     assert_eq!(code, Some(0));
-    for id in ["R1", "R2", "R3", "R4", "R5", "LINT"] {
+    for id in ["R1", "R2", "R4", "R5", "LINT"] {
         assert!(stdout.contains(&format!("{id} ")), "missing {id} in:\n{stdout}");
     }
+    assert!(!stdout.contains("R3 "), "R3 is retired (rustc forbids unsafe):\n{stdout}");
 
     let (code, _, stderr) = run(&["--explain", "bogus"]);
     assert_eq!(code, Some(2), "unknown rule is a usage error");

@@ -1,4 +1,4 @@
-//! Fixture: one true positive per code rule (R1, R2, R3) — every line
+//! Fixture: one true positive per code rule (R1, R2) — every line
 //! below must be flagged when `lint_root` points at this tree.
 
 pub fn scale() -> f64 {
@@ -7,8 +7,4 @@ pub fn scale() -> f64 {
 
 pub fn counter(m: &std::sync::Mutex<u64>) -> u64 {
     *m.lock().unwrap()
-}
-
-pub fn spicy(p: *const u64) -> u64 {
-    unsafe { *p }
 }

@@ -1,7 +1,5 @@
-#![forbid(unsafe_code)]
 //! Fixture: conforming counterparts — a non-JOCL env read, a
-//! poison-recovering lock, test-only unwraps, and the forbid
-//! declaration an unsafe-free crate must carry.
+//! poison-recovering lock and test-only unwraps.
 
 pub fn scale() -> f64 {
     std::env::var("DEMO_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(0.02)

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Fixture: the lock unwrap below is allowlisted, but the allowlist
 //! also carries a rotted entry and a miscounted one — both must fail
 //! the run as LINT findings.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-obs
 //!
 //! The unified observability subsystem (ROADMAP "metrics before the

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-rules
 //!
 //! Rule-mining and lexical-resource substrates for the JOCL reproduction.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-serve
 //!
 //! The durable serving subsystem (ROADMAP "deletion + revision deltas"

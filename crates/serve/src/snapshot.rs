@@ -77,7 +77,6 @@ fn fingerprint(config: &JoclConfig) -> Vec<(&'static str, u64)> {
         ("lbp_tol", config.lbp.tol.to_bits()),
         ("lbp_damping", config.lbp.damping.to_bits()),
         ("lbp_mode", mode),
-        ("lbp_residual_batch", config.lbp.residual_batch as u64),
         ("top_k_entities", config.candidates.top_k_entities as u64),
         ("top_k_relations", config.candidates.top_k_relations as u64),
         ("cand_min_score", config.candidates.min_score.to_bits()),

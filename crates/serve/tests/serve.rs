@@ -1,9 +1,8 @@
 //! Acceptance tests for the durable serving subsystem.
 //!
 //! * **Retraction parity (proptest)**: after any interleaving of
-//!   add/retract/revise deltas — across graph-build thread counts — the
-//!   live view decodes identically to a from-scratch batch run on the
-//!   surviving triples. Run with caps that do not bind (see the
+//!   add/retract/revise deltas the live view decodes identically to a
+//!   from-scratch batch run on the surviving triples. Run with caps that do not bind (see the
 //!   `jocl_core::incremental` module docs for the cap caveat).
 //! * **Kill-and-restart parity (proptest)**: `snapshot → drop session →
 //!   restore → apply_delta` is bitwise-identical (full exported state,
@@ -30,9 +29,8 @@ fn view<'a>(session: &ServeSession<'a>) -> ReadView<'a> {
     ReadView::capture(session, 0, false)
 }
 
-/// `threads` is the graph-build worker count (`build_threads`).
-fn parity_config(threads: usize) -> JoclConfig {
-    let mut config = JoclConfig {
+fn parity_config() -> JoclConfig {
+    JoclConfig {
         train_epochs: 0,
         sgns: SgnsOptions { dim: 16, epochs: 2, ..Default::default() },
         // Blocking caps consumed at arrival time are the one documented
@@ -41,9 +39,7 @@ fn parity_config(threads: usize) -> JoclConfig {
         max_group_clique: usize::MAX / 2,
         cross_cap: usize::MAX / 2,
         ..Default::default()
-    };
-    config.build_threads = threads;
-    config
+    }
 }
 
 struct World {
@@ -102,19 +98,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any interleaving of add/retract/revise ops, chopped into random
-    /// deltas, any graph-build thread count: the live view
-    /// equals the from-scratch batch decode on the survivors.
+    /// deltas: the live view equals the from-scratch batch decode on the
+    /// survivors.
     #[test]
     fn interleaved_ops_decode_like_batch_on_survivors(
         world_idx in 0usize..2,
         ops_raw in proptest::collection::vec((0usize..4, 0usize..997, 0usize..997), 1..28),
         delta_len in 1usize..6,
-        threads in 1usize..3,
     ) {
         let world = &worlds()[world_idx];
         let n = world.pool.len();
         prop_assume!(n > 4);
-        let config = parity_config(threads);
+        let config = parity_config();
 
         // Materialize ops against the pool and mirror the live set in a
         // trivial model.
@@ -178,19 +173,17 @@ proptest! {
 
     /// Kill-and-restart: snapshot, drop the session, restore, apply one
     /// more delta — the full exported state (messages, marginals,
-    /// everything) is bitwise-identical to the uninterrupted session's,
-    /// across graph-build thread counts.
+    /// everything) is bitwise-identical to the uninterrupted session's.
     #[test]
     fn snapshot_restore_resumes_bitwise_identically(
         world_idx in 0usize..2,
         split in 1usize..200,
         retract in 0usize..997,
-        threads in 1usize..3,
     ) {
         let world = &worlds()[world_idx];
         let n = world.pool.len();
         prop_assume!(n > 6);
-        let config = parity_config(threads);
+        let config = parity_config();
         let split = 1 + split % (n - 2);
         let serve = ServeConfig::builder().compact_threshold(f64::INFINITY).build();
 
@@ -247,8 +240,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Side-information parity: with an imported alias table active the
-    /// decode is **thread-invariant** in the graph build and the warm incremental path
-    /// matches a from-scratch batch run.
+    /// warm incremental path matches a from-scratch batch run (the graph
+    /// build's thread invariance under side information is
+    /// `builder::tests::build_is_identical_for_any_thread_count`).
     /// And `Some(empty table)` exports **bitwise-identical** state to
     /// `None` — adding the subsystem changed nothing for sessions that
     /// do not use it.
@@ -257,7 +251,6 @@ proptest! {
         world_idx in 0usize..2,
         rows in proptest::collection::vec((0usize..997, 0usize..997, 1u32..=10), 1..6),
         prefix in 4usize..40,
-        threads in 1usize..3,
     ) {
         let world = &worlds()[world_idx];
         let n = world.pool.len();
@@ -277,18 +270,9 @@ proptest! {
         let prefix = prefix.min(n);
         let survivors: Vec<Triple> = world.pool[..prefix].to_vec();
 
-        let mut config = parity_config(threads);
-        config.side_info = Some(side.clone());
+        let mut config = parity_config();
+        config.side_info = Some(side);
         let batch = batch_on(world, &survivors, &config);
-
-        // Thread invariance of the batch decode under side info.
-        let mut config1 = parity_config(1);
-        config1.side_info = Some(side);
-        let single = batch_on(world, &survivors, &config1);
-        prop_assert_eq!(&batch.np_links, &single.np_links, "np links thread-variant");
-        prop_assert_eq!(&batch.rp_links, &single.rp_links, "rp links thread-variant");
-        prop_assert_eq!(batch.np_clustering.assignment(), single.np_clustering.assignment());
-        prop_assert_eq!(batch.rp_clustering.assignment(), single.rp_clustering.assignment());
 
         // Incremental (chunked arrival) with side info decodes like batch.
         let mut session =
@@ -305,12 +289,12 @@ proptest! {
         // The no-silent-behavior-change contract, at full strength:
         // `Some(empty)` and `None` export bitwise-identical sessions.
         let empty_cfg = {
-            let mut c = parity_config(threads);
+            let mut c = parity_config();
             c.side_info = Some(std::sync::Arc::new(SideKb::new()));
             c
         };
         let mut a = ServeSession::open(
-            parity_config(threads), ServeConfig::default(), &world.ckb, &world.signals);
+            parity_config(), ServeConfig::default(), &world.ckb, &world.signals);
         let mut b =
             ServeSession::open(empty_cfg, ServeConfig::default(), &world.ckb, &world.signals);
         a.add_all(&survivors[..split]);
@@ -330,8 +314,7 @@ proptest! {
 
     /// Observability parity (PR-10): metric recording is purely
     /// observational — the same ingest produces a bitwise-identical
-    /// exported session with recording off and on, across graph-build
-    /// thread counts. (The toggle is the process-global
+    /// exported session with recording off and on. (The toggle is the process-global
     /// `JOCL_METRICS` switch the bins set; decode code never reads it,
     /// which is exactly what this pins down.)
     #[test]
@@ -339,12 +322,11 @@ proptest! {
         world_idx in 0usize..2,
         prefix in 4usize..120,
         split_frac in 1usize..4,
-        threads in 1usize..3,
     ) {
         let world = &worlds()[world_idx];
         let n = world.pool.len();
         prop_assume!(n > 6);
-        let config = parity_config(threads);
+        let config = parity_config();
         let serve = ServeConfig::builder().compact_threshold(f64::INFINITY).build();
         let prefix = (1 + prefix % (n - 1)).max(2);
         let split = (prefix * split_frac / 4).clamp(1, prefix - 1);

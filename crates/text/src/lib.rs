@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl-text
 //!
 //! Text and string-similarity substrate for the JOCL reproduction

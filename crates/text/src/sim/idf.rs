@@ -62,11 +62,6 @@ impl IdfIndex {
         1.0 / (1.0 + self.frequency(word) as f64).ln()
     }
 
-    /// Number of distinct words indexed.
-    pub fn vocab_size(&self) -> usize {
-        self.freq.len()
-    }
-
     /// `Sim_idf(a, b)` ∈ [0, 1]. Both phrases are tokenized and deduplicated
     /// (the formula operates on word *sets*). Empty∩empty yields 0.
     pub fn sim(&self, a: &str, b: &str) -> f64 {

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # jocl — Joint Open Knowledge Base Canonicalization and Linking
 //!
 //! Umbrella crate for the JOCL workspace, a from-scratch Rust reproduction
