@@ -308,13 +308,6 @@ pub fn sist(okb: &Okb, ckb: &Ckb, signals: &Signals, threshold: f64) -> Clusteri
     hac_phrases(&index, &edges, threshold)
 }
 
-/// Group NP mentions of identical phrases (helper shared by tests).
-pub fn identical_phrase_clustering(okb: &Okb) -> Clustering {
-    let index = phrase_index(okb);
-    let labels: Vec<u32> = index.of_mention.iter().map(|&p| p as u32).collect();
-    Clustering::from_labels(&labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,6 +330,13 @@ mod tests {
 
     fn np(t: u32, slot: NpSlot) -> usize {
         NpMention { triple: TripleId(t), slot }.dense()
+    }
+
+    /// Group NP mentions of identical phrases.
+    fn identical_phrase_clustering(okb: &Okb) -> Clustering {
+        let index = phrase_index(okb);
+        let labels: Vec<u32> = index.of_mention.iter().map(|&p| p as u32).collect();
+        Clustering::from_labels(&labels)
     }
 
     #[test]

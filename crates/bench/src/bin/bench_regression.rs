@@ -25,6 +25,10 @@
 //! a real LBP/graph-build regression cannot hide in the denominator —
 //! and the gate compares *calibrated* ratios:
 //! `(metric / calibration) vs (baseline_metric / baseline_calibration)`.
+//! One calibration sample is taken beside every metric sample, and the
+//! denominator is the median of all of them: on a shared machine whose
+//! load drifts during the run, a single burst of calibration samples
+//! would decide the verdict by itself.
 //!
 //! Since PR 7 the gate also covers **memory**: `session_heap_bytes`
 //! (accounted resident bytes of the warm serving session) and
@@ -50,16 +54,15 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Median wall-clock ns of `f` over `samples` runs after one warm-up.
-fn median_ns(samples: usize, mut f: impl FnMut()) -> u64 {
+/// Wall-clock ns of one run of `f`.
+fn time_ns(f: &mut impl FnMut()) -> u64 {
+    let t = Instant::now();
     f();
-    let mut times: Vec<u64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
+    t.elapsed().as_nanos() as u64
+}
+
+/// Middle value of `times` (the upper one of two for an even count).
+fn median(mut times: Vec<u64>) -> u64 {
     times.sort_unstable();
     times[times.len() / 2]
 }
@@ -68,18 +71,31 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> u64 {
 /// ALU/FPU, no allocation, no repo code — it scales with the machine's
 /// single-thread speed (what every gated metric runs on) but cannot be
 /// sped up or slowed down by changes to this workspace.
-fn calibration_ns() -> u64 {
-    median_ns(9, || {
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut acc = 0.0f64;
-        for _ in 0..2_000_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            acc += ((x >> 11) as f64) * 1e-18;
-        }
-        black_box(acc);
-    })
+fn calibration_workload() {
+    let mut x = 0x9E3779B97F4A7C15u64;
+    let mut acc = 0.0f64;
+    for _ in 0..2_000_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        acc += ((x >> 11) as f64) * 1e-18;
+    }
+    black_box(acc);
+}
+
+/// Median wall-clock ns of `f` over `samples` runs after one warm-up.
+/// Each run is followed by one run of the calibration workload, whose
+/// time is pushed onto `calibration`.
+fn median_ns(samples: usize, calibration: &mut Vec<u64>, mut f: impl FnMut()) -> u64 {
+    f();
+    let times = (0..samples)
+        .map(|_| {
+            let t = time_ns(&mut f);
+            calibration.push(time_ns(&mut calibration_workload));
+            t
+        })
+        .collect();
+    median(times)
 }
 
 /// A ring of `n` 4-state variables with dense pairwise factors — the
@@ -123,8 +139,9 @@ impl PushMetric for Vec<(&'static str, u64, bool)> {
     }
 }
 
-/// The gated metrics: `(name, value, calibrated)`.
-fn measure() -> Vec<(&'static str, u64, bool)> {
+/// The gated metrics: `(name, value, calibrated)`. Every metric sample
+/// also pushes one calibration sample onto `calibration`.
+fn measure(calibration: &mut Vec<u64>) -> Vec<(&'static str, u64, bool)> {
     let mut metrics: Vec<(&'static str, u64, bool)> = Vec::new();
 
     // lbp_sweep: 10 synchronous iterations (the fused per-factor batch
@@ -133,7 +150,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
     let opts = LbpOptions { max_iters: 10, ..Default::default() };
     metrics.push_calibrated((
         "lbp_sweep",
-        median_ns(15, || {
+        median_ns(15, calibration, || {
             let mut eng = LbpEngine::new(&g);
             black_box(eng.run(&params, &opts));
         }),
@@ -152,7 +169,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
     let blocking = block_pairs(&dataset.okb, &signals, &config);
     metrics.push_calibrated((
         "graph_build",
-        median_ns(7, || {
+        median_ns(7, calibration, || {
             black_box(build_graph(&dataset.okb, &dataset.ckb, &signals, &blocking, &config));
         }),
     ));
@@ -166,7 +183,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
     let e2e_config = JoclConfig { train_epochs: 0, ..Default::default() };
     metrics.push_calibrated((
         "end_to_end",
-        median_ns(7, || {
+        median_ns(7, calibration, || {
             black_box(Jocl::new(e2e_config.clone()).run_with_signals(input, &signals, None));
         }),
     ));
@@ -189,7 +206,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
     };
     metrics.push_calibrated((
         "train",
-        median_ns(7, || {
+        median_ns(7, calibration, || {
             let mut params = plan.params.clone();
             black_box(train(&plan.graph, &mut params, &clamps, &train_opts));
         }),
@@ -205,7 +222,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
     warm_base.apply_delta(&triples[..split]);
     metrics.push_calibrated((
         "delta_ingest",
-        median_ns(9, || {
+        median_ns(9, calibration, || {
             let mut session = warm_base.clone();
             black_box(session.apply_delta(&triples[split..]));
         }),
@@ -218,7 +235,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
     let snapshot_bytes = jocl_serve::snapshot::session_to_bytes(&mut warm_base);
     metrics.push_calibrated((
         "snapshot_restore",
-        median_ns(9, || {
+        median_ns(9, calibration, || {
             black_box(
                 jocl_serve::snapshot::session_from_bytes(
                     &snapshot_bytes,
@@ -237,7 +254,7 @@ fn measure() -> Vec<(&'static str, u64, bool)> {
     // `serve --replica` pays on boot instead of a cold rebuild.
     metrics.push_calibrated((
         "replica_catchup",
-        median_ns(9, || {
+        median_ns(9, calibration, || {
             let mut replica = jocl_serve::snapshot::session_from_bytes(
                 &snapshot_bytes,
                 e2e_config.clone(),
@@ -343,9 +360,13 @@ fn main() {
     let path = baseline_path();
 
     println!("bench-regression gate (tolerance {:.0}%)", tolerance * 100.0);
-    let calibration = calibration_ns();
-    println!("  calibration  {calibration:>12} ns  (machine speed reference)");
-    let metrics = measure();
+    let mut samples = Vec::new();
+    let metrics = measure(&mut samples);
+    let n = samples.len();
+    let calibration = median(samples);
+    println!(
+        "  calibration  {calibration:>12} ns  (machine speed reference, median of {n} samples)"
+    );
 
     // Written before the gate verdict, so a regressing run still leaves
     // its measurements behind for the archaeology.

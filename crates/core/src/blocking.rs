@@ -38,8 +38,7 @@
 //! # Memory layout
 //!
 //! At paper scale the blocking index dominated resident memory when it
-//! stored tokens as owned strings and the cumulative pair log as plain
-//! `(u32, u32)` tuples. The index is therefore ID-compressed:
+//! stored tokens as owned strings. The index is therefore ID-compressed:
 //!
 //! * all tokens live once in a shared [`jocl_text::Interner`] owned by
 //!   [`BlockingIndex`]; per-phrase token lists are `Vec<Sym>` sorted by
@@ -48,10 +47,8 @@
 //! * per-family IDF weights are cached per symbol (`Vec<f64>`, NaN =
 //!   not yet computed) — sound because a session's [`Signals`] are
 //!   frozen, so a token's weight never changes;
-//! * the cumulative pair log is run-encoded bytes: every pair emitted
-//!   by an append is `(b, t)` with the new triple `t` on the right, so
-//!   one append stores one varint run — `t`, a count, then ascending
-//!   delta-coded `b`s — instead of `count` tuples.
+//! * emitted pairs are not kept: each append returns its pairs to the
+//!   caller, whose pair-variable registries already hold them.
 
 use crate::config::JoclConfig;
 use crate::signals::Signals;
@@ -92,15 +89,19 @@ impl Blocking {
 }
 
 /// Generate blocked pairs for an OKB under `config`: a full replay of
-/// the OKB through a fresh [`BlockingIndex`].
+/// the OKB through a fresh [`BlockingIndex`], each family sorted. Every
+/// pair is emitted exactly once, by the append of its later triple.
 pub fn block_pairs(okb: &Okb, signals: &Signals, config: &JoclConfig) -> Blocking {
     let sw = jocl_obs::Stopwatch::start();
     let _span = jocl_obs::span!("blocking");
     let mut index = BlockingIndex::new(config);
+    let mut blocking = Blocking::default();
     for (t, triple) in okb.triples() {
-        index.append_triple(t, triple, signals);
+        blocking.extend(index.append_triple(t, triple, signals));
     }
-    let blocking = index.blocking();
+    for pairs in [&mut blocking.subj_pairs, &mut blocking.pred_pairs, &mut blocking.obj_pairs] {
+        pairs.sort_unstable();
+    }
     blocking_ns().record(sw.ns());
     blocking
 }
@@ -121,8 +122,8 @@ const MAX_TOKEN_DF: usize = 100;
 ///
 /// `append_triple` must be called with consecutive [`TripleId`]s in OKB
 /// order; batch [`block_pairs`] and the incremental session both replay
-/// through this type, so the cumulative pair set is identical by
-/// construction no matter how arrivals are batched.
+/// through this type, so the emitted pairs are identical by construction
+/// no matter how arrivals are batched.
 #[derive(Debug, Clone)]
 pub struct BlockingIndex {
     /// Token arena shared by all three families (subjects and objects
@@ -198,9 +199,8 @@ impl BlockingIndex {
     /// restored-versus-uninterrupted parity contract. Per-phrase token
     /// lists, the token inverted indexes and the IDF weight caches are
     /// *not* written — they are pure functions of the phrase texts and
-    /// the restored interner — but owners, threshold-passing links and
-    /// the run-encoded pair logs are arrival-time decisions and are part
-    /// of the state.
+    /// the restored interner — but owners and threshold-passing links are
+    /// arrival-time decisions and are part of the state.
     pub fn export_state(&self, w: &mut jocl_kb::snap::SnapWriter) {
         w.tag("BLK");
         w.usize(self.interner.len());
@@ -213,8 +213,8 @@ impl BlockingIndex {
     }
 
     /// Rebuild a blocking index from [`BlockingIndex::export_state`]
-    /// bytes under `config`'s caps. `num_triples` bounds the owner/pair
-    /// ids for validation.
+    /// bytes under `config`'s caps. `num_triples` bounds the owner ids
+    /// for validation.
     pub fn import_state(
         r: &mut jocl_kb::snap::SnapReader<'_>,
         config: &JoclConfig,
@@ -243,23 +243,9 @@ impl BlockingIndex {
         })
     }
 
-    /// The cumulative pair set, sorted per family.
-    pub fn blocking(&self) -> Blocking {
-        let sorted = |log: &PairLog| {
-            let mut v = log.decode().expect("pair log is self-produced or import-validated");
-            v.sort_unstable();
-            v
-        };
-        Blocking {
-            subj_pairs: sorted(&self.subj.pairs),
-            pred_pairs: sorted(&self.pred.pairs),
-            obj_pairs: sorted(&self.obj.pairs),
-        }
-    }
-
     /// Resident heap bytes: the shared token interner plus the three
-    /// family indexes (phrase entries, text map, token inverted index,
-    /// lazy IDF weight caches and the run-encoded pair logs).
+    /// family indexes (phrase entries, text map, token inverted index and
+    /// lazy IDF weight caches).
     pub fn heap_bytes(&self) -> usize {
         self.interner.heap_bytes()
             + self.subj.heap_bytes()
@@ -301,14 +287,11 @@ struct FamilyIndex {
     /// Transient: sound because the session's signals are frozen, and
     /// rebuilt on demand after an import.
     weights: Vec<f64>,
-    /// Cumulative emitted pairs (run-encoded; no duplicates by
-    /// construction).
-    pairs: PairLog,
 }
 
 impl FamilyIndex {
     /// Serialize this family: phrase texts (in id order) with owners and
-    /// links, plus the run-encoded pair log.
+    /// links.
     fn export_state(&self, w: &mut jocl_kb::snap::SnapWriter) {
         let mut texts: Vec<Option<&str>> = vec![None; self.phrases.len()];
         for (text, &pi) in &self.by_text {
@@ -323,8 +306,6 @@ impl FamilyIndex {
             w.u32_slice_delta(&ids);
             w.u32_slice_delta(&p.links);
         }
-        w.usize(self.pairs.len);
-        w.bytes(&self.pairs.bytes);
     }
 
     /// Inverse of [`FamilyIndex::export_state`]; tokens, the token
@@ -371,14 +352,6 @@ impl FamilyIndex {
             let owners = owner_ids.into_iter().map(TripleId).collect();
             fam.phrases.push(PhraseEntry { owners, tokens, links });
         }
-        let len = r.seq_len(1)?;
-        let bytes = r.bytes()?;
-        let pairs = PairLog { bytes, len };
-        let decoded = pairs.decode().map_err(|e| r.corrupt(e))?;
-        if let Some(&(_, b)) = decoded.iter().find(|&&(_, b)| b.idx() >= num_triples) {
-            return Err(r.corrupt(format!("pair triple {} out of range", b.0)));
-        }
-        fam.pairs = pairs;
         Ok(fam)
     }
 
@@ -464,9 +437,6 @@ impl FamilyIndex {
         }
         fresh.sort_unstable();
         fresh.dedup();
-        if !fresh.is_empty() {
-            self.pairs.push_run(t, &fresh);
-        }
         fresh
     }
 
@@ -489,7 +459,6 @@ impl FamilyIndex {
             + self.token_index.capacity() * (size_of::<Sym>() + size_of::<Vec<u32>>() + 1)
             + self.token_index.values().map(|v| v.capacity() * size_of::<u32>()).sum::<usize>()
             + self.weights.capacity() * size_of::<f64>()
-            + self.pairs.heap_bytes()
     }
 }
 
@@ -547,105 +516,6 @@ fn sim_cached(
         0.0
     } else {
         inter / union
-    }
-}
-
-/// Run-encoded cumulative pair log. Every pair a [`FamilyIndex::append`]
-/// emits has the newly appended triple on the right, so one append is one
-/// run: varint `t`, varint count, then the ascending left-hand ids
-/// delta-coded (first id raw, then gaps).
-#[derive(Debug, Clone, Default)]
-struct PairLog {
-    bytes: Vec<u8>,
-    /// Total pairs across all runs.
-    len: usize,
-}
-
-impl PairLog {
-    /// Append one run: the pairs `(b, t)` for each `b` in `fresh` (which
-    /// is sorted, deduplicated, and entirely left of `t`).
-    fn push_run(&mut self, t: TripleId, fresh: &[(TripleId, TripleId)]) {
-        push_vu64(&mut self.bytes, u64::from(t.0));
-        push_vu64(&mut self.bytes, fresh.len() as u64);
-        let mut prev = 0u32;
-        for (i, &(b, hi)) in fresh.iter().enumerate() {
-            debug_assert_eq!(hi, t, "every emitted pair carries the new triple on the right");
-            let d = if i == 0 { b.0 } else { b.0 - prev };
-            push_vu64(&mut self.bytes, u64::from(d));
-            prev = b.0;
-        }
-        self.len += fresh.len();
-    }
-
-    /// Decode all runs back to `(b, t)` pairs, in emission order.
-    /// Validates structure (ascending `b < t`, declared count) so import
-    /// can reject corrupt logs with a typed error instead of panicking.
-    fn decode(&self) -> Result<Vec<(TripleId, TripleId)>, String> {
-        let mut out = Vec::with_capacity(self.len.min(self.bytes.len()));
-        let mut pos = 0;
-        while pos < self.bytes.len() {
-            let t = u32::try_from(read_vu64(&self.bytes, &mut pos)?)
-                .map_err(|_| "pair run id exceeds u32".to_string())?;
-            let count = read_vu64(&self.bytes, &mut pos)?;
-            let mut b = 0u64;
-            for i in 0..count {
-                let d = read_vu64(&self.bytes, &mut pos)?;
-                if i > 0 && d == 0 {
-                    return Err(format!("duplicate pair in run for {t}"));
-                }
-                b = if i == 0 {
-                    d
-                } else {
-                    b.checked_add(d).ok_or_else(|| format!("pair run for {t} overflows"))?
-                };
-                if b >= u64::from(t) {
-                    return Err(format!("pair run for {t} climbs to {b}"));
-                }
-                out.push((TripleId(b as u32), TripleId(t)));
-            }
-        }
-        if out.len() != self.len {
-            return Err(format!("pair log holds {} pairs, declared {}", out.len(), self.len));
-        }
-        Ok(out)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.bytes.capacity()
-    }
-}
-
-/// LEB128-append `v` to `out`.
-fn push_vu64(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-/// LEB128-read one value from `bytes` at `*pos`, advancing it.
-fn read_vu64(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if shift >= 64 {
-            return Err("pair log varint too long".to_string());
-        }
-        let &b = bytes.get(*pos).ok_or_else(|| "pair log truncated".to_string())?;
-        *pos += 1;
-        if shift == 63 && (b & 0x7f) > 1 {
-            return Err("pair log varint exceeds u64".to_string());
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
     }
 }
 
@@ -776,10 +646,6 @@ mod tests {
         for (t, triple) in okb.triples() {
             collected.extend(index.append_triple(t, triple, &s));
         }
-        let replayed = index.blocking();
-        assert_eq!(replayed.subj_pairs, batch.subj_pairs);
-        assert_eq!(replayed.pred_pairs, batch.pred_pairs);
-        assert_eq!(replayed.obj_pairs, batch.obj_pairs);
         for (mut got, want) in [
             (collected.subj_pairs, &batch.subj_pairs),
             (collected.pred_pairs, &batch.pred_pairs),

@@ -32,8 +32,8 @@ pub struct JoclOutput {
     /// Final relation link per RP mention.
     pub rp_links: Vec<Option<RelationId>>,
     /// The weights inference actually used (learned, pretrained, or
-    /// initial), attached by the pipeline for persistence via
-    /// `crate::persist::save_params`.
+    /// initial), attached by the batch pipeline for persistence via
+    /// `crate::persist::save_params`; sessions leave it `None`.
     pub learned_params: Option<jocl_fg::Params>,
     /// Run diagnostics.
     pub diagnostics: Diagnostics,

@@ -523,27 +523,8 @@ impl<'a> IncrementalJocl<'a> {
         self.prior_converged = lbp.converged;
         drop(engine);
 
-        let diagnostics = Diagnostics {
-            lbp,
-            num_vars,
-            num_factors,
-            pair_counts: (
-                self.plan.subj_pair_vars.len(),
-                self.plan.pred_pair_vars.len(),
-                self.plan.obj_pair_vars.len(),
-            ),
-            triangles: self.plan.stats.triangles,
-            train_epochs: 0,
-            train_grad_norm: f64::NAN,
-        };
-        let marginals = Marginals::from_probs(self.marginals.clone());
-        let live_mask = (self.num_dead_triples > 0).then_some(self.live.as_slice());
-        let mut output =
-            decode_live(&self.okb, &self.plan, &marginals, &self.config, diagnostics, live_mask);
-        output.learned_params = Some(self.plan.params.clone());
-
         DeltaOutput {
-            output,
+            output: self.decode(lbp),
             stats: DeltaStats {
                 appended: new_ids.len(),
                 duplicates,
@@ -612,13 +593,20 @@ impl<'a> IncrementalJocl<'a> {
     /// run a full sweep). The attached `LbpResult` is a zero-work stub
     /// whose `converged` reports the persisted convergence state.
     pub fn decode_current(&self) -> JoclOutput {
+        self.decode(LbpResult {
+            iterations: 0,
+            converged: self.prior_converged,
+            residual: 0.0,
+            message_updates: 0,
+        })
+    }
+
+    /// Decode the cached marginals over the live triples, reporting `lbp`
+    /// as the inference that produced them. Sessions never train, so the
+    /// output carries no `learned_params`.
+    fn decode(&self, lbp: LbpResult) -> JoclOutput {
         let diagnostics = Diagnostics {
-            lbp: LbpResult {
-                iterations: 0,
-                converged: self.prior_converged,
-                residual: 0.0,
-                message_updates: 0,
-            },
+            lbp,
             num_vars: self.plan.graph.num_vars(),
             num_factors: self.plan.graph.num_factors(),
             pair_counts: (
@@ -632,10 +620,7 @@ impl<'a> IncrementalJocl<'a> {
         };
         let marginals = Marginals::from_probs(self.marginals.clone());
         let live_mask = (self.num_dead_triples > 0).then_some(self.live.as_slice());
-        let mut output =
-            decode_live(&self.okb, &self.plan, &marginals, &self.config, diagnostics, live_mask);
-        output.learned_params = Some(self.plan.params.clone());
-        output
+        decode_live(&self.okb, &self.plan, &marginals, &self.config, diagnostics, live_mask)
     }
 
     /// Variables in the live factor graph (tombstoned ones included —

@@ -313,20 +313,6 @@ impl Dataset {
         }
         side
     }
-
-    /// Sample `n` NP mention indexes with gold labels (the paper's
-    /// "randomly sample 100 … and manually label them" protocol for
-    /// NYTimes2018).
-    pub fn sample_np_mentions(&self, n: usize, seed: u64) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.gold.np_cluster_labels.len()).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for i in (1..idx.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            idx.swap(i, j);
-        }
-        idx.truncate(n);
-        idx
-    }
 }
 
 fn side_candidates(
@@ -531,15 +517,6 @@ mod tests {
         assert!(!val.is_empty(), "20% split of tiny world should be nonempty");
         let vs: std::collections::HashSet<u32> = val.iter().map(|t| t.0).collect();
         assert!(test.iter().all(|t| !vs.contains(&t.0)));
-    }
-
-    #[test]
-    fn sampled_mentions_are_unique_and_bounded() {
-        let d = tiny();
-        let s = d.sample_np_mentions(50, 4);
-        assert_eq!(s.len(), 50.min(d.okb.num_np_mentions()));
-        let set: std::collections::HashSet<usize> = s.iter().copied().collect();
-        assert_eq!(set.len(), s.len());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! A compact binary codec (via the `bytes` crate) persists stores so a
 //! trained model can be reused across bench runs.
 
-use crate::vector::{cosine01, normalize};
+use crate::vector::cosine01;
 use bytes::{Buf, BufMut};
 use jocl_text::fx::FxHashMap;
 use jocl_text::tokenize;
@@ -71,14 +71,6 @@ impl EmbeddingStore {
         })
     }
 
-    /// Mutable access (used by retrofitting).
-    pub fn get_mut(&mut self, word: &str) -> Option<&mut [f32]> {
-        let dim = self.dim;
-        let row = self.vocab.get(&word.to_lowercase()).copied()?;
-        let start = row as usize * dim;
-        Some(&mut self.data[start..start + dim])
-    }
-
     /// Iterate over `(word, vector)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[f32])> {
         self.vocab.iter().map(move |(w, &row)| {
@@ -116,13 +108,6 @@ impl EmbeddingStore {
         match (self.phrase(a), self.phrase(b)) {
             (Some(va), Some(vb)) => cosine01(&va, &vb),
             _ => 0.5,
-        }
-    }
-
-    /// Normalize every stored vector to unit length.
-    pub fn normalize_all(&mut self) {
-        for chunk in self.data.chunks_mut(self.dim) {
-            normalize(chunk);
         }
     }
 
@@ -293,16 +278,6 @@ mod tests {
         assert_eq!(a.get("x"), b.get("x"));
         let c = EmbeddingStore::hashed(8, &["x", "y"], 43);
         assert_ne!(a.get("x"), c.get("x"));
-    }
-
-    #[test]
-    fn normalize_all_unit_length() {
-        let mut s = store();
-        s.insert("big", &[3.0, 4.0, 0.0]);
-        s.normalize_all();
-        let v = s.get("big").unwrap();
-        let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-        assert!((n - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1028,14 +1028,7 @@ impl<'g> LbpEngine<'g> {
 
     /// Belief (probability per flat configuration) of factor `f`:
     /// `b_f(c) ∝ φ(c) · Π_v m_{v→f}(c_v)`. Used to compute the feature
-    /// expectations of the learning gradient (paper Eq. 6).
-    pub fn factor_belief(&self, params: &Params, f: FactorId) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.factor_belief_into(params, f, &mut Scratch::default(), &mut out);
-        out
-    }
-
-    /// [`LbpEngine::factor_belief`] into a caller-owned buffer: `out` is
+    /// expectations of the learning gradient (paper Eq. 6). `out` is
     /// overwritten with the belief, `scratch` is reused, so a loop over
     /// every factor allocates nothing once the buffers have grown.
     pub fn factor_belief_into(
@@ -1519,20 +1512,25 @@ mod tests {
         );
         let mut eng = LbpEngine::new(&g);
         eng.run(&params, &LbpOptions::default());
-        let belief = eng.factor_belief(&params, f);
-        assert_eq!(belief.len(), 6);
-        assert!((belief.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(belief.iter().all(|&p| p >= 0.0));
+        let belief = |eng: &LbpEngine<'_>, f: FactorId| {
+            let mut out = Vec::new();
+            eng.factor_belief_into(&params, f, &mut Scratch::default(), &mut out);
+            out
+        };
+        let belief_f = belief(&eng, f);
+        assert_eq!(belief_f.len(), 6);
+        assert!((belief_f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(belief_f.iter().all(|&p| p >= 0.0));
 
-        // The buffered form is the same computation: reused buffers
-        // (grown by a larger factor first) give bitwise-equal beliefs.
+        // Reused buffers (grown by a larger factor first) give the same
+        // beliefs, bitwise, as fresh ones.
         let u = g.add_factor(&[b], Potential::Scores { group: grp, scores: vec![0.0; 3] }, 0);
         let mut eng = LbpEngine::new(&g);
         eng.run(&params, &LbpOptions::default());
         let (mut scratch, mut out) = (Scratch::default(), Vec::new());
         for fid in [f, u, f] {
             eng.factor_belief_into(&params, fid, &mut scratch, &mut out);
-            let fresh = eng.factor_belief(&params, fid);
+            let fresh = belief(&eng, fid);
             assert_eq!(out.len(), fresh.len());
             assert!(out.iter().zip(&fresh).all(|(x, y)| x.to_bits() == y.to_bits()));
         }

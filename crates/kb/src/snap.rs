@@ -15,10 +15,15 @@
 //! it died at ([`KbError::Snapshot`]) instead of garbage state. Framing
 //! rules:
 //!
-//! * integers are `u64` LE (one width everywhere; snapshots are
-//!   I/O-bound, not size-bound), `f64` as raw bits;
-//! * sequences are a `u64` length followed by the elements;
-//! * strings are length-prefixed UTF-8;
+//! * scalars come in two encodings: fixed-width `u64` LE (`u32`,
+//!   `usize` and `bool` widened to it, `f64` as raw bits) for headers
+//!   and counts, and LEB128 varints ([`SnapWriter::vu64`]) for the
+//!   bulk payloads, where small values dominate;
+//! * sequences are a length followed by the elements: a `u64` length for
+//!   [`SnapWriter::f64_slice`], a varint length for the packed forms
+//!   (varint ids, delta-coded sorted ids, XOR-delta floats, raw `f32`
+//!   bits, bitsets);
+//! * strings are length-prefixed UTF-8 (`u64` or varint length);
 //! * composite states start with a tag ([`SnapWriter::tag`] /
 //!   [`SnapReader::expect_tag`]) naming the writer that produced them.
 //!
@@ -111,22 +116,6 @@ impl SnapWriter {
         }
     }
 
-    /// Write a length-prefixed `u32` slice.
-    pub fn u32_slice(&mut self, xs: &[u32]) {
-        self.usize(xs.len());
-        for &x in xs {
-            self.u32(x);
-        }
-    }
-
-    /// Write a length-prefixed bool slice.
-    pub fn bool_slice(&mut self, xs: &[bool]) {
-        self.usize(xs.len());
-        for &x in xs {
-            self.bool(x);
-        }
-    }
-
     /// Write one `u64` as a LEB128 varint (1–10 bytes; small values
     /// dominate snapshot payloads, so this is the packed-section
     /// workhorse).
@@ -143,8 +132,7 @@ impl SnapWriter {
     }
 
     /// Write a `u32` slice as varints (length + values). ~1–2 bytes per
-    /// small id instead of the 8 the legacy [`SnapWriter::u32_slice`]
-    /// spends.
+    /// small id.
     pub fn u32_slice_packed(&mut self, xs: &[u32]) {
         self.vu64(xs.len() as u64);
         for &x in xs {
@@ -207,8 +195,7 @@ impl SnapWriter {
         }
     }
 
-    /// Write a bool slice as a bitset (1 bit per flag instead of the
-    /// 8 bytes the legacy [`SnapWriter::bool_slice`] spends).
+    /// Write a bool slice as a bitset (1 bit per flag).
     pub fn bool_slice_packed(&mut self, xs: &[bool]) {
         self.vu64(xs.len() as u64);
         let mut byte = 0u8;
@@ -222,12 +209,6 @@ impl SnapWriter {
         if !xs.len().is_multiple_of(8) {
             self.buf.push(byte);
         }
-    }
-
-    /// Write a raw byte blob (length-prefixed, verbatim).
-    pub fn bytes(&mut self, xs: &[u8]) {
-        self.vu64(xs.len() as u64);
-        self.buf.extend_from_slice(xs);
     }
 }
 
@@ -369,18 +350,6 @@ impl<'a> SnapReader<'a> {
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, KbError> {
         let n = self.seq_len(8)?;
         (0..n).map(|_| self.f64()).collect()
-    }
-
-    /// Read a length-prefixed `u32` vector.
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, KbError> {
-        let n = self.seq_len(8)?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    /// Read a length-prefixed bool vector.
-    pub fn bool_vec(&mut self) -> Result<Vec<bool>, KbError> {
-        let n = self.seq_len(8)?;
-        (0..n).map(|_| self.bool()).collect()
     }
 
     /// Read one LEB128 varint `u64`.
@@ -526,12 +495,6 @@ impl<'a> SnapReader<'a> {
         Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
     }
 
-    /// Read a length-prefixed raw byte blob ([`SnapWriter::bytes`]).
-    pub fn bytes(&mut self) -> Result<Vec<u8>, KbError> {
-        let n = self.vseq_len(1)?;
-        Ok(self.take(n, "byte blob")?.to_vec())
-    }
-
     /// Fail unless every byte was consumed — a snapshot with trailing
     /// garbage was produced by a different writer than this reader.
     pub fn expect_end(&self) -> Result<(), KbError> {
@@ -572,8 +535,6 @@ mod tests {
         w.f64(-0.0);
         w.str("universität 🦀");
         w.f64_slice(&[1.5, f64::MIN_POSITIVE]);
-        w.u32_slice(&[0, 42]);
-        w.bool_slice(&[true, false]);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         r.expect_tag("TEST").unwrap();
@@ -584,8 +545,6 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.str().unwrap(), "universität 🦀");
         assert_eq!(r.f64_vec().unwrap(), vec![1.5, f64::MIN_POSITIVE]);
-        assert_eq!(r.u32_vec().unwrap(), vec![0, 42]);
-        assert_eq!(r.bool_vec().unwrap(), vec![true, false]);
         r.expect_end().unwrap();
     }
 
@@ -660,7 +619,6 @@ mod tests {
         w.f64_slice_packed(&floats);
         w.f32_slice(&small);
         w.bool_slice_packed(&flags);
-        w.bytes(&[7, 0, 255]);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.vu64().unwrap(), 0);
@@ -677,7 +635,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(r.bool_vec_packed().unwrap(), flags);
-        assert_eq!(r.bytes().unwrap(), vec![7, 0, 255]);
         r.expect_end().unwrap();
     }
 

@@ -207,7 +207,7 @@ impl<'a> ServeSession<'a> {
             out.stats.compacted = true;
             out.output = compacted.output;
         }
-        self.last = Some(Self::cache_output(&out.output));
+        self.last = Some(out.output.clone());
         out
     }
 
@@ -221,23 +221,8 @@ impl<'a> ServeSession<'a> {
     pub fn compact(&mut self) -> DeltaOutput {
         let out = self.inner.compact();
         self.compactions += 1;
-        self.last = Some(Self::cache_output(&out.output));
+        self.last = Some(out.output.clone());
         out
-    }
-
-    /// Clone the fields the read model actually serves (links +
-    /// clusterings + diagnostics); the parameter vector attached for
-    /// persistence is deliberately dropped — the session owns the live
-    /// copy, and cloning it per delta would be pure heap churn.
-    fn cache_output(out: &JoclOutput) -> JoclOutput {
-        JoclOutput {
-            np_clustering: out.np_clustering.clone(),
-            rp_clustering: out.rp_clustering.clone(),
-            np_links: out.np_links.clone(),
-            rp_links: out.rp_links.clone(),
-            learned_params: None,
-            diagnostics: out.diagnostics.clone(),
-        }
     }
 
     /// The wrapped incremental session (read access for stats/tests).
@@ -295,8 +280,7 @@ impl<'a> ServeSession<'a> {
     ) -> Result<Self, KbError> {
         let _span = jocl_obs::span!("snapshot_restore");
         let inner = snapshot::load_session(path, config, ckb, signals)?;
-        let last =
-            if inner.is_empty() { None } else { Some(Self::cache_output(&inner.decode_current())) };
+        let last = if inner.is_empty() { None } else { Some(inner.decode_current()) };
         Ok(Self { inner, serve, last, ops_applied: 0, compactions: 0 })
     }
 }

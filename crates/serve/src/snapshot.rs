@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! ┌──────────────────────────────┐
-//! │ magic  "JOCLSNP1"            │  8 bytes — format + version in one
+//! │ magic  "JOCLSNP2"            │  8 bytes — format + version in one
 //! │ config fingerprint section   │  named scalars, checked field by field
 //! │ payload length + payload     │  IncrementalJocl::export_state bytes
 //! │ FNV-1a checksum of payload   │  torn/corrupt writes fail loudly
@@ -27,7 +27,7 @@ use jocl_kb::{Ckb, KbError};
 use std::path::Path;
 
 /// File magic; the trailing digit is the format version.
-const MAGIC: &[u8; 8] = b"JOCLSNP1";
+const MAGIC: &[u8; 8] = b"JOCLSNP2";
 
 /// The config scalars a snapshot is only valid under, as named values.
 /// Floats are fingerprinted by bit pattern: "almost the same tolerance"

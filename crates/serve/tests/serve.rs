@@ -431,6 +431,20 @@ fn snapshot_file_errors_name_the_file() {
     );
     assert!(msg.contains("magic"), "{msg}");
 
+    // An intact snapshot of the previous format version dies at the
+    // magic, naming both versions, not deep inside a payload section.
+    let mut old_version = full.clone();
+    old_version[..8].copy_from_slice(b"JOCLSNP1");
+    std::fs::write(&path, &old_version).unwrap();
+    let msg = assert_named(
+        snapshot::load_session(&path, config.clone(), &ex.ckb, &signals).unwrap_err(),
+        "old format version",
+    );
+    assert!(
+        msg.contains("bad magic") && msg.contains("JOCLSNP1") && msg.contains("JOCLSNP2"),
+        "{msg}"
+    );
+
     // Config mismatch: the fingerprint names the divergent knob.
     std::fs::write(&path, &full).unwrap();
     let mut other = config.clone();
