@@ -9,7 +9,8 @@
 //!
 //! [`IncrementalJocl`] is the session object that keeps it. It owns the
 //! growing [`Okb`], the append-only [`BlockingIndex`], the live
-//! [`GraphPlan`] and the last committed LBP messages, and exposes one
+//! [`GraphPlan`], the resident LBP state ([`LbpState`]: messages, edge
+//! index and residual queue) and the cached marginals, and exposes one
 //! operation: [`IncrementalJocl::apply_delta`]. A delta
 //!
 //! 1. **ingests** its triples idempotently (`Okb::ingest_triple`:
@@ -24,18 +25,25 @@
 //!    [`crate::build_graph`] runs once over a whole OKB. Ids and adjacency
 //!    of existing nodes are never disturbed, and the builder's
 //!    per-distinct-key caches and triangle indexes persist across deltas;
-//! 4. **warm-starts LBP** via [`LbpEngine::resume_imported`]: prior
-//!    messages are seeded ([`LbpEngine::import_messages`]) and only the
+//! 4. **warm-starts LBP** via [`LbpEngine::resume`] on the state the
+//!    previous delta left resident: the state grows by the appended
+//!    edges (uniform messages, [`LbpEngine::with_state`]) and only the
 //!    *dirty* factor blocks — the ones this delta appended — are primed
-//!    into the residual queue, so convergence work is proportional to how
-//!    far the delta's influence actually reaches, not to the graph size.
-//!    Sessions run the residual schedule only (`JoclConfig::lbp.mode`
-//!    must be `ScheduleMode::Residual`, the default); the synchronous
-//!    sweeps are the batch reference oracle;
-//! 5. **re-decodes** with marginals refreshed only for the connected
-//!    components the delta touched (tracked by a growing [`UnionFind`]
-//!    over variables); untouched components keep their messages — and
-//!    therefore marginals — bit-for-bit.
+//!    into the residual queue, so convergence work, and the set-up
+//!    around it, is proportional to how far the delta's influence
+//!    actually reaches, not to the graph size. Messages do not
+//!    round-trip through an export per delta. Sessions run the residual
+//!    schedule only (`JoclConfig::lbp.mode` must be
+//!    `ScheduleMode::Residual`, the default); the synchronous sweeps are
+//!    the batch reference oracle;
+//! 5. **re-decodes** with marginals refreshed only for the variables
+//!    whose incoming messages the run (or a reset, or growth) wrote, plus
+//!    new variables ([`LbpEngine::refresh_marginals`]); every other
+//!    message kept its bits, so every other cached marginal is exactly
+//!    what a recompute would give. Decode borrows the cached marginals.
+//!    A growing [`UnionFind`] over variables still reports how many
+//!    connected components a delta touched
+//!    ([`DeltaStats::affected_components`]).
 //!
 //! The correctness contract, enforced by `tests/incremental.rs` and the
 //! `jocl_bench` stream gate: **N deltas followed by convergence decode
@@ -105,11 +113,25 @@
 //!
 //! [`IncrementalJocl::export_state`] serializes the entire warm session
 //! — OKB (including its dedup index), blocking index, factor graph,
-//! parameters, committed messages, marginals, component tracker, live
-//! mask and tombstones — through the `jocl_kb::snap` binary codec, and
+//! parameters, messages, marginals, component tracker, live mask and
+//! tombstones — through the `jocl_kb::snap` binary codec, and
 //! [`IncrementalJocl::import_state`] rebuilds a session that resumes
 //! with **bitwise-identical** messages: `snapshot → restart → delta`
-//! decodes exactly like the uninterrupted session. The CKB, the frozen
+//! decodes exactly like the uninterrupted session. The LBP state's edge
+//! index and queue are not persisted: they are functions of the graph,
+//! and the restored session's first delta rebuilds them before it
+//! decodes the messages back in. Between runs the residual queue is
+//! empty and every priority 0.0, so the restored and the resident state
+//! take the same trajectory.
+//!
+//! Messages leave the resident state only through
+//! [`LbpState::export_messages`] and come back through
+//! [`LbpState::import_messages`]: for snapshots, and under
+//! `MessageStore::Quantized` at every commit — the session encodes the
+//! arenas, drops the `f64` copies and decodes them at the start of the
+//! next delta, so only the quantized form stays resident between
+//! deltas. The cached marginals of variables the next run does not touch
+//! keep the values computed before quantization. The CKB, the frozen
 //! [`Signals`] and the [`JoclConfig`] are *not* part of the state — they
 //! are shared serving resources the restarting process supplies, and the
 //! file-level wrapper in `jocl_serve` fingerprints the config to catch
@@ -122,7 +144,7 @@ use crate::decode::{decode_live, Diagnostics, JoclOutput};
 use crate::signals::Signals;
 use jocl_cluster::UnionFind;
 use jocl_fg::lbp::LbpEngine;
-use jocl_fg::{FactorId, LbpMessages, LbpResult, Marginals, VarId};
+use jocl_fg::{FactorId, LbpMessages, LbpResult, LbpState, Marginals, MessageStore, VarId};
 use jocl_kb::snap::{SnapReader, SnapWriter};
 use jocl_kb::{Ckb, KbError, NpMention, NpSlot, Okb, RpMention, Triple, TripleId};
 use jocl_text::fx::FxHashSet;
@@ -201,8 +223,10 @@ pub struct DeltaStats {
     pub affected_components: usize,
     /// Total connected components after the delta.
     pub total_components: usize,
-    /// Variables whose marginals were recomputed (the rest were reused
-    /// from the previous decode).
+    /// Variables whose marginals were recomputed: those whose incoming
+    /// messages this delta's run, resets or growth wrote, plus new
+    /// variables — every variable after a cold or unconverged run. The
+    /// rest were reused, bit for bit, from the previous decode.
     pub refreshed_vars: usize,
     /// True once the session's `max_triangles` budget has forced a
     /// transitivity triangle to be dropped — from that point exact
@@ -242,16 +266,24 @@ pub struct IncrementalJocl<'a> {
     okb: Okb,
     blocking: BlockingIndex,
     plan: GraphPlan,
-    /// Messages of the last run (None before the first delta).
-    messages: Option<LbpMessages>,
+    /// LBP state over `plan.graph`, kept across deltas: edge index,
+    /// residual queue and — unless `committed` holds them — the messages
+    /// of the last run.
+    lbp: LbpState,
+    /// Messages that are not resident in `lbp`: a quantized session's
+    /// commit between deltas, or a restored snapshot's messages until the
+    /// next delta decodes them back in.
+    committed: Option<LbpMessages>,
+    /// Whether a delta has run LBP (the first one runs cold).
+    warm: bool,
     /// Whether the last run actually converged. If it did not (e.g. the
     /// iteration budget ran out), the next delta re-primes **every**
     /// factor instead of just its own dirty set: the stale above-`tol`
     /// residuals the aborted drain left behind must re-enter the queue,
     /// or a later "converged" report would certify nothing.
     prior_converged: bool,
-    /// Cached marginals per variable, refreshed per affected component.
-    marginals: Vec<Vec<f64>>,
+    /// Cached marginals per variable, refreshed per touched variable.
+    marginals: Marginals,
     /// Connected components over variables (factors union their vars).
     components: UnionFind,
     /// Cross-delta build state: per-key caches, triangle indexes and the
@@ -278,7 +310,7 @@ impl std::fmt::Debug for IncrementalJocl<'_> {
             .field("vars", &self.plan.graph.num_vars())
             .field("factors", &self.plan.graph.num_factors())
             .field("dead_factors", &self.num_dead_factors)
-            .field("warm", &self.messages.is_some())
+            .field("warm", &self.warm)
             .finish_non_exhaustive()
     }
 }
@@ -304,9 +336,11 @@ impl<'a> IncrementalJocl<'a> {
             signals,
             okb: Okb::new(),
             plan: GraphPlan::empty(params, groups),
-            messages: None,
+            lbp: LbpState::new(),
+            committed: None,
+            warm: false,
             prior_converged: true,
-            marginals: Vec::new(),
+            marginals: Marginals::from_probs(Vec::new()),
             components: UnionFind::new(0),
             live: Vec::new(),
             dead_factors: Vec::new(),
@@ -371,6 +405,7 @@ impl<'a> IncrementalJocl<'a> {
         let mut duplicates = 0usize;
         let mut missed_retracts = 0usize;
         let mut revised = 0usize;
+        let ingest_span = jocl_obs::span!("ingest");
         let mut ingest_add = |okb: &mut Okb, t: &Triple, new_ids: &mut Vec<TripleId>| {
             let (id, fresh) = okb.ingest_triple(t.clone());
             if fresh {
@@ -403,6 +438,7 @@ impl<'a> IncrementalJocl<'a> {
             self.live[id.idx()] = false;
         }
         self.num_dead_triples += retracted_ids.len();
+        drop(ingest_span);
 
         // --- 2. incremental blocking -------------------------------------
         // Every fresh triple enters the blocking index (its id exists and
@@ -410,9 +446,11 @@ impl<'a> IncrementalJocl<'a> {
         // endpoint are dropped before they can become variables: the
         // reference batch run on the survivors has no such pair either.
         let mut delta = Blocking::default();
+        let blocking_span = jocl_obs::span!("blocking");
         for &id in &new_ids {
             delta.extend(self.blocking.append_triple(id, self.okb.triple(id), self.signals));
         }
+        drop(blocking_span);
         for pairs in [&mut delta.subj_pairs, &mut delta.pred_pairs, &mut delta.obj_pairs] {
             pairs.retain(|&(a, b)| self.live[a.idx()] && self.live[b.idx()]);
             pairs.sort_unstable();
@@ -421,7 +459,9 @@ impl<'a> IncrementalJocl<'a> {
         // --- 3. append-only graph growth + tombstoning -------------------
         // Triples both added and retracted within this delta never get
         // variables at all (the builder skips dead ids); the rest of the
-        // fresh set does.
+        // fresh set does. Committed messages come back into the LBP state
+        // first, over the graph they were committed on.
+        self.materialize_messages();
         let first_new_var = self.plan.graph.num_vars();
         let first_new_factor = self.plan.graph.num_factors();
         let input = BuildInput {
@@ -476,22 +516,18 @@ impl<'a> IncrementalJocl<'a> {
         } else {
             (0..num_factors as u32).collect()
         };
-        let warm_started = self.messages.is_some();
+        let warm_started = self.warm;
         // A delta that neither grew nor tombstoned anything leaves the
         // converged messages the fixed point: skip inference entirely.
         let graph_unchanged = warm_started && dirty.is_empty();
-        let mut engine = LbpEngine::new(&self.plan.graph);
-        let lbp = match &self.messages {
-            Some(prior) if graph_unchanged => {
-                engine.import_messages(prior);
-                LbpResult { iterations: 0, converged: true, residual: 0.0, message_updates: 0 }
-            }
-            Some(prior) => {
-                engine.import_messages(prior);
-                engine.reset_factor_messages(&newly_dead);
-                engine.resume_imported(&self.plan.params, &self.config.lbp, &dirty)
-            }
-            None => engine.run(&self.plan.params, &self.config.lbp),
+        let mut engine = LbpEngine::with_state(&self.plan.graph, std::mem::take(&mut self.lbp));
+        let lbp = if graph_unchanged {
+            LbpResult { iterations: 0, converged: true, residual: 0.0, message_updates: 0 }
+        } else if warm_started {
+            engine.reset_factor_messages(&newly_dead);
+            engine.resume(&self.plan.params, &self.config.lbp, &dirty)
+        } else {
+            engine.run(&self.plan.params, &self.config.lbp)
         };
         self.total_message_updates += lbp.message_updates;
 
@@ -504,24 +540,23 @@ impl<'a> IncrementalJocl<'a> {
             }
         }
 
-        // --- 5. re-decode affected components ----------------------------
-        // The residual resume leaves an untouched component's messages
-        // bit-for-bit unchanged, so its cached marginals stay exact.
+        // --- 5. refresh the touched marginals and re-decode --------------
+        // Only variables whose incoming messages the run (or a reset, or
+        // growth) wrote can have moved; every other message kept its
+        // bits, so its cached marginal stays exact. A cold or unconverged
+        // run refreshes everything.
         let refresh_all = !graph_unchanged && (!warm_started || !lbp.converged);
-        self.marginals.resize(num_vars, Vec::new());
-        let mut refreshed = 0usize;
-        for v in 0..num_vars {
-            let needs = refresh_all
-                || self.marginals[v].is_empty()
-                || affected.contains(&self.components.find(v));
-            if needs {
-                self.marginals[v] = engine.var_marginal(VarId(v as u32));
-                refreshed += 1;
-            }
+        let refreshed = {
+            let _span = jocl_obs::span!("marginal_refresh");
+            engine.refresh_marginals(&mut self.marginals, refresh_all)
+        };
+        self.lbp = engine.into_state();
+        if self.config.message_store == MessageStore::Quantized {
+            self.committed = Some(self.lbp.export_messages(MessageStore::Quantized));
+            self.lbp.release_messages();
         }
-        self.messages = Some(engine.export_messages_with(self.config.message_store));
+        self.warm = true;
         self.prior_converged = lbp.converged;
-        drop(engine);
 
         DeltaOutput {
             output: self.decode(lbp),
@@ -605,6 +640,7 @@ impl<'a> IncrementalJocl<'a> {
     /// as the inference that produced them. Sessions never train, so the
     /// output carries no `learned_params`.
     fn decode(&self, lbp: LbpResult) -> JoclOutput {
+        let _span = jocl_obs::span!("decode");
         let diagnostics = Diagnostics {
             lbp,
             num_vars: self.plan.graph.num_vars(),
@@ -618,9 +654,21 @@ impl<'a> IncrementalJocl<'a> {
             train_epochs: 0,
             train_grad_norm: f64::NAN,
         };
-        let marginals = Marginals::from_probs(self.marginals.clone());
         let live_mask = (self.num_dead_triples > 0).then_some(self.live.as_slice());
-        decode_live(&self.okb, &self.plan, &marginals, &self.config, diagnostics, live_mask)
+        decode_live(&self.okb, &self.plan, &self.marginals, &self.config, diagnostics, live_mask)
+    }
+
+    /// Decode committed messages (a quantized commit, or a restored
+    /// snapshot's) back into the LBP state, growing the state to the
+    /// graph they were committed on — for a restored session, its first
+    /// build of the edge index.
+    fn materialize_messages(&mut self) {
+        if let Some(messages) = self.committed.take() {
+            let state = std::mem::take(&mut self.lbp);
+            let mut state = LbpEngine::with_state(&self.plan.graph, state).into_state();
+            state.import_messages(&messages);
+            self.lbp = state;
+        }
     }
 
     /// Variables in the live factor graph (tombstoned ones included —
@@ -700,20 +748,25 @@ impl<'a> IncrementalJocl<'a> {
         self.blocking.export_state(&mut w);
         self.plan.export_state(&mut w);
         w.tag("MSG");
-        match &self.messages {
-            None => w.bool(false),
-            Some(m) => {
-                w.bool(true);
-                w.usize(m.num_edges());
-                write_arena(&mut w, m.fv());
-                write_arena(&mut w, m.vf());
-            }
+        w.bool(self.warm);
+        if self.warm {
+            let exported;
+            let m = match &self.committed {
+                Some(m) => m,
+                None => {
+                    exported = self.lbp.export_messages(self.config.message_store);
+                    &exported
+                }
+            };
+            w.usize(m.num_edges());
+            write_arena(&mut w, m.fv());
+            write_arena(&mut w, m.vf());
         }
         w.tag("SESS");
         w.bool(self.prior_converged);
         w.usize(self.marginals.len());
-        for m in &self.marginals {
-            w.f64_slice_packed(m);
+        for v in 0..self.marginals.len() {
+            w.f64_slice_packed(self.marginals.of(VarId(v as u32)));
         }
         let (parent, size, components) = self.components.export_state();
         w.u32_slice_packed(parent);
@@ -815,7 +868,7 @@ impl<'a> IncrementalJocl<'a> {
         let mut marginals = Vec::with_capacity(num_marginals);
         for v in 0..num_marginals {
             let m = r.f64_vec_packed()?;
-            if !m.is_empty() && m.len() != plan.graph.cardinality(VarId(v as u32)) as usize {
+            if m.len() != plan.graph.cardinality(VarId(v as u32)) as usize {
                 return Err(r.corrupt(format!("marginal {v} has the wrong cardinality")));
             }
             marginals.push(m);
@@ -864,9 +917,11 @@ impl<'a> IncrementalJocl<'a> {
             okb,
             blocking,
             plan,
-            messages,
+            lbp: LbpState::new(),
+            warm: messages.is_some(),
+            committed: messages,
             prior_converged,
-            marginals,
+            marginals: Marginals::from_probs(marginals),
             components,
             builder,
             live,
@@ -878,28 +933,32 @@ impl<'a> IncrementalJocl<'a> {
     }
 
     /// Resident heap bytes of the session's owned state: OKB, blocking
-    /// index, graph plan, committed messages, cached marginals and the
-    /// liveness masks. The per-phrase feature caches are excluded — they
+    /// index, graph plan, LBP state (messages, edge index and residual
+    /// queue), committed messages, cached marginals and the liveness
+    /// masks. The per-phrase feature caches are excluded — they
     /// are transient, refillable functions of the frozen signals, not
     /// part of the state a snapshot persists.
     pub fn heap_bytes(&self) -> usize {
         self.okb.heap_bytes()
             + self.blocking.heap_bytes()
             + self.plan.heap_bytes()
-            + self.messages.as_ref().map_or(0, |m| m.heap_bytes())
-            + self.marginals.iter().map(|m| m.capacity() * 8).sum::<usize>()
-            + self.marginals.capacity() * std::mem::size_of::<Vec<f64>>()
+            + self.lbp.heap_bytes()
+            + self.committed.as_ref().map_or(0, LbpMessages::heap_bytes)
+            + self.marginals.heap_bytes()
             + self.live.capacity()
             + self.dead_factors.capacity()
     }
 
-    /// Resident heap bytes of just the committed message arenas (the
-    /// component the [`jocl_fg::MessageStore`] choice governs); 0 on a
-    /// cold session. The `memory_scale` gate compares this across
-    /// stores, isolated from the OKB/blocking/plan bytes the store
+    /// Resident heap bytes of just the message arenas between deltas
+    /// (the component the [`jocl_fg::MessageStore`] choice governs): the
+    /// committed encoding when there is one, else the resident `f64`
+    /// arenas; 0 on a cold session. The `memory_scale` gate compares this
+    /// across stores, isolated from the OKB/blocking/plan bytes the store
     /// cannot change.
     pub fn message_heap_bytes(&self) -> usize {
-        self.messages.as_ref().map_or(0, |m| m.heap_bytes())
+        self.committed
+            .as_ref()
+            .map_or_else(|| self.lbp.message_heap_bytes(), LbpMessages::heap_bytes)
     }
 }
 
@@ -915,7 +974,7 @@ pub(crate) fn assert_paper_schedule(config: &JoclConfig) {
 }
 
 /// Sessions warm-start every delta with the residual drain
-/// ([`LbpEngine::resume_imported`] rejects anything else); fail at
+/// ([`LbpEngine::resume`] rejects anything else); fail at
 /// session construction, naming the field, rather than on the second
 /// delta.
 fn assert_residual_schedule(config: &JoclConfig) {
@@ -1028,6 +1087,95 @@ mod tests {
             assert_eq!(plan.pred_pair_vars, batch.pred_pair_vars, "{what}");
             assert_eq!(plan.obj_pair_vars, batch.obj_pair_vars, "{what}");
             assert_eq!(plan.stats, batch.stats, "{what}");
+        }
+    }
+
+    /// A seeded add / retract / revise sequence over a small generated
+    /// world: mostly adds of fresh triples, with retractions and
+    /// revisions of earlier live ones.
+    fn mixed_deltas(triples: &[Triple], seed: u64) -> Vec<Vec<DeltaOp>> {
+        let mut rng = seed;
+        let mut next = |n: usize| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % n.max(1)
+        };
+        let (mut live, mut fresh) = (Vec::new(), triples.iter());
+        let mut deltas = Vec::new();
+        for i in 0..12 {
+            let mut ops = Vec::new();
+            for t in fresh.by_ref().take(if i == 0 { 24 } else { 4 }) {
+                ops.push(DeltaOp::Add(t.clone()));
+                live.push(t.clone());
+            }
+            if i % 3 == 1 && !live.is_empty() {
+                ops.push(DeltaOp::Retract(live.swap_remove(next(live.len()))));
+            }
+            if i % 3 == 2 {
+                if let Some(new) = fresh.next() {
+                    let old = live.swap_remove(next(live.len()));
+                    ops.push(DeltaOp::Revise { old, new: new.clone() });
+                    live.push(new.clone());
+                }
+            }
+            deltas.push(ops);
+        }
+        deltas
+    }
+
+    /// A session restored from the previous delta's snapshot and then
+    /// given the same delta ends bitwise where the resident session
+    /// does, under both message stores — including after a delta cut off
+    /// at `max_iters`, whose leftover priorities and queue the resident
+    /// state must clear. Under the exact store the cached marginals also
+    /// equal a full recompute from the resident messages, bit for bit.
+    #[test]
+    fn restored_every_delta_matches_the_resident_session() {
+        let sgns = jocl_embed::SgnsOptions { dim: 8, epochs: 2, ..Default::default() };
+        let world = jocl_datagen::reverb45k_like(7, 0.002);
+        let triples: Vec<Triple> = world.okb.triples().map(|(_, t)| t.clone()).collect();
+        let mut okb = Okb::new();
+        for t in &triples {
+            okb.ingest_triple(t.clone());
+        }
+        let signals = build_signals(&okb, &world.ckb, &world.ppdb, &world.corpus, &sgns);
+        let deltas = mixed_deltas(&triples, 11);
+        for store in [jocl_fg::MessageStore::Exact, jocl_fg::MessageStore::Quantized] {
+            let mut config =
+                JoclConfig { train_epochs: 0, message_store: store, ..JoclConfig::default() };
+            config.lbp.max_iters = 4;
+            config.lbp.tol = 1e-7;
+            let mut resident = IncrementalJocl::new(config.clone(), &world.ckb, &signals);
+            let mut bytes = resident.export_state();
+            let (mut cut_off, mut converged) = (0, 0);
+            for (i, ops) in deltas.iter().enumerate() {
+                let mut restored =
+                    IncrementalJocl::import_state(&bytes, config.clone(), &world.ckb, &signals)
+                        .expect("snapshot restores");
+                let stats = resident.apply_ops(ops).stats;
+                let restored_stats = restored.apply_ops(ops).stats;
+                assert_eq!(stats.refreshed_vars, restored_stats.refreshed_vars, "delta {i}");
+                if stats.lbp.converged {
+                    converged += 1;
+                } else {
+                    cut_off += 1;
+                }
+                bytes = resident.export_state();
+                assert!(bytes == restored.export_state(), "{store:?} delta {i}: states differ");
+                if store == jocl_fg::MessageStore::Exact {
+                    let engine = LbpEngine::with_state(&resident.plan.graph, resident.lbp.clone());
+                    let full = engine.marginals();
+                    for v in 0..resident.num_vars() {
+                        let v = VarId(v as u32);
+                        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(resident.marginals.of(v)),
+                            bits(full.of(v)),
+                            "delta {i}: cached marginal of {v:?} is stale"
+                        );
+                    }
+                }
+            }
+            assert!(cut_off > 0 && converged > 0, "{cut_off} cut-off / {converged} converged");
         }
     }
 

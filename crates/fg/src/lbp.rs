@@ -58,6 +58,19 @@
 //! recomputing only the messages whose inputs still change
 //! ([`LbpResult::message_updates`] counts both modes identically). Both
 //! modes update factors through the same fused compute-and-commit batch.
+//!
+//! **Owned state, borrowed graph.** An [`LbpEngine`] is a graph borrow
+//! plus an owned [`LbpState`]: the message arenas, the edge index (arena
+//! offsets, edge→variable, edge→factor, the CSR variable adjacency), the
+//! schedule masks, the residual priorities and queue, and the set of
+//! variables whose incoming messages were written. Batch runs and
+//! learning build one from empty ([`LbpEngine::new`]). A serving session
+//! keeps the state across deltas and lends it the grown graph
+//! ([`LbpEngine::with_state`] / [`LbpEngine::into_state`]); growth
+//! appends the new edges with uniform messages, and a warm
+//! [`LbpEngine::resume`] costs O(dirty) to set up. Afterwards
+//! [`LbpEngine::refresh_marginals`] recomputes only the marginals whose
+//! inputs were written.
 
 use crate::graph::{FactorGraph, FactorId, Potential, VarId};
 use crate::logspace::{exp_shifted, logsumexp, normalize_into, to_probs};
@@ -264,95 +277,173 @@ impl Marginals {
     pub fn is_empty(&self) -> bool {
         self.probs.is_empty()
     }
+
+    /// Heap bytes of the probability vectors.
+    pub fn heap_bytes(&self) -> usize {
+        self.probs.iter().map(|p| p.capacity() * 8).sum::<usize>()
+            + self.probs.capacity() * std::mem::size_of::<Vec<f64>>()
+    }
 }
 
-/// Reusable LBP state over one graph.
-pub struct LbpEngine<'g> {
-    graph: &'g FactorGraph,
-    /// Per-edge offset into the message arenas.
-    edge_offset: Vec<usize>,
-    /// Per-edge variable id (edges are enumerated factor-major by slot).
+/// The owned half of an LBP engine: everything a run reads or writes
+/// except the graph. An [`LbpEngine`] pairs it with a graph borrow, so a
+/// long-lived owner (the serving session) keeps one state across graph
+/// growth and lends it the grown graph per delta
+/// ([`LbpEngine::with_state`] / [`LbpEngine::into_state`]); batch runs
+/// and learning build one from empty with [`LbpEngine::new`].
+///
+/// The state only grows: a graph handed to it must extend the one it was
+/// last grown to, which is what appending variables and factors
+/// guarantees (edges are enumerated factor-major by slot, and existing
+/// variables keep their cardinalities). The new edges start from uniform
+/// messages, exactly as [`LbpEngine::reset_messages`] writes them.
+///
+/// Between runs the residual priorities are all 0.0 and the queue is
+/// empty, as in a fresh state: each run clears exactly the entries it
+/// raised before it returns, so a resident state and one restored from
+/// its messages take the same trajectory.
+#[derive(Clone)]
+pub struct LbpState {
+    /// Arena offset of each edge, then the arena length
+    /// (`num_edges + 1` entries).
+    edge_offset: Vec<u32>,
+    /// Variable of each edge.
     edge_var: Vec<u32>,
-    /// First edge id of each factor (length `num_factors + 1`).
+    /// Factor of each edge.
+    edge_factor: Vec<u32>,
+    /// First edge of each factor, then the edge count
+    /// (`num_factors + 1` entries).
     factor_edge_start: Vec<u32>,
+    /// CSR adjacency, rebuilt when edges are appended: the edge ids of
+    /// variable `v` are `var_edges[var_edge_start[v]..var_edge_start[v+1]]`,
+    /// ascending — every per-variable sum of incoming messages adds in
+    /// this order, so growth keeps the bits.
+    var_edge_start: Vec<u32>,
+    var_edges: Vec<u32>,
     /// factor→variable messages (log domain, normalized).
     fv: Vec<f64>,
     /// variable→factor messages (log domain, normalized).
     vf: Vec<f64>,
-    /// Scratch buffer for new factor→variable messages.
-    new_fv: Vec<f64>,
     /// Kernel buffers reused by every factor update.
     scratch: Scratch,
     /// Per-state total of incoming factor→variable messages, reused by
     /// every variable update.
     var_total: Vec<f64>,
-    /// CSR adjacency: edge ids of variable `v` are
-    /// `var_edges[var_edge_start[v]..var_edge_start[v+1]]`.
-    var_edge_start: Vec<u32>,
-    var_edges: Vec<u32>,
+    /// Clamp of each variable, allocated by the first
+    /// [`LbpEngine::set_clamp`] (a session never clamps).
     clamps: Vec<Option<u32>>,
+    /// The schedule's class masks and the per-node scheduled flags.
+    masks: ScheduleMasks,
+    /// Residual priorities and queue.
+    drain: Drain,
+    /// Variables whose incoming (factor→variable) messages were written
+    /// since the last [`LbpEngine::refresh_marginals`].
+    touched: IdSet,
 }
 
-impl<'g> LbpEngine<'g> {
-    /// Allocate message storage for `graph`.
-    pub fn new(graph: &'g FactorGraph) -> Self {
-        let mut edge_offset = Vec::new();
-        let mut edge_var = Vec::new();
-        let mut factor_edge_start = Vec::with_capacity(graph.num_factors() + 1);
-        let mut offset = 0usize;
-        for fi in 0..graph.num_factors() {
-            factor_edge_start.push(edge_offset.len() as u32);
-            for &v in graph.factor_vars(FactorId(fi as u32)) {
-                edge_offset.push(offset);
-                edge_var.push(v.0);
-                offset += graph.cardinality(v) as usize;
-            }
-        }
-        factor_edge_start.push(edge_offset.len() as u32);
-        // CSR of the inverse mapping: variable → incident edge ids.
-        let mut var_edge_start = vec![0u32; graph.num_vars() + 1];
-        for &v in &edge_var {
-            var_edge_start[v as usize + 1] += 1;
-        }
-        for i in 1..var_edge_start.len() {
-            var_edge_start[i] += var_edge_start[i - 1];
-        }
-        let mut cursor = var_edge_start.clone();
-        let mut var_edges = vec![0u32; edge_var.len()];
-        for (e, &v) in edge_var.iter().enumerate() {
-            var_edges[cursor[v as usize] as usize] = e as u32;
-            cursor[v as usize] += 1;
-        }
-        let mut eng = Self {
-            graph,
-            edge_offset,
-            edge_var,
-            factor_edge_start,
-            fv: vec![0.0; offset],
-            vf: vec![0.0; offset],
-            new_fv: vec![0.0; offset],
+impl Default for LbpState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LbpState {
+    /// An empty state: no edges, no messages.
+    pub fn new() -> Self {
+        Self {
+            edge_offset: vec![0],
+            edge_var: Vec::new(),
+            edge_factor: Vec::new(),
+            factor_edge_start: vec![0],
+            var_edge_start: vec![0],
+            var_edges: Vec::new(),
+            fv: Vec::new(),
+            vf: Vec::new(),
             scratch: Scratch::default(),
             var_total: Vec::new(),
-            var_edge_start,
-            var_edges,
-            clamps: vec![None; graph.num_vars()],
-        };
-        eng.reset_messages();
-        eng
+            clamps: Vec::new(),
+            masks: ScheduleMasks::default(),
+            drain: Drain::default(),
+            touched: IdSet::default(),
+        }
     }
 
-    /// Snapshot the current messages for a later
-    /// [`LbpEngine::import_messages`] + [`LbpEngine::resume_imported`] on
-    /// a graph that *extends* this one (same variables and factors as a
-    /// prefix, new ones appended). Commits under the exact `f64` store;
-    /// see [`LbpEngine::export_messages_with`] for the quantized form.
-    pub fn export_messages(&self) -> LbpMessages {
-        self.export_messages_with(MessageStore::Exact)
+    /// Number of edges (factor-slot pairs) the state covers.
+    fn num_edges(&self) -> usize {
+        self.edge_var.len()
     }
 
-    /// Snapshot the current messages under the given committed-arena
-    /// representation (the [`MessageStore`] seam — see [`crate::store`]).
-    pub fn export_messages_with(&self, store: MessageStore) -> LbpMessages {
+    fn num_factors(&self) -> usize {
+        self.factor_edge_start.len() - 1
+    }
+
+    fn num_vars(&self) -> usize {
+        self.var_edge_start.len() - 1
+    }
+
+    /// Edge ids of variable `v`, ascending.
+    #[inline]
+    fn var_adj(&self, v: usize) -> &[u32] {
+        &self.var_edges[self.var_edge_start[v] as usize..self.var_edge_start[v + 1] as usize]
+    }
+
+    #[inline]
+    fn clamp(&self, v: usize) -> Option<u32> {
+        self.clamps.get(v).copied().flatten()
+    }
+
+    /// Rebuild the CSR adjacency over `num_vars` variables by a counting
+    /// sort of `edge_var`, in place: each variable's edges ascending.
+    fn rebuild_var_adjacency(&mut self, num_vars: usize) {
+        let (start, edges) = (&mut self.var_edge_start, &mut self.var_edges);
+        start.clear();
+        start.resize(num_vars + 1, 0);
+        for &v in &self.edge_var {
+            start[v as usize + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        // `start[v + 1]` is the end of `v`'s run; filling backwards
+        // moves it down to the run's first slot.
+        edges.resize(self.edge_var.len(), 0);
+        for (e, &v) in self.edge_var.iter().enumerate().rev() {
+            start[v as usize + 1] -= 1;
+            edges[start[v as usize + 1] as usize] = e as u32;
+        }
+        start.copy_within(1.., 0);
+        start[num_vars] = self.edge_var.len() as u32;
+    }
+
+    /// Message slots of one arena.
+    fn arena_len(&self) -> usize {
+        self.edge_offset[self.num_edges()] as usize
+    }
+
+    #[inline]
+    fn edge_range(&self, e: usize) -> std::ops::Range<usize> {
+        self.edge_offset[e] as usize..self.edge_offset[e + 1] as usize
+    }
+
+    /// Edge ids of factor `f` in slot order.
+    #[inline]
+    fn factor_edges(&self, f: usize) -> std::ops::Range<usize> {
+        self.factor_edge_start[f] as usize..self.factor_edge_start[f + 1] as usize
+    }
+
+    /// Encode the current messages under the given committed-arena
+    /// representation (the [`MessageStore`] seam — see [`crate::store`]):
+    /// what a snapshot persists, and what a quantized session keeps
+    /// between deltas.
+    ///
+    /// # Panics
+    /// Panics if the messages were released.
+    pub fn export_messages(&self, store: MessageStore) -> LbpMessages {
+        assert_eq!(
+            self.fv.len(),
+            self.arena_len(),
+            "LBP messages were released; import them first"
+        );
         LbpMessages {
             fv: MessageArena::encode(&self.fv, store),
             vf: MessageArena::encode(&self.vf, store),
@@ -360,86 +451,306 @@ impl<'g> LbpEngine<'g> {
         }
     }
 
-    /// Install a prior snapshot into this engine. The prior's edges must
-    /// be a prefix of this engine's edge enumeration — which is exactly
-    /// what appending variables and factors to the graph guarantees
-    /// (edges are enumerated factor-major, and existing variables keep
-    /// their cardinalities). Messages of edges beyond the prefix keep
-    /// their uniform initialization.
+    /// Replace every message with `messages`, which must cover exactly
+    /// this state's edges (export from the same graph, or a state grown
+    /// to it). Clears the touched set: the imported messages are the
+    /// committed ones, and marginals cached against them stay current.
     ///
     /// # Panics
-    /// Panics if the snapshot does not describe a prefix of this graph
-    /// (e.g. the graph was rebuilt rather than appended to).
-    pub fn import_messages(&mut self, prior: &LbpMessages) {
+    /// Panics if the snapshot does not cover exactly this state's edges
+    /// (e.g. the graph was rebuilt rather than grown by appending).
+    pub fn import_messages(&mut self, messages: &LbpMessages) {
+        let arena = self.arena_len();
         assert!(
-            prior.edges <= self.num_edges(),
-            "prior snapshot has more edges ({}) than the graph ({})",
-            prior.edges,
+            messages.edges == self.num_edges() && messages.fv.len() == arena,
+            "message snapshot ({} edges, {} slots) must cover exactly the state's {} edges and \
+             {arena} slots: graphs only grow by appending",
+            messages.edges,
+            messages.fv.len(),
             self.num_edges()
         );
-        let arena = if prior.edges == self.num_edges() {
-            self.fv.len()
-        } else {
-            self.edge_offset[prior.edges]
-        };
-        assert_eq!(
-            arena,
-            prior.fv.len(),
-            "resumed graph must extend the prior graph by appending vars/factors"
-        );
-        prior.fv.decode_into(&mut self.fv[..arena]);
-        prior.vf.decode_into(&mut self.vf[..arena]);
+        self.fv.resize(arena, 0.0);
+        self.vf.resize(arena, 0.0);
+        messages.fv.decode_into(&mut self.fv);
+        messages.vf.decode_into(&mut self.vf);
+        self.touched.clear();
     }
 
-    /// Warm-started run over messages seeded by
-    /// [`LbpEngine::import_messages`]: converge with only `dirty` factor
-    /// blocks scheduled up front. `dirty` is typically the factors
-    /// appended since the snapshot; everything else re-enters the
-    /// computation only if dirty propagation actually reaches it. Callers
-    /// may adjust the imported messages first — the serving retraction
-    /// path resets the tombstoned factors' messages to uniform
-    /// ([`LbpEngine::reset_factor_messages`]) and only then warm-starts
-    /// with the tombstones *and their live neighbors* in `dirty`.
+    /// Free both message arenas (after [`LbpState::export_messages`] has
+    /// committed them elsewhere); [`LbpState::import_messages`] brings
+    /// them back. A state without messages cannot run or grow.
+    pub fn release_messages(&mut self) {
+        self.fv = Vec::new();
+        self.vf = Vec::new();
+    }
+
+    /// Heap bytes of the two resident message arenas (0 once released).
+    pub fn message_heap_bytes(&self) -> usize {
+        (self.fv.capacity() + self.vf.capacity()) * 8
+    }
+
+    /// Heap bytes of the whole state: the arenas plus the edge index,
+    /// variable adjacency, schedule masks and residual queue.
+    pub fn heap_bytes(&self) -> usize {
+        let u32s = self.edge_offset.capacity()
+            + self.edge_var.capacity()
+            + self.edge_factor.capacity()
+            + self.factor_edge_start.capacity()
+            + self.var_edge_start.capacity()
+            + self.var_edges.capacity();
+        self.message_heap_bytes()
+            + u32s * 4
+            + self.clamps.capacity() * std::mem::size_of::<Option<u32>>()
+            + self.touched.heap_bytes()
+            + self.masks.heap_bytes()
+            + self.drain.heap_bytes()
+    }
+}
+
+/// The class masks of one [`Schedule`] and the scheduled flag of every
+/// factor and variable, computed once and grown with the graph.
+#[derive(Clone, Default)]
+struct ScheduleMasks {
+    /// The schedule the masks describe (`None` before the first run).
+    schedule: Option<Schedule>,
+    /// Per-phase class membership.
+    factor_phases: Vec<[bool; 256]>,
+    var_phases: Vec<[bool; 256]>,
+    /// Whether each factor / variable belongs to some phase. Classes
+    /// absent from the schedule never update, in either mode.
+    factor_active: Vec<bool>,
+    var_active: Vec<bool>,
+    /// Edges of the scheduled factors: the messages one full sweep
+    /// recomputes.
+    sweep_messages: u64,
+}
+
+impl ScheduleMasks {
+    fn heap_bytes(&self) -> usize {
+        (self.factor_phases.capacity() + self.var_phases.capacity()) * 256
+            + self.factor_active.capacity()
+            + self.var_active.capacity()
+    }
+}
+
+/// A set of ids with O(1) insert and a clear that costs its size: the
+/// ids in insertion order, plus a membership flag per possible id.
+#[derive(Clone, Default)]
+struct IdSet {
+    ids: Vec<u32>,
+    member: Vec<bool>,
+}
+
+impl IdSet {
+    /// Admit ids `0..n`.
+    fn grow(&mut self, n: usize) {
+        self.member.resize(n, false);
+    }
+
+    #[inline]
+    fn insert(&mut self, id: u32) {
+        if !self.member[id as usize] {
+            self.member[id as usize] = true;
+            self.ids.push(id);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &id in &self.ids {
+            self.member[id as usize] = false;
+        }
+        self.ids.clear();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * 4 + self.member.capacity()
+    }
+}
+
+/// The residual drain's per-factor priorities and bucket queue.
+#[derive(Clone)]
+struct Drain {
+    prio: Vec<f64>,
+    /// Factors raised since the last reset: their priority may be
+    /// non-zero, or they may be queued.
+    raised: IdSet,
+    queue: BucketQueue,
+}
+
+impl Default for Drain {
+    fn default() -> Self {
+        Self {
+            prio: Vec::new(),
+            raised: IdSet::default(),
+            queue: BucketQueue::new(f64::MIN_POSITIVE, 0),
+        }
+    }
+}
+
+impl Drain {
+    fn grow(&mut self, num_factors: usize) {
+        self.prio.resize(num_factors, 0.0);
+        self.raised.grow(num_factors);
+        self.queue.grow(num_factors);
+    }
+
+    /// Back to the fresh state — every priority 0.0, nothing queued —
+    /// touching only what the run raised.
+    fn reset(&mut self) {
+        for &f in &self.raised.ids {
+            self.prio[f as usize] = 0.0;
+        }
+        self.raised.clear();
+        self.queue.clear();
+    }
+
+    /// Add `delta` to factor `f`'s priority and (re-)enqueue it once the
+    /// priority reaches `tol`.
+    #[inline]
+    fn raise(&mut self, f: u32, delta: f64) {
+        self.raised.insert(f);
+        let old_p = self.prio[f as usize];
+        let new_p = old_p + delta;
+        self.prio[f as usize] = new_p;
+        self.queue.update(f, old_p, new_p);
+    }
+
+    /// Largest remaining priority (0.0 when none is left).
+    fn max_priority(&self) -> f64 {
+        self.raised.ids.iter().map(|&f| self.prio[f as usize]).fold(0.0, f64::max)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.prio.capacity() * 8 + self.raised.heap_bytes() + self.queue.heap_bytes()
+    }
+}
+
+/// LBP over one graph: a borrowed [`FactorGraph`] and an owned
+/// [`LbpState`].
+pub struct LbpEngine<'g> {
+    graph: &'g FactorGraph,
+    s: LbpState,
+}
+
+impl<'g> LbpEngine<'g> {
+    /// An engine over `graph` with uniform messages: an empty
+    /// [`LbpState`] grown to `graph`.
+    pub fn new(graph: &'g FactorGraph) -> Self {
+        Self::with_state(graph, LbpState::new())
+    }
+
+    /// Lend `graph` to `state`, first growing the state by the variables
+    /// and factors `graph` appends to the graph it was last grown to.
+    /// New edges get uniform messages (clamp evidence on a clamped
+    /// variable's variable→factor side), and their variables count as
+    /// touched.
     ///
-    /// Warm runs are always residual-scheduled: the priming sweep is
+    /// # Panics
+    /// Panics if `graph` has fewer variables or factors than the state
+    /// covers, or if edges must be appended to a state whose messages
+    /// were released.
+    pub fn with_state(graph: &'g FactorGraph, state: LbpState) -> Self {
+        let mut eng = Self { graph, s: state };
+        eng.grow();
+        eng
+    }
+
+    /// Give the state back (the graph borrow ends here).
+    pub fn into_state(self) -> LbpState {
+        self.s
+    }
+
+    fn grow(&mut self) {
+        let graph = self.graph;
+        let s = &mut self.s;
+        let (nf0, nv0) = (s.num_factors(), s.num_vars());
+        let (nf, nv) = (graph.num_factors(), graph.num_vars());
+        assert!(
+            nf >= nf0 && nv >= nv0,
+            "an LBP state only grows: the graph has {nv} vars / {nf} factors, the state covers \
+             {nv0} / {nf0}"
+        );
+        s.touched.grow(nv);
+        s.drain.grow(nf);
+        if nf == nf0 {
+            let edges = s.num_edges() as u32;
+            s.var_edge_start.resize(nv + 1, edges);
+            return;
+        }
+        assert_eq!(s.fv.len(), s.arena_len(), "LBP messages were released; import them first");
+        let new_edges: usize = (nf0..nf).map(|f| graph.factor_vars(FactorId(f as u32)).len()).sum();
+        let new_slots: usize = (nf0..nf)
+            .flat_map(|f| graph.factor_vars(FactorId(f as u32)))
+            .map(|&v| graph.cardinality(v) as usize)
+            .sum();
+        for v in [&mut s.edge_offset, &mut s.edge_var, &mut s.edge_factor] {
+            v.reserve(new_edges);
+        }
+        s.factor_edge_start.reserve(nf - nf0);
+        s.fv.reserve(new_slots);
+        s.vf.reserve(new_slots);
+        for f in nf0..nf {
+            for &v in graph.factor_vars(FactorId(f as u32)) {
+                let card = graph.cardinality(v) as usize;
+                let uniform = -(card as f64).ln();
+                s.fv.resize(s.fv.len() + card, uniform);
+                match s.clamp(v.idx()) {
+                    None => s.vf.resize(s.vf.len() + card, uniform),
+                    Some(state) => {
+                        s.vf.extend(
+                            (0..card).map(|i| if i == state as usize { 0.0 } else { LOG_ZERO }),
+                        )
+                    }
+                }
+                let end = u32::try_from(s.fv.len()).expect("LBP message arena exceeds u32 offsets");
+                s.edge_offset.push(end);
+                s.edge_var.push(v.0);
+                s.edge_factor.push(f as u32);
+                s.touched.insert(v.0);
+            }
+            s.factor_edge_start.push(s.edge_var.len() as u32);
+        }
+        s.rebuild_var_adjacency(nv);
+    }
+
+    /// Warm-started run from the resident messages: converge with only
+    /// `dirty` factor blocks scheduled up front. `dirty` is typically the
+    /// factors appended since the last run (see [`LbpEngine::with_state`]);
+    /// everything else re-enters the computation only if dirty
+    /// propagation actually reaches it. Callers may adjust the messages
+    /// first — the serving retraction path resets the tombstoned factors'
+    /// messages to uniform ([`LbpEngine::reset_factor_messages`]) and only
+    /// then resumes with the tombstones *and their live neighbors* in
+    /// `dirty`.
+    ///
+    /// Resumes are always residual-scheduled: the priming sweep is
     /// restricted to the dirty set and the drain starts from there, so an
     /// untouched connected component performs **zero** message updates
     /// and its messages (and therefore marginals) are preserved
-    /// bit-for-bit.
+    /// bit-for-bit. Set-up costs O(dirty), not O(graph).
     ///
     /// # Panics
     /// Panics unless `opts.mode` is [`ScheduleMode::Residual`] (the
     /// synchronous sweeps are the cold reference oracle only), and, like
     /// [`LbpEngine::run`], on a non-finite weight in `params`.
-    pub fn resume_imported(
-        &mut self,
-        params: &Params,
-        opts: &LbpOptions,
-        dirty: &[u32],
-    ) -> LbpResult {
+    pub fn resume(&mut self, params: &Params, opts: &LbpOptions, dirty: &[u32]) -> LbpResult {
         assert_finite_weights(params);
         assert_eq!(
             opts.mode,
             ScheduleMode::Residual,
             "warm LBP resumes run the residual drain only (lbp.mode must be Residual)"
         );
+        self.sync_schedule(&opts.schedule);
         // Re-derive the variable→factor messages of every *scheduled*
-        // variable a dirty factor touches: the snapshot's vf on new
-        // edges is uniform, and priming quality (not correctness)
-        // depends on the first factor update seeing consistent inputs.
-        // Unscheduled variable classes stay frozen, exactly as both cold
-        // paths keep them.
-        let (_, var_sel) = self.phase_selections(&opts.schedule);
-        let mut var_active = vec![false; self.graph.num_vars()];
-        for sel in &var_sel {
-            for &v in sel {
-                var_active[v as usize] = true;
-            }
-        }
+        // variable a dirty factor touches: a new edge's vf is uniform,
+        // and priming quality (not correctness) depends on the first
+        // factor update seeing consistent inputs. Unscheduled variable
+        // classes stay frozen, exactly as both cold paths keep them.
+        let var_active = &self.s.masks.var_active;
         let mut vars: Vec<u32> = dirty
             .iter()
-            .flat_map(|&f| self.factor_edges(f as usize))
-            .map(|e| self.edge_var[e])
+            .flat_map(|&f| self.s.factor_edges(f as usize))
+            .map(|e| self.s.edge_var[e])
             .filter(|&v| var_active[v as usize])
             .collect();
         vars.sort_unstable();
@@ -455,36 +766,35 @@ impl<'g> LbpEngine<'g> {
     /// Reset the factor→variable messages of the given factors to
     /// uniform, exactly as [`LbpEngine::reset_messages`] initializes
     /// them. Used when a factor is neutralized
-    /// (`FactorGraph::neutralize_factor`) after a warm import: its
-    /// committed messages still carry the retracted evidence, and while
-    /// damping would anneal them toward uniform within `tol`, the
-    /// explicit reset lands them *exactly* on the neutral factor's fixed
-    /// point in one step. Variable→factor messages are left alone — the
-    /// resume path re-derives them for every variable a dirty factor
-    /// touches.
+    /// (`FactorGraph::neutralize_factor`) between runs: its messages
+    /// still carry the retracted evidence, and while damping would
+    /// anneal them toward uniform within `tol`, the explicit reset lands
+    /// them *exactly* on the neutral factor's fixed point in one step.
+    /// Variable→factor messages are left alone — [`LbpEngine::resume`]
+    /// re-derives them for every variable a dirty factor touches.
     pub fn reset_factor_messages(&mut self, factors: &[u32]) {
         for &f in factors {
-            for e in self.factor_edges(f as usize) {
-                let card = self.edge_len(e);
-                let uniform = -(card as f64).ln();
-                let off = self.edge_offset[e];
-                self.fv[off..off + card].fill(uniform);
+            for e in self.s.factor_edges(f as usize) {
+                let r = self.s.edge_range(e);
+                let uniform = -(r.len() as f64).ln();
+                self.s.fv[r].fill(uniform);
+                self.s.touched.insert(self.s.edge_var[e]);
             }
         }
     }
 
     /// Reset all messages to uniform (keeps clamps).
     pub fn reset_messages(&mut self) {
-        for e in 0..self.num_edges() {
-            let card = self.edge_len(e);
-            let uniform = -(card as f64).ln();
-            let off = self.edge_offset[e];
-            self.fv[off..off + card].fill(uniform);
-            self.vf[off..off + card].fill(uniform);
+        for e in 0..self.s.num_edges() {
+            let r = self.s.edge_range(e);
+            let uniform = -(r.len() as f64).ln();
+            self.s.fv[r.clone()].fill(uniform);
+            self.s.vf[r].fill(uniform);
+            self.s.touched.insert(self.s.edge_var[e]);
         }
         // Re-apply clamp evidence to vf messages.
         let clamped: Vec<(usize, u32)> =
-            self.clamps.iter().enumerate().filter_map(|(v, c)| c.map(|s| (v, s))).collect();
+            self.s.clamps.iter().enumerate().filter_map(|(v, c)| c.map(|s| (v, s))).collect();
         for (v, s) in clamped {
             self.write_clamped_var_messages(VarId(v as u32), s);
         }
@@ -498,65 +808,76 @@ impl<'g> LbpEngine<'g> {
         if let Some(s) = state {
             assert!(s < self.graph.cardinality(v), "clamp state out of range");
         }
-        self.clamps[v.idx()] = state;
+        self.s.clamps.resize(self.s.num_vars(), None);
+        self.s.clamps[v.idx()] = state;
     }
 
-    /// Number of edges (factor-slot pairs).
-    pub fn num_edges(&self) -> usize {
-        self.edge_offset.len()
+    /// The class masks of `schedule` and the scheduled flag of every
+    /// node: recomputed when the schedule changes, otherwise extended to
+    /// the nodes appended since the last run.
+    fn sync_schedule(&mut self, schedule: &Schedule) {
+        let graph = self.graph;
+        let s = &mut self.s;
+        let m = &mut s.masks;
+        if m.schedule.as_ref() != Some(schedule) {
+            let masks = |phases: &[Vec<u8>]| -> Vec<[bool; 256]> {
+                phases
+                    .iter()
+                    .map(|classes| {
+                        let mut mask = [false; 256];
+                        for &c in classes {
+                            mask[c as usize] = true;
+                        }
+                        mask
+                    })
+                    .collect()
+            };
+            *m = ScheduleMasks {
+                schedule: Some(schedule.clone()),
+                factor_phases: masks(&schedule.factor_phases),
+                var_phases: masks(&schedule.var_phases),
+                ..ScheduleMasks::default()
+            };
+        }
+        let scheduled =
+            |phases: &[[bool; 256]], class: u8| phases.iter().any(|p| p[class as usize]);
+        for f in m.factor_active.len()..graph.num_factors() {
+            let active = scheduled(&m.factor_phases, graph.factor_class(FactorId(f as u32)));
+            m.factor_active.push(active);
+            if active {
+                m.sweep_messages += (s.factor_edge_start[f + 1] - s.factor_edge_start[f]) as u64;
+            }
+        }
+        for v in m.var_active.len()..graph.num_vars() {
+            m.var_active.push(scheduled(&m.var_phases, graph.var_class(VarId(v as u32))));
+        }
     }
 
-    #[inline]
-    fn edge_len(&self, e: usize) -> usize {
-        self.graph.cardinality(VarId(self.edge_var[e])) as usize
-    }
-
-    #[inline]
-    fn edge_range(&self, e: usize) -> std::ops::Range<usize> {
-        let off = self.edge_offset[e];
-        off..off + self.edge_len(e)
-    }
-
-    /// Edge ids of factor `f` in slot order.
-    #[inline]
-    fn factor_edges(&self, f: usize) -> std::ops::Range<usize> {
-        self.factor_edge_start[f] as usize..self.factor_edge_start[f + 1] as usize
-    }
-
-    /// Materialize the per-phase factor/variable id lists of a schedule
-    /// once per run instead of re-filtering every iteration. Membership
-    /// goes through a per-phase class mask, so a phase of all 256 classes
-    /// still costs O(factors + vars).
-    fn phase_selections(&self, schedule: &Schedule) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
-        fn select(phases: &[Vec<u8>], len: usize, class: impl Fn(u32) -> u8) -> Vec<Vec<u32>> {
+    /// The per-phase factor/variable id lists of the synchronized
+    /// schedule, for the synchronous sweeps.
+    fn phase_selections(&self) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let (graph, m) = (self.graph, &self.s.masks);
+        let select = |phases: &[[bool; 256]], len: usize, class: &dyn Fn(u32) -> u8| {
             phases
                 .iter()
-                .map(|classes| {
-                    let mut mask = [false; 256];
-                    for &c in classes {
-                        mask[c as usize] = true;
-                    }
-                    (0..len as u32).filter(|&i| mask[class(i) as usize]).collect()
-                })
+                .map(|mask| (0..len as u32).filter(|&i| mask[class(i) as usize]).collect())
                 .collect()
-        }
-        let graph = self.graph;
+        };
         (
-            select(&schedule.factor_phases, graph.num_factors(), |f| {
-                graph.factor_class(FactorId(f))
-            }),
-            select(&schedule.var_phases, graph.num_vars(), |v| graph.var_class(VarId(v))),
+            select(&m.factor_phases, graph.num_factors(), &|f| graph.factor_class(FactorId(f))),
+            select(&m.var_phases, graph.num_vars(), &|v| graph.var_class(VarId(v))),
         )
     }
 
     /// Factor→variable messages recomputed by one update of factor `f`.
     #[inline]
     fn factor_message_count(&self, f: usize) -> u64 {
-        self.factor_edges(f).len() as u64
+        self.s.factor_edges(f).len() as u64
     }
 
-    /// Run LBP to convergence (or `max_iters`). Messages persist, so
-    /// marginals and factor beliefs can be queried afterwards.
+    /// Run LBP to convergence (or `max_iters`) from uniform messages.
+    /// Messages persist, so marginals and factor beliefs can be queried
+    /// afterwards.
     ///
     /// Dispatches on [`LbpOptions::mode`]: synchronous sweeps or the
     /// residual-scheduled drain. Both run serially on the calling thread
@@ -583,7 +904,8 @@ impl<'g> LbpEngine<'g> {
     /// from uniform messages.
     fn run_synchronous(&mut self, params: &Params, opts: &LbpOptions) -> LbpResult {
         self.reset_messages();
-        let (factor_sel, var_sel) = self.phase_selections(&opts.schedule);
+        self.sync_schedule(&opts.schedule);
+        let (factor_sel, var_sel) = self.phase_selections();
         let phase_messages: Vec<u64> = factor_sel
             .iter()
             .map(|sel| sel.iter().map(|&f| self.factor_message_count(f as usize)).sum())
@@ -624,10 +946,11 @@ impl<'g> LbpEngine<'g> {
     ///
     /// With `prime: None`, the cold path: reset, one full priming sweep
     /// in schedule order, then the drain. With `prime: Some(dirty)`, the
-    /// warm path of [`LbpEngine::resume_imported`]: no reset, priming
-    /// restricted to the (scheduled) dirty factors, and the drain starts
-    /// from the priorities that priming produced — factors outside the
-    /// dirty set's reach are never recomputed.
+    /// warm path of [`LbpEngine::resume`]: no reset, priming restricted
+    /// to the scheduled dirty factors and their variables, and the drain
+    /// starts from the priorities that priming produced — factors
+    /// outside the dirty set's reach are never recomputed. Either way
+    /// the run starts from zero priorities and an empty queue.
     fn run_residual_from(
         &mut self,
         params: &Params,
@@ -637,46 +960,15 @@ impl<'g> LbpEngine<'g> {
         if prime.is_none() {
             self.reset_messages();
         }
-        let (factor_sel, var_sel) = self.phase_selections(&opts.schedule);
-        let nf = self.graph.num_factors();
-        let ne = self.num_edges();
-        // Classes absent from the schedule never update, in either mode —
-        // factors *and* variables: dirty propagation must keep an
-        // unscheduled variable's messages frozen exactly as the
-        // synchronous sweeps do, or the two modes converge to different
-        // fixed points.
-        let mut factor_active = vec![false; nf];
-        for sel in &factor_sel {
-            for &f in sel {
-                factor_active[f as usize] = true;
-            }
-        }
-        let mut var_active = vec![false; self.graph.num_vars()];
-        for sel in &var_sel {
-            for &v in sel {
-                var_active[v as usize] = true;
-            }
-        }
-        // Inverse of the factor-major edge enumeration: edge → factor.
-        let mut edge_factor = vec![0u32; ne];
-        for f in 0..nf {
-            for e in self.factor_edges(f) {
-                edge_factor[e] = f as u32;
-            }
-        }
+        self.sync_schedule(&opts.schedule);
+        self.s.drain.queue.set_tol(opts.tol);
+        let graph = self.graph;
         // The messages one full sweep over the scheduled factors costs;
         // budget the drain to `max_iters` sweep-equivalents so both modes
         // get the same worst-case work bound.
-        let sweep_messages: u64 = factor_active
-            .iter()
-            .enumerate()
-            .filter(|&(_, active)| *active)
-            .map(|(f, _)| self.factor_message_count(f))
-            .sum();
+        let sweep_messages = self.s.masks.sweep_messages;
         let budget = (opts.max_iters as u64).saturating_mul(sweep_messages);
         let batch_cap = RESIDUAL_BATCH;
-        let mut prio = vec![0.0f64; nf];
-        let mut queue = BucketQueue::new(opts.tol, nf);
         let mut batch: Vec<u32> = Vec::with_capacity(batch_cap);
         let mut dirty_vars: Vec<u32> = Vec::new();
         let mut result = LbpResult {
@@ -692,61 +984,56 @@ impl<'g> LbpEngine<'g> {
         // running until the *committed* messages are stationary within
         // `tol` — the same criterion the synchronous sweeps use.
         let damping_tail = opts.damping.clamp(0.0, 1.0);
-        let bump_after_update = |f: u32, r_f: f64, prio: &mut Vec<f64>, queue: &mut BucketQueue| {
-            let tail = damping_tail * r_f;
-            if tail > 0.0 {
-                let old_p = prio[f as usize];
-                prio[f as usize] = old_p + tail;
-                queue.update(f, old_p, old_p + tail);
+        // Priming candidates, ascending: every factor and variable on the
+        // cold path; on the warm path the scheduled dirty factors and
+        // their variables.
+        let (factors, vars): (Vec<u32>, Vec<u32>) = match prime {
+            None => {
+                ((0..graph.num_factors() as u32).collect(), (0..graph.num_vars() as u32).collect())
+            }
+            Some(dirty) => {
+                let active = &self.s.masks.factor_active;
+                let mut factors: Vec<u32> =
+                    dirty.iter().copied().filter(|&f| active[f as usize]).collect();
+                factors.sort_unstable();
+                factors.dedup();
+                let mut vars: Vec<u32> = factors
+                    .iter()
+                    .flat_map(|&f| self.s.factor_edges(f as usize))
+                    .map(|e| self.s.edge_var[e])
+                    .collect();
+                vars.sort_unstable();
+                vars.dedup();
+                (factors, vars)
             }
         };
-        // Warm priming restricts both the factor sweep and the variable
-        // refresh to the dirty set (filtered to scheduled classes, in
-        // schedule phase order).
-        let dirty_only: Option<Vec<bool>> = prime.map(|dirty| {
-            let mut mask = vec![false; nf];
-            for &f in dirty {
-                if factor_active[f as usize] {
-                    mask[f as usize] = true;
-                }
-            }
-            mask
-        });
         // Priming sweep: exactly the synchronous engine's first
         // iteration (restricted to the dirty set on the warm path),
         // so every scheduled-and-dirty message is computed at least
         // once and the paper's phase order shapes the starting point.
-        for selected in &factor_sel {
-            let selected: Vec<u32> = match &dirty_only {
-                None => selected.clone(),
-                Some(mask) => selected.iter().copied().filter(|&f| mask[f as usize]).collect(),
-            };
+        for phase in 0..self.s.masks.factor_phases.len() {
+            let mask = self.s.masks.factor_phases[phase];
+            let selected: Vec<u32> = factors
+                .iter()
+                .copied()
+                .filter(|&f| mask[graph.factor_class(FactorId(f)) as usize])
+                .collect();
             let residuals = self.update_factor_batch(params, &selected, opts);
             for (&f, &r_f) in selected.iter().zip(&residuals) {
-                bump_after_update(f, r_f, &mut prio, &mut queue);
+                let tail = damping_tail * r_f;
+                if tail > 0.0 {
+                    self.s.drain.raise(f, tail);
+                }
             }
             result.message_updates +=
                 selected.iter().map(|&f| self.factor_message_count(f as usize)).sum::<u64>();
         }
-        let primed_vars: Option<Vec<bool>> = dirty_only.as_ref().map(|mask| {
-            let mut vm = vec![false; self.graph.num_vars()];
-            for (f, &is_dirty) in mask.iter().enumerate() {
-                if is_dirty {
-                    for e in self.factor_edges(f) {
-                        vm[self.edge_var[e] as usize] = true;
-                    }
+        for phase in 0..self.s.masks.var_phases.len() {
+            let mask = self.s.masks.var_phases[phase];
+            for &v in &vars {
+                if mask[graph.var_class(VarId(v)) as usize] {
+                    self.residual_var_update(v);
                 }
-            }
-            vm
-        });
-        for selected in &var_sel {
-            for &v in selected {
-                if let Some(vm) = &primed_vars {
-                    if !vm[v as usize] {
-                        continue;
-                    }
-                }
-                self.residual_var_update(v, &factor_active, &edge_factor, &mut prio, &mut queue);
             }
         }
         // Drain: pop the highest-priority factor blocks, recompute
@@ -754,7 +1041,8 @@ impl<'g> LbpEngine<'g> {
         // into the queue.
         loop {
             batch.clear();
-            queue.pop_batch(batch_cap, &mut prio, &mut batch);
+            let drain = &mut self.s.drain;
+            drain.queue.pop_batch(batch_cap, &mut drain.prio, &mut batch);
             if batch.is_empty() {
                 result.converged = true;
                 break;
@@ -765,19 +1053,22 @@ impl<'g> LbpEngine<'g> {
             let residuals = self.update_factor_batch(params, &batch, opts);
             result.residual = residuals.iter().copied().fold(0.0, f64::max);
             for (&f, &r_f) in batch.iter().zip(&residuals) {
-                bump_after_update(f, r_f, &mut prio, &mut queue);
+                let tail = damping_tail * r_f;
+                if tail > 0.0 {
+                    self.s.drain.raise(f, tail);
+                }
             }
             result.message_updates +=
                 batch.iter().map(|&f| self.factor_message_count(f as usize)).sum::<u64>();
-            // Dirty propagation through the CSR variable adjacency:
-            // only *scheduled* variables incident to the updated
-            // blocks can move (unscheduled classes stay frozen, as in
-            // synchronous mode).
+            // Dirty propagation through the variable adjacency: only
+            // *scheduled* variables incident to the updated blocks can
+            // move (unscheduled classes stay frozen, as in synchronous
+            // mode).
             dirty_vars.clear();
             for &f in &batch {
-                for e in self.factor_edges(f as usize) {
-                    let v = self.edge_var[e];
-                    if var_active[v as usize] {
+                for e in self.s.factor_edges(f as usize) {
+                    let v = self.s.edge_var[e];
+                    if self.s.masks.var_active[v as usize] {
                         dirty_vars.push(v);
                     }
                 }
@@ -785,14 +1076,18 @@ impl<'g> LbpEngine<'g> {
             dirty_vars.sort_unstable();
             dirty_vars.dedup();
             for &v in &dirty_vars {
-                self.residual_var_update(v, &factor_active, &edge_factor, &mut prio, &mut queue);
+                self.residual_var_update(v);
             }
         }
         result.iterations = result.message_updates.div_ceil(sweep_messages.max(1)) as usize;
         if result.converged {
             // Largest remaining priority: a bound on any pending change.
-            result.residual = prio.iter().copied().fold(0.0, f64::max);
+            result.residual = self.s.drain.max_priority();
         }
+        // Leave the state as a fresh one: the next run (or a restored
+        // copy of these messages) must not inherit this run's leftover
+        // priorities or queued factors.
+        self.s.drain.reset();
         result
     }
 
@@ -802,56 +1097,31 @@ impl<'g> LbpEngine<'g> {
     /// variables are skipped: their evidence messages never change.
     ///
     /// Only variables selected by the schedule are ever passed in, and
-    /// only active factors are bumped, so unscheduled classes stay frozen
+    /// only active factors are raised, so unscheduled classes stay frozen
     /// exactly as in synchronous mode.
-    fn residual_var_update(
-        &mut self,
-        v: u32,
-        factor_active: &[bool],
-        edge_factor: &[u32],
-        prio: &mut [f64],
-        queue: &mut BucketQueue,
-    ) {
-        if self.clamps[v as usize].is_some() {
+    fn residual_var_update(&mut self, v: u32) {
+        if self.s.clamp(v as usize).is_some() {
             return;
         }
-        self.var_messages_kernel(v, |e, delta| {
-            let g = edge_factor[e] as usize;
-            if delta <= 0.0 || !factor_active[g] {
-                return;
-            }
-            let old_p = prio[g];
-            let new_p = old_p + delta;
-            prio[g] = new_p;
-            queue.update(g as u32, old_p, new_p);
-        });
-    }
-
-    /// The one variable→factor kernel, shared by the residual drain and
-    /// the synchronous sweeps: each outgoing message of unclamped
-    /// variable `v` is the per-state total of its incoming factor→variable
-    /// messages minus the edge's own, normalized and written in one
-    /// [`normalize_into`] pass. `on_edge(e, Δ)` receives each edge's
-    /// largest absolute change, in CSR order.
-    fn var_messages_kernel(&mut self, v: u32, mut on_edge: impl FnMut(usize, f64)) {
         let card = self.graph.cardinality(VarId(v)) as usize;
-        let adj = &self.var_edges[self.var_edge_start[v as usize] as usize
-            ..self.var_edge_start[v as usize + 1] as usize];
-        let total = &mut self.var_total;
-        total.clear();
-        total.resize(card, 0.0);
-        for &e in adj {
-            let off = self.edge_offset[e as usize];
-            for (t, x) in total.iter_mut().zip(&self.fv[off..off + card]) {
-                *t += *x;
-            }
-        }
-        for &e in adj {
-            let off = self.edge_offset[e as usize];
-            let fv = &self.fv[off..off + card];
-            let delta = normalize_into(&mut self.vf[off..off + card], |i, _| total[i] - fv[i]);
-            on_edge(e as usize, delta);
-        }
+        let s = &mut self.s;
+        let (edge_factor, active, drain) = (&s.edge_factor, &s.masks.factor_active, &mut s.drain);
+        let adj = &s.var_edges
+            [s.var_edge_start[v as usize] as usize..s.var_edge_start[v as usize + 1] as usize];
+        var_messages_kernel(
+            adj,
+            card,
+            &s.edge_offset,
+            &s.fv,
+            &mut s.vf,
+            &mut s.var_total,
+            |e, d| {
+                let g = edge_factor[e];
+                if d > 0.0 && active[g as usize] {
+                    drain.raise(g, d);
+                }
+            },
+        );
     }
 
     /// Fused compute + commit of a batch of factor blocks — one
@@ -859,10 +1129,10 @@ impl<'g> LbpEngine<'g> {
     /// committed message residual of each factor, in batch order. Each
     /// edge's commit damps the raw message against the committed one,
     /// normalizes it and measures its change in one [`normalize_into`]
-    /// pass straight into `fv`. The
-    /// kernels read only `vf` and each factor commits only its own `fv`
-    /// edges, so updating a batch factor by factor yields exactly the
-    /// messages of a compute-all-then-commit-all sweep.
+    /// pass straight into `fv`, and marks the edge's variable touched.
+    /// The kernels read only `vf` and each factor commits only its own
+    /// `fv` edges, so updating a batch factor by factor yields exactly
+    /// the messages of a compute-all-then-commit-all sweep.
     fn update_factor_batch(
         &mut self,
         params: &Params,
@@ -870,30 +1140,31 @@ impl<'g> LbpEngine<'g> {
         opts: &LbpOptions,
     ) -> Vec<f64> {
         let lambda = opts.damping;
-        let mut new_fv = std::mem::take(&mut self.new_fv);
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.s.scratch);
         let mut residuals = Vec::with_capacity(batch.len());
         for &f in batch {
-            self.factor_messages_kernel(params, f as usize, &mut new_fv, &mut scratch);
+            self.factor_messages_kernel(params, f as usize, &mut scratch);
             let mut residual = 0.0f64;
-            for e in self.factor_edges(f as usize) {
-                let r = self.edge_range(e);
-                let raw = &new_fv[r.clone()];
-                let delta = normalize_into(&mut self.fv[r], |i, old| {
+            let mut at = 0;
+            for e in self.s.factor_edges(f as usize) {
+                let r = self.s.edge_range(e);
+                let raw = &scratch.acc[at..at + r.len()];
+                at += r.len();
+                let delta = normalize_into(&mut self.s.fv[r], |i, old| {
                     lambda * old + (1.0 - lambda) * raw[i]
                 });
                 residual = residual.max(delta);
+                self.s.touched.insert(self.s.edge_var[e]);
             }
             residuals.push(residual);
         }
-        self.new_fv = new_fv;
-        self.scratch = scratch;
+        self.s.scratch = scratch;
         residuals
     }
 
-    /// Compute raw (undamped, unnormalized) new messages of one factor
-    /// into `new_fv` (the whole arena; only this factor's edge regions are
-    /// written).
+    /// Compute the raw (undamped, unnormalized) new messages of one
+    /// factor into `scratch.acc`, its slots' messages concatenated in
+    /// slot order.
     ///
     /// A unary factor's message is its log-potential. Larger factors are
     /// evaluated in the linear domain: [`Scratch::load_incoming`] turns
@@ -917,21 +1188,14 @@ impl<'g> LbpEngine<'g> {
     ///   total and cancel catastrophically), visits every configuration
     ///   with `w(c) = exp(log φ(c) − max log φ)` (again `1.0` without an
     ///   `exp` at the maximum).
-    fn factor_messages_kernel(
-        &self,
-        params: &Params,
-        f: usize,
-        new_fv: &mut [f64],
-        scratch: &mut Scratch,
-    ) {
+    fn factor_messages_kernel(&self, params: &Params, f: usize, scratch: &mut Scratch) {
         let potential = &self.graph.factors[f].potential;
-        let edges = self.factor_edges(f);
+        let edges = self.s.factor_edges(f);
         if edges.len() == 1 {
-            potential.log_phi_into(params, &mut scratch.table);
-            new_fv[self.edge_range(edges.start)].copy_from_slice(&scratch.table);
+            potential.log_phi_into(params, &mut scratch.acc);
             return;
         }
-        scratch.load_incoming(&self.vf, edges.clone().map(|e| self.edge_range(e)));
+        scratch.load_incoming(&self.s.vf, edges.clone().map(|e| self.s.edge_range(e)));
         let sparse = match potential {
             Potential::TwoLevelScores { group, high_configs, high, low, .. } => {
                 let delta = params.group(*group)[0] * (high - low);
@@ -965,11 +1229,8 @@ impl<'g> LbpEngine<'g> {
                 scratch.accumulate(c, w);
             }
         }
-        for (k, e) in edges.enumerate() {
-            let acc = &scratch.acc[scratch.starts[k]..scratch.starts[k + 1]];
-            for (out, &a) in new_fv[self.edge_range(e)].iter_mut().zip(acc) {
-                *out = if a > 0.0 { a.ln() } else { LOG_ZERO };
-            }
+        for a in &mut scratch.acc {
+            *a = if *a > 0.0 { a.ln() } else { LOG_ZERO };
         }
     }
 
@@ -977,42 +1238,43 @@ impl<'g> LbpEngine<'g> {
     /// (synchronous sweeps and warm priming).
     fn update_var_messages(&mut self, selected: &[u32]) {
         for &v in selected {
-            match self.clamps[v as usize] {
-                Some(s) => self.write_clamped_var_messages(VarId(v), s),
-                None => self.var_messages_kernel(v, |_, _| {}),
+            match self.s.clamp(v as usize) {
+                Some(state) => self.write_clamped_var_messages(VarId(v), state),
+                None => {
+                    let card = self.graph.cardinality(VarId(v)) as usize;
+                    let s = &mut self.s;
+                    let adj = &s.var_edges[s.var_edge_start[v as usize] as usize
+                        ..s.var_edge_start[v as usize + 1] as usize];
+                    let (offsets, fv, vf) = (&s.edge_offset, &s.fv, &mut s.vf);
+                    var_messages_kernel(adj, card, offsets, fv, vf, &mut s.var_total, |_, _| {});
+                }
             }
         }
     }
 
-    /// Edge ids whose variable is `v` (CSR slice, factor-major order).
-    fn var_out_edges(&self, v: VarId) -> &[u32] {
-        &self.var_edges
-            [self.var_edge_start[v.idx()] as usize..self.var_edge_start[v.idx() + 1] as usize]
-    }
-
     fn write_clamped_var_messages(&mut self, v: VarId, state: u32) {
         let card = self.graph.cardinality(v) as usize;
-        let adj = self.var_edge_start[v.idx()] as usize..self.var_edge_start[v.idx() + 1] as usize;
-        for ei in adj {
-            let off = self.edge_offset[self.var_edges[ei] as usize];
+        let s = &mut self.s;
+        for slot in s.var_edge_start[v.idx()] as usize..s.var_edge_start[v.idx() + 1] as usize {
+            let off = s.edge_offset[s.var_edges[slot] as usize] as usize;
             for i in 0..card {
-                self.vf[off + i] = if i == state as usize { 0.0 } else { LOG_ZERO };
+                s.vf[off + i] = if i == state as usize { 0.0 } else { LOG_ZERO };
             }
         }
     }
 
     /// Marginal of one variable from the current messages.
     pub fn var_marginal(&self, v: VarId) -> Vec<f64> {
-        if let Some(s) = self.clamps[v.idx()] {
+        if let Some(s) = self.s.clamp(v.idx()) {
             let mut p = vec![0.0; self.graph.cardinality(v) as usize];
             p[s as usize] = 1.0;
             return p;
         }
         let card = self.graph.cardinality(v) as usize;
         let mut log_b = vec![0.0f64; card];
-        for &e in self.var_out_edges(v) {
-            let r = self.edge_range(e as usize);
-            for (b, x) in log_b.iter_mut().zip(&self.fv[r]) {
+        for &e in self.s.var_adj(v.idx()) {
+            let r = self.s.edge_range(e as usize);
+            for (b, x) in log_b.iter_mut().zip(&self.s.fv[r]) {
                 *b += *x;
             }
         }
@@ -1024,6 +1286,39 @@ impl<'g> LbpEngine<'g> {
         Marginals {
             probs: (0..self.graph.num_vars()).map(|v| self.var_marginal(VarId(v as u32))).collect(),
         }
+    }
+
+    /// Bring cached `marginals` up to date with the messages: recompute
+    /// every variable whose incoming messages were written since the last
+    /// refresh (by a run, a reset or growth) and every variable
+    /// `marginals` does not cover yet — or, with `all`, every variable.
+    /// Any other variable's incoming messages kept their bits, so its
+    /// cached marginal is exactly what a recompute would give. Clears the
+    /// touched set and returns the number of marginals recomputed.
+    ///
+    /// # Panics
+    /// Panics if `marginals` covers more variables than the graph.
+    pub fn refresh_marginals(&mut self, marginals: &mut Marginals, all: bool) -> usize {
+        let num_vars = self.graph.num_vars();
+        let covered = marginals.probs.len();
+        assert!(covered <= num_vars, "{covered} cached marginals for {num_vars} variables");
+        marginals.probs.resize(num_vars, Vec::new());
+        let refreshed = if all {
+            for (v, m) in marginals.probs.iter_mut().enumerate() {
+                *m = self.var_marginal(VarId(v as u32));
+            }
+            num_vars
+        } else {
+            let stale = self.s.touched.ids.iter().map(|&v| v as usize).filter(|&v| v < covered);
+            let mut refreshed = 0;
+            for v in stale.chain(covered..num_vars) {
+                marginals.probs[v] = self.var_marginal(VarId(v as u32));
+                refreshed += 1;
+            }
+            refreshed
+        };
+        self.s.touched.clear();
+        refreshed
     }
 
     /// Belief (probability per flat configuration) of factor `f`:
@@ -1045,15 +1340,16 @@ impl<'g> LbpEngine<'g> {
         // slot's first index, `states` its current one.
         scratch.starts.clear();
         scratch.cards.clear();
-        for e in self.factor_edges(f.idx()) {
-            scratch.starts.push(self.edge_offset[e]);
-            scratch.cards.push(self.edge_len(e));
+        for e in self.s.factor_edges(f.idx()) {
+            let r = self.s.edge_range(e);
+            scratch.starts.push(r.start);
+            scratch.cards.push(r.len());
         }
         scratch.states.clear();
         scratch.states.extend_from_slice(&scratch.starts);
         for lp in out.iter_mut() {
             for &i in &scratch.states {
-                *lp += self.vf[i];
+                *lp += self.s.vf[i];
             }
             for k in 0..scratch.states.len() {
                 scratch.states[k] += 1;
@@ -1074,12 +1370,42 @@ impl<'g> LbpEngine<'g> {
     }
 }
 
-/// A message snapshot exported from one [`LbpEngine`] run and seeded
-/// into a later engine over a graph that appends to the snapshot's graph
-/// (see [`LbpEngine::export_messages`], [`LbpEngine::import_messages`]
-/// and [`LbpEngine::resume_imported`]). The snapshot is tied to the edge
-/// enumeration, not to a borrow of the graph, so a long-lived session
-/// can own it across graph growth. Each arena is stored behind the
+/// The one variable→factor kernel, shared by the residual drain and the
+/// synchronous sweeps: each outgoing message of an unclamped variable
+/// with cardinality `card` and edges `adj` (ascending) is the per-state
+/// total of its incoming factor→variable messages minus the edge's own,
+/// normalized and written in one [`normalize_into`] pass. `on_edge(e, Δ)`
+/// receives each edge's largest absolute change, in `adj` order.
+fn var_messages_kernel(
+    adj: &[u32],
+    card: usize,
+    edge_offset: &[u32],
+    fv: &[f64],
+    vf: &mut [f64],
+    total: &mut Vec<f64>,
+    mut on_edge: impl FnMut(usize, f64),
+) {
+    total.clear();
+    total.resize(card, 0.0);
+    for &e in adj {
+        let off = edge_offset[e as usize] as usize;
+        for (t, x) in total.iter_mut().zip(&fv[off..off + card]) {
+            *t += *x;
+        }
+    }
+    for &e in adj {
+        let off = edge_offset[e as usize] as usize;
+        let fv = &fv[off..off + card];
+        let delta = normalize_into(&mut vf[off..off + card], |i, _| total[i] - fv[i]);
+        on_edge(e as usize, delta);
+    }
+}
+
+/// The messages of an [`LbpState`], encoded for keeping outside it
+/// ([`LbpState::export_messages`] / [`LbpState::import_messages`]): what
+/// a session snapshot persists, and what a quantized session holds
+/// between deltas. The snapshot is tied to the edge enumeration, not to
+/// a borrow of the graph. Each arena is stored behind the
 /// [`MessageStore`] seam — exact `f64` or quantized (see
 /// [`crate::store`]).
 #[derive(Debug, Clone)]
@@ -1165,6 +1491,7 @@ impl LbpMessages {
 /// stamps: priorities only grow between pops (residual bumps are
 /// absolute changes), so an entry is only ever superseded upward and the
 /// scan never revisits a bucket it has emptied.
+#[derive(Clone)]
 struct BucketQueue {
     tol: f64,
     buckets: Vec<Vec<(u32, u32)>>,
@@ -1182,15 +1509,48 @@ impl BucketQueue {
     const NUM_BUCKETS: usize = 64;
 
     fn new(tol: f64, num_factors: usize) -> Self {
-        Self {
-            // Guard against a non-positive tolerance: bucket on a tiny
-            // positive floor instead of dividing by zero.
-            tol: if tol > 0.0 { tol } else { f64::MIN_POSITIVE },
+        let mut queue = Self {
+            tol: 0.0,
             buckets: vec![Vec::new(); Self::NUM_BUCKETS],
             stamp: vec![0; num_factors],
             queued: vec![false; num_factors],
             highest: 0,
+        };
+        queue.set_tol(tol);
+        queue
+    }
+
+    fn set_tol(&mut self, tol: f64) {
+        // Guard against a non-positive tolerance: bucket on a tiny
+        // positive floor instead of dividing by zero.
+        self.tol = if tol > 0.0 { tol } else { f64::MIN_POSITIVE };
+    }
+
+    /// Cover factors `0..num_factors`.
+    fn grow(&mut self, num_factors: usize) {
+        self.stamp.resize(num_factors, 0);
+        self.queued.resize(num_factors, false);
+    }
+
+    /// Drop every entry and free the buckets (a drain's stale entries
+    /// can outnumber the factors; a resident queue must not keep them).
+    /// Stamps are kept: an entry is valid only against the stamp it was
+    /// pushed with, so once the buckets are empty their values no longer
+    /// matter.
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets {
+            for &(f, _) in bucket.iter() {
+                self.queued[f as usize] = false;
+            }
+            *bucket = Vec::new();
         }
+        self.highest = 0;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.buckets.iter().map(|b| b.capacity() * 8).sum::<usize>()
+            + self.stamp.capacity() * 4
+            + self.queued.capacity()
     }
 
     /// Bucket index of priority `p >= tol`: `⌊log2(p/tol)⌋` clamped to
@@ -1262,7 +1622,7 @@ impl BucketQueue {
 
 /// Reusable scratch buffers for the factor kernels (one per engine) and
 /// [`LbpEngine::factor_belief_into`] (one per caller).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Scratch {
     /// Cardinality of each slot's variable.
     cards: Vec<usize>,
@@ -1273,7 +1633,8 @@ pub struct Scratch {
     p: Vec<f64>,
     /// Per-slot totals `L_j = Σ_x p_j(x)`.
     totals: Vec<f64>,
-    /// Linear-domain output accumulators, laid out like `p`.
+    /// Linear-domain output accumulators, laid out like `p`; a kernel
+    /// leaves its raw log-domain messages here.
     acc: Vec<f64>,
     /// Index of each slot's state in the current configuration: into
     /// `p`/`acc` for the kernels, into the arena for the belief.
@@ -1836,11 +2197,9 @@ mod tests {
         };
         let mut prefix = LbpEngine::new(&g20);
         prefix.run(&params, &opts);
-        let snapshot = prefix.export_messages();
 
-        let mut warm = LbpEngine::new(&g30);
-        warm.import_messages(&snapshot);
-        let warm_res = warm.resume_imported(&params, &opts, &dirty);
+        let mut warm = LbpEngine::with_state(&g30, prefix.into_state());
+        let warm_res = warm.resume(&params, &opts, &dirty);
         let mut cold = LbpEngine::new(&g30);
         let cold_res = cold.run(&params, &opts);
         let mut oracle = LbpEngine::new(&g30);
@@ -1878,9 +2237,7 @@ mod tests {
         let mut eng = LbpEngine::new(&g);
         let opts = LbpOptions::default();
         eng.run(&params, &opts);
-        let snapshot = eng.export_messages();
-        eng.import_messages(&snapshot);
-        eng.resume_imported(&params, &opts, &[0]);
+        eng.resume(&params, &opts, &[0]);
     }
 
     /// A connected component the dirty set does not reach performs zero
@@ -1931,13 +2288,12 @@ mod tests {
         let mut prefix = LbpEngine::new(&g0);
         prefix.run(&params, &opts);
         let before = prefix.marginals();
-        let snapshot = prefix.export_messages();
+        let state = prefix.into_state();
 
         let (g1, _) = build(true);
         let dirty: Vec<u32> = (g0.num_factors() as u32..g1.num_factors() as u32).collect();
-        let mut warm = LbpEngine::new(&g1);
-        warm.import_messages(&snapshot);
-        let res = warm.resume_imported(&params, &opts, &dirty);
+        let mut warm = LbpEngine::with_state(&g1, state);
+        let res = warm.resume(&params, &opts, &dirty);
         assert!(res.converged);
         let after = warm.marginals();
         for v in 0..3 {
@@ -1985,16 +2341,14 @@ mod tests {
         assert!(eng.run(&params, &opts).converged);
         let before = eng.marginals();
         assert!(before.prob(VarId(0), 1) > 0.6, "evidence must matter pre-retraction");
-        let snapshot = eng.export_messages();
-        drop(eng);
+        let state = eng.into_state();
 
         g.neutralize_factor(FactorId(0));
-        let mut warm = LbpEngine::new(&g);
-        warm.import_messages(&snapshot);
+        let mut warm = LbpEngine::with_state(&g, state);
         warm.reset_factor_messages(&[0]);
         // Dirty: the tombstone plus every live factor sharing one of its
         // variables (here the pair factor 1).
-        let res = warm.resume_imported(&params, &opts, &[0, 1]);
+        let res = warm.resume(&params, &opts, &[0, 1]);
         assert!(res.converged);
 
         // Reference: the same system without the evidence factor,
@@ -2026,7 +2380,7 @@ mod tests {
         g.add_factor(&[a], Potential::Scores { group: grp, scores: vec![0.0, 0.8] }, 0);
         let mut eng = LbpEngine::new(&g);
         eng.run(&params, &LbpOptions::default());
-        let snap = eng.export_messages();
+        let snap = eng.into_state().export_messages(MessageStore::Exact);
         let (fv, vf, edges) = (snap.fv().to_vec(), snap.vf().to_vec(), snap.num_edges());
         let restored = LbpMessages::import_state(
             MessageArena::Exact(fv.clone()),
@@ -2038,9 +2392,9 @@ mod tests {
         assert_eq!(restored.num_edges(), snap.num_edges());
         assert_eq!(restored.store(), MessageStore::Exact);
         // A restored snapshot drives an engine to the identical state.
-        let mut eng2 = LbpEngine::new(&g);
-        eng2.import_messages(&restored);
-        assert!(eng2.export_messages().bitwise_eq(&snap));
+        let mut state = LbpEngine::new(&g).into_state();
+        state.import_messages(&restored);
+        assert!(state.export_messages(MessageStore::Exact).bitwise_eq(&snap));
         // Mismatched arenas are a typed error, not a panic.
         let exact = |n: usize| MessageArena::Exact(vec![0.0; n]);
         assert!(LbpMessages::import_state(exact(3), exact(2), 1).is_err());
@@ -2065,8 +2419,10 @@ mod tests {
         let (g, params, _) = chain_graph();
         let mut eng = LbpEngine::new(&g);
         eng.run(&params, &LbpOptions::default());
-        let exact = eng.export_messages();
-        let quant = eng.export_messages_with(MessageStore::Quantized);
+        let (exact, quant) = (
+            eng.s.export_messages(MessageStore::Exact),
+            eng.s.export_messages(MessageStore::Quantized),
+        );
         assert_eq!(quant.store(), MessageStore::Quantized);
         assert!(quant.heap_bytes() < exact.heap_bytes());
         // Decode error bounded by block spread × f32 eps (messages are
@@ -2078,9 +2434,9 @@ mod tests {
         }
         // Import the quantized snapshot and re-commit without running:
         // the stored representation must be a fixed point.
-        let mut eng2 = LbpEngine::new(&g);
-        eng2.import_messages(&quant);
-        let recommit = eng2.export_messages_with(MessageStore::Quantized);
+        let mut state = LbpEngine::new(&g).into_state();
+        state.import_messages(&quant);
+        let recommit = state.export_messages(MessageStore::Quantized);
         assert!(recommit.bitwise_eq(&quant));
     }
 
@@ -2094,15 +2450,89 @@ mod tests {
         g0.add_factor(&[a], Potential::Scores { group: grp, scores: vec![0.0, 1.0] }, 0);
         let mut eng0 = LbpEngine::new(&g0);
         eng0.run(&params, &LbpOptions::default());
-        let snap = eng0.export_messages();
-        // A *different* graph whose first factor has another arity: the
-        // arena prefix cannot line up.
+        let snap = eng0.s.export_messages(MessageStore::Exact);
+        // A *different* graph whose first factor has another arity: its
+        // state's edges and slots cannot line up with the snapshot.
         let mut g1 = FactorGraph::new();
         let x = g1.add_var(3);
         g1.add_factor(&[x], Potential::Scores { group: 0, scores: vec![0.0; 3] }, 0);
         g1.add_factor(&[x], Potential::Scores { group: 0, scores: vec![0.0; 3] }, 0);
-        let mut eng1 = LbpEngine::new(&g1);
-        eng1.import_messages(&snap);
+        LbpEngine::new(&g1).into_state().import_messages(&snap);
+    }
+
+    /// A resident state resumes exactly like a fresh state that imported
+    /// its messages — also after a run that stopped at `max_iters` with
+    /// factors still queued and sub-`tol` priorities raised, which the
+    /// run must clear rather than hand to the next one.
+    #[test]
+    fn resume_after_an_unconverged_run_matches_a_restored_state() {
+        let (g, params, _) = chain_graph();
+        let mut g_grown = g.clone();
+        let extra = g_grown.add_var(2);
+        let grp = params.num_groups() - 1;
+        g_grown.add_factor(
+            &[VarId(0), extra],
+            Potential::Scores { group: grp, scores: vec![0.9, 0.0, 0.0, 0.9] },
+            0,
+        );
+        let residual =
+            LbpOptions { mode: ScheduleMode::Residual, tol: 1e-12, ..Default::default() };
+        let mut eng = LbpEngine::new(&g);
+        let cut = eng.run(&params, &LbpOptions { max_iters: 1, ..residual.clone() });
+        assert!(!cut.converged, "one sweep-equivalent must not converge at tol 1e-12");
+        let drain = &eng.s.drain;
+        assert!(drain.prio.iter().all(|&p| p == 0.0), "the cut-off run left priorities behind");
+        assert!(!drain.queue.queued.contains(&true), "the cut-off run left factors queued");
+        let mut restored = LbpState::new();
+        restored = LbpEngine::with_state(&g, restored).into_state();
+        restored.import_messages(&eng.s.export_messages(MessageStore::Exact));
+        let dirty: Vec<u32> = (0..g_grown.num_factors() as u32).collect();
+        let mut results = Vec::new();
+        for state in [eng.into_state(), restored] {
+            let mut warm = LbpEngine::with_state(&g_grown, state);
+            let res = warm.resume(&params, &residual, &dirty);
+            let messages = warm.s.export_messages(MessageStore::Exact);
+            results.push((res.message_updates, res.converged, messages));
+        }
+        assert_eq!((results[0].0, results[0].1), (results[1].0, results[1].1));
+        assert!(results[0].2.bitwise_eq(&results[1].2), "resident and restored states diverged");
+    }
+
+    /// Cached marginals refreshed for the touched variables only equal a
+    /// full recompute bit for bit, and an untouched component is not
+    /// recomputed.
+    #[test]
+    fn refresh_recomputes_exactly_the_touched_marginals() {
+        let mut g = FactorGraph::new();
+        let mut params = Params::new();
+        let grp = params.add_group_with(vec![1.0]);
+        let pair = Potential::Scores { group: grp, scores: vec![0.7, 0.0, 0.0, 0.7] };
+        let a: Vec<VarId> = (0..3).map(|_| g.add_var(2)).collect();
+        g.add_factor(&[a[0]], Potential::Scores { group: grp, scores: vec![0.0, 0.8] }, 0);
+        g.add_factor(&[a[0], a[1]], pair.clone(), 0);
+        g.add_factor(&[a[1], a[2]], pair.clone(), 0);
+        let b: Vec<VarId> = (0..2).map(|_| g.add_var(3)).collect();
+        let triple =
+            Potential::Scores { group: grp, scores: (0..9).map(|i| i as f64 * 0.1).collect() };
+        g.add_factor(&[b[0], b[1]], triple, 0);
+        let opts = LbpOptions { mode: ScheduleMode::Residual, tol: 1e-10, ..Default::default() };
+        let mut eng = LbpEngine::new(&g);
+        eng.run(&params, &opts);
+        let mut cached = Marginals::new_internal(Vec::new());
+        assert_eq!(eng.refresh_marginals(&mut cached, true), 5);
+        let state = eng.into_state();
+        let first = g.num_factors() as u32;
+        let c = g.add_var(2);
+        g.add_factor(&[a[2], c], pair, 0);
+        let mut warm = LbpEngine::with_state(&g, state);
+        warm.resume(&params, &opts, &[first]);
+        let refreshed = warm.refresh_marginals(&mut cached, false);
+        assert!(refreshed <= 4, "component b must not be recomputed ({refreshed} refreshed)");
+        let full = warm.marginals();
+        for v in 0..g.num_vars() {
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(cached.of(VarId(v as u32))), bits(full.of(VarId(v as u32))), "var {v}");
+        }
     }
 
     /// The log-domain reference the linear-domain kernels are checked
@@ -2111,9 +2541,9 @@ mod tests {
     /// message directly.
     fn reference_raw_messages(eng: &LbpEngine, params: &Params, f: usize) -> Vec<Vec<f64>> {
         let fd = &eng.graph.factors[f];
-        let edges: Vec<usize> = eng.factor_edges(f).collect();
+        let edges: Vec<usize> = eng.s.factor_edges(f).collect();
         let mut out: Vec<Vec<f64>> =
-            edges.iter().map(|&e| vec![f64::NEG_INFINITY; eng.edge_len(e)]).collect();
+            edges.iter().map(|&e| vec![f64::NEG_INFINITY; eng.s.edge_range(e).len()]).collect();
         for flat in 0..fd.table_size {
             let states: Vec<usize> = (0..edges.len())
                 .map(|k| eng.graph.state_of_slot(FactorId(f as u32), flat, k) as usize)
@@ -2122,7 +2552,7 @@ mod tests {
             for k in 0..edges.len() {
                 let mut term = log_phi;
                 for j in (0..edges.len()).filter(|&j| j != k) {
-                    term += eng.vf[eng.edge_offset[edges[j]] + states[j]];
+                    term += eng.s.vf[eng.s.edge_offset[edges[j]] as usize + states[j]];
                 }
                 let o = &mut out[k][states[k]];
                 let m = o.max(term);
@@ -2187,11 +2617,11 @@ mod tests {
             };
             g.add_factor(&vars, potential, 0);
             let mut eng = LbpEngine::new(&g);
-            for e in 0..eng.num_edges() {
-                let r = eng.edge_range(e);
+            for e in 0..eng.s.num_edges() {
+                let r = eng.s.edge_range(e);
                 let clamp = rng.below(4) == 0;
                 let hot = rng.below(r.len() as u64) as usize;
-                for (i, x) in eng.vf[r.clone()].iter_mut().enumerate() {
+                for (i, x) in eng.s.vf[r.clone()].iter_mut().enumerate() {
                     *x = match (clamp, i == hot) {
                         (true, true) => 0.0,
                         (true, false) => LOG_ZERO,
@@ -2199,23 +2629,23 @@ mod tests {
                     };
                 }
                 if !clamp {
-                    log_normalize(&mut eng.vf[r.clone()]);
+                    log_normalize(&mut eng.s.vf[r.clone()]);
                 }
-                for x in &mut eng.fv[r.clone()] {
+                for x in &mut eng.s.fv[r.clone()] {
                     *x = -5.0 * rng.unit_f64();
                 }
-                log_normalize(&mut eng.fv[r]);
+                log_normalize(&mut eng.s.fv[r]);
             }
-            let old = eng.fv.clone();
+            let old = eng.s.fv.clone();
             let reference = reference_raw_messages(&eng, &params, 0);
             let opts = LbpOptions { damping, ..Default::default() };
             eng.update_factor_batch(&params, &[0], &opts);
             for (e, raw) in reference.iter().enumerate() {
-                let r = eng.edge_range(e);
+                let r = eng.s.edge_range(e);
                 let mut want: Vec<f64> =
                     old[r.clone()].iter().zip(raw).map(|(o, x)| damping * o + (1.0 - damping) * x).collect();
                 log_normalize(&mut want);
-                for (s, (&got, &want)) in eng.fv[r].iter().zip(&want).enumerate() {
+                for (s, (&got, &want)) in eng.s.fv[r].iter().zip(&want).enumerate() {
                     proptest::prop_assert!(
                         (got.exp() - want.exp()).abs() < 1e-12,
                         "kind {} slot {} state {}: kernel {} vs reference {}", kind, e, s, got, want
@@ -2261,7 +2691,7 @@ mod tests {
             let opts = LbpOptions { tol: 1e-12, max_iters: 500, mode, ..Default::default() };
             let res = eng.run(&params, &opts);
             assert!(res.converged, "{mode:?}: {res:?}");
-            assert!(eng.fv.iter().chain(&eng.vf).all(|x| x.is_finite()), "{mode:?}");
+            assert!(eng.s.fv.iter().chain(&eng.s.vf).all(|x| x.is_finite()), "{mode:?}");
             let lbp = eng.marginals();
             for v in [a, b, c, d, e] {
                 for s in 0..g.cardinality(v) {
@@ -2304,9 +2734,9 @@ mod tests {
             let mut eng = LbpEngine::new(&g);
             eng.run(&params, &residual);
             let msg = panic_message(&mut || {
-                eng.resume_imported(&p, &residual, &[0]);
+                eng.resume(&p, &residual, &[0]);
             });
-            assert_eq!(msg, expected, "resume_imported");
+            assert_eq!(msg, expected, "resume");
         }
     }
 

@@ -49,7 +49,7 @@ pub mod params;
 pub mod store;
 
 pub use graph::{FactorGraph, FactorId, Potential, VarId};
-pub use lbp::{LbpMessages, LbpOptions, LbpResult, Marginals, Schedule, ScheduleMode};
+pub use lbp::{LbpMessages, LbpOptions, LbpResult, LbpState, Marginals, Schedule, ScheduleMode};
 pub use learn::{train, TrainOptions, TrainReport};
 pub use params::Params;
 pub use store::{MessageArena, MessageStore, QuantArena};

@@ -1,12 +1,14 @@
 //! Message-arena storage behind the committed-snapshot seam.
 //!
 //! [`crate::lbp::LbpEngine`] always *computes* in flat `f64` arenas, but
-//! the **committed** messages a long-lived session holds between deltas
-//! ([`crate::LbpMessages`]) dominate resident memory and the snapshot
-//! wire format at scale. This module is the seam between the two: a
-//! committed arena is either the exact `f64` image of the engine state
-//! or a quantized form at half the bytes, chosen per session by
-//! [`MessageStore`].
+//! the messages a long-lived session holds between deltas dominate
+//! resident memory and the snapshot wire format at scale. This module is
+//! the seam between the two: a committed arena ([`crate::LbpMessages`])
+//! is either the exact `f64` image of the engine state or a quantized
+//! form at half the bytes, chosen per session by [`MessageStore`]. An
+//! exact session keeps its `f64` arenas resident between deltas and
+//! encodes them only for snapshots; a quantized one commits every delta
+//! and keeps only the quantized form.
 //!
 //! ## Quantized representation
 //!
@@ -44,8 +46,7 @@ pub const QUANT_BLOCK: usize = 64;
 
 /// Which committed-message representation a session keeps between
 /// deltas. The engine's working state is `f64` either way; this only
-/// selects what [`crate::lbp::LbpEngine::export_messages_with`]
-/// commits.
+/// selects what [`crate::lbp::LbpState::export_messages`] commits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MessageStore {
     /// Bit-exact `f64` arenas (the default): commit/resume round-trips

@@ -303,8 +303,9 @@ proptest! {
             eng.set_clamp(v, Some(s));
         }
         eng.run(&params, &opts);
-        let exact = eng.export_messages();
-        let quant = eng.export_messages_with(MessageStore::Quantized);
+        let state = eng.into_state();
+        let exact = state.export_messages(MessageStore::Exact);
+        let quant = state.export_messages(MessageStore::Quantized);
 
         // Explicit tolerance gate, one direction (fv — vf is the
         // same code path): decode error is bounded by the residual's

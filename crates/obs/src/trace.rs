@@ -11,7 +11,8 @@
 //! load and the guard is inert. The ring holds the most recent
 //! [`RING_CAP`] completed spans under a poison-recovered mutex — this
 //! is a debugging surface, not a hot path, and spans close at phase
-//! granularity (dozens per run, not millions).
+//! granularity (a handful per serving write). At 64 B a record, a full
+//! ring is 4 MiB, allocated only while tracing records.
 //!
 //! [`take_trace_tsv`] drains the ring as TSV with a fixed header:
 //!
@@ -20,15 +21,17 @@
 //! ```
 //!
 //! Rows are sorted by `(start_us, span_id)` so concurrent threads dump
-//! in timeline order.
+//! in timeline order. If the ring evicted spans since the last drain,
+//! a final `# evicted N spans` line says how many.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Maximum completed spans kept; older entries are evicted FIFO.
-pub const RING_CAP: usize = 4096;
+pub const RING_CAP: usize = 1 << 16;
 
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -77,19 +80,38 @@ struct SpanRecord {
     count: u64,
 }
 
-fn ring() -> &'static Mutex<Vec<SpanRecord>> {
-    static RING: OnceLock<Mutex<Vec<SpanRecord>>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(Vec::new()))
+/// The newest [`RING_CAP`] completed spans, and how many older ones
+/// were evicted since the last drain.
+#[derive(Default)]
+struct Ring {
+    records: VecDeque<SpanRecord>,
+    evicted: u64,
+}
+
+impl Ring {
+    fn push(&mut self, rec: SpanRecord) {
+        if self.records.len() >= RING_CAP {
+            // FIFO eviction; RING_CAP is large relative to phase-granular
+            // span volume, so this is a safety valve, not a steady state.
+            self.records.pop_front();
+            self.evicted += 1;
+        }
+        self.records.push_back(rec);
+    }
+
+    /// Take every record (in push order) and the eviction count.
+    fn drain(&mut self) -> (Vec<SpanRecord>, u64) {
+        (std::mem::take(&mut self.records).into(), std::mem::take(&mut self.evicted))
+    }
+}
+
+fn ring() -> &'static Mutex<Ring> {
+    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
+    RING.get_or_init(|| Mutex::new(Ring::default()))
 }
 
 fn push_record(rec: SpanRecord) {
-    let mut ring = ring().lock().unwrap_or_else(PoisonError::into_inner);
-    if ring.len() >= RING_CAP {
-        // FIFO eviction; RING_CAP is large relative to phase-granular
-        // span volume, so this is a safety valve, not a steady state.
-        ring.remove(0);
-    }
-    ring.push(rec);
+    ring().lock().unwrap_or_else(PoisonError::into_inner).push(rec);
 }
 
 /// Guard for an open span; records on drop. Inert (and cost-free past
@@ -177,12 +199,10 @@ macro_rules! span {
 }
 
 /// Drain every recorded span as TSV (header + rows sorted by
-/// `(start_us, span_id)`), clearing the ring.
+/// `(start_us, span_id)`, then `# evicted N spans` if the ring evicted
+/// any since the last drain), clearing the ring.
 pub fn take_trace_tsv() -> String {
-    let mut records = {
-        let mut ring = ring().lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::take(&mut *ring)
-    };
+    let (mut records, evicted) = ring().lock().unwrap_or_else(PoisonError::into_inner).drain();
     records.sort_by_key(|r| (r.start_us, r.span_id));
     let mut out = String::from("span_id\tparent_id\tthread\tname\tstart_us\tdur_us\tcount\n");
     for r in &records {
@@ -191,18 +211,55 @@ pub fn take_trace_tsv() -> String {
             r.span_id, r.parent_id, r.thread, r.name, r.start_us, r.dur_us, r.count
         ));
     }
+    if evicted > 0 {
+        out.push_str(&format!("# evicted {evicted} spans\n"));
+    }
     out
 }
 
 /// Discard all recorded spans (test isolation).
 pub fn clear_trace() {
-    let mut ring = ring().lock().unwrap_or_else(PoisonError::into_inner);
-    ring.clear();
+    ring().lock().unwrap_or_else(PoisonError::into_inner).drain();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn record(span_id: u64) -> SpanRecord {
+        SpanRecord {
+            span_id,
+            parent_id: 0,
+            thread: 1,
+            name: "s",
+            start_us: span_id,
+            dur_us: 1,
+            count: 0,
+        }
+    }
+
+    /// A private ring (the global one is shared with the test below):
+    /// 10 000 spans all survive in push order, and `RING_CAP + 5` pushes
+    /// evict exactly the 5 oldest and count them.
+    #[test]
+    fn ring_keeps_the_newest_spans_and_counts_evictions() {
+        let mut ring = Ring::default();
+        for id in 0..10_000 {
+            ring.push(record(id));
+        }
+        let (records, evicted) = ring.drain();
+        assert_eq!(evicted, 0);
+        assert!(records.iter().map(|r| r.span_id).eq(0..10_000), "all spans, in order");
+
+        for id in 0..RING_CAP as u64 + 5 {
+            ring.push(record(id));
+        }
+        let (records, evicted) = ring.drain();
+        assert_eq!(evicted, 5);
+        assert_eq!(records.len(), RING_CAP);
+        assert!(records.iter().map(|r| r.span_id).eq(5..RING_CAP as u64 + 5), "newest kept");
+        assert_eq!(ring.drain().1, 0, "a drain resets the eviction count");
+    }
 
     // Trace state is process-global, so every scenario runs inside one
     // test to avoid cross-test interference under the parallel runner.

@@ -188,6 +188,7 @@ impl<'a> Engine<'a> {
 
     /// Recapture the read view from the session.
     fn refresh_view(&mut self) {
+        let _span = jocl_obs::span!("view_capture");
         self.view = Arc::new(ReadView::capture(&self.session, self.version, self.is_replica()));
     }
 
@@ -382,7 +383,11 @@ impl<'a> Engine<'a> {
             // reaches replicas. The inverse failure (applied locally,
             // append failed) is surfaced as an error so the operator
             // knows replicas are now behind until the next snapshot.
-            match append_entry(path, &FeedEntry::Ops(ops)) {
+            let appended = {
+                let _span = jocl_obs::span!("feed_append");
+                append_entry(path, &FeedEntry::Ops(ops))
+            };
+            match appended {
                 Ok(end) => self.set_feed_offset(end),
                 Err(e) => {
                     self.version += 1;

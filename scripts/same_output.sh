@@ -11,13 +11,19 @@
 #
 #   table1            JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_TRAIN_EPOCHS=2
 #   fig2_convergence  JOCL_SCALE=0.02 JOCL_SEED=42
-#   serve             JOCL_SCALE=0.02 JOCL_SEED=42, a fixed stdin script
-#                     (ingest, query, link by surface and URI, retract,
-#                     query, compact, link)
+#   serve             JOCL_SCALE=0.02 JOCL_SEED=42, a fixed stdin script:
+#                     a cold ingest, then warm writes (ingest 8 three
+#                     times, add, revise and retract of one triple,
+#                     retract by id, snapshot + restore, one more
+#                     ingest 8) with query / link frames after each,
+#                     then compact
+#   stream            JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_STREAM_BATCH=4
 #
 # and compares each stdout with `cmp`. For `serve` only the `query.v1` /
 # `link.v1` frame lines are compared; the delta and stats lines carry
-# timings. Exits 0 only if all three are identical; the temporary
+# timings. For `stream` the per-batch rows (without their `ms` column)
+# and the `PARITY` line are compared; its timing and heap lines are
+# left out. Exits 0 only if all four are identical; the temporary
 # directory is removed on exit. Set TMPDIR to choose where the export and
 # its build go (~1 GB).
 set -euo pipefail
@@ -34,7 +40,7 @@ trap 'rm -rf "$work"' EXIT
 
 mkdir "$work/tree"
 git archive "$rev" | tar -x -C "$work/tree"
-bins=(--bin table1 --bin fig2_convergence --bin serve)
+bins=(--bin table1 --bin fig2_convergence --bin serve --bin stream)
 echo "building $rev ..." >&2
 (cd "$work/tree" && CARGO_TARGET_DIR="$work/target" \
     cargo build --release --offline --quiet -p jocl_bench "${bins[@]}")
@@ -48,8 +54,33 @@ link Tarrazu Group
 link brisharo by
 link jocl://np/3
 link ckb://entity/34
+ingest 8
+query tarrazu group
+link jocl://np/3
+ingest 8
+query tarrazu group
+link brisharo by
+ingest 8
+query tarrazu group
+link Tarrazu Group
+add acme robotics | acquired | tarrazu group
+query acme robotics
+link acme robotics
+revise acme robotics | acquired | tarrazu group => acme robotics | bought | tarrazu group
+query acme robotics
+link acme robotics
+retract acme robotics | bought | tarrazu group
+query tarrazu group
+link acme robotics
 retract #7
 query tarrazu group
+snapshot
+restore
+query tarrazu group
+link jocl://np/3
+ingest 8
+query tarrazu group
+link Tarrazu Group
 compact
 link tarrazu group
 link jocl://np/3
@@ -62,6 +93,10 @@ run() { # <side> <bin dir>
     printf '%s\n' "$serve_script" |
         JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_SNAPSHOT_DIR="$work/snap" "$2/release/serve" |
         grep -E '^(query\.v1|mention |link\.v1|np |rp )' >"$work/$1.serve"
+    # The stream bin exits 1 on a parity mismatch; its PARITY line is
+    # part of the comparison either way.
+    { JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_STREAM_BATCH=4 "$2/release/stream" || true; } |
+        awk '/^ *[0-9]+ / { NF--; print } /^PARITY/' >"$work/$1.stream"
 }
 echo "running $rev ..." >&2
 run rev "$work/target"
@@ -69,7 +104,7 @@ echo "running the working tree ..." >&2
 run tree "$here"
 
 status=0
-for bin in table1 fig2_convergence serve; do
+for bin in table1 fig2_convergence serve stream; do
     if cmp "$work/rev.$bin" "$work/tree.$bin"; then
         echo "$bin: byte-identical ($(wc -c <"$work/tree.$bin") bytes)"
     else
