@@ -1,7 +1,7 @@
 //! The `JOCL_*` environment knobs, consolidated.
 //!
 //! Every bin, gate and bench reads its configuration through these
-//! helpers, and every helper is one call of the private [`knob`] parser,
+//! helpers, and every helper is one call of the private `knob` parser,
 //! so all knobs share one discipline:
 //!
 //! * surrounding whitespace is trimmed and keywords are ASCII

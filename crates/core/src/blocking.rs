@@ -32,7 +32,7 @@
 //!   has fewer than `cross_cap` owners, and pairs against the first
 //!   `cross_cap` owners of the other phrase;
 //! * a token stops proposing candidate phrase pairs once
-//!   [`MAX_TOKEN_DF`] phrases carry it (pairs it proposed earlier
+//!   `MAX_TOKEN_DF` phrases carry it (pairs it proposed earlier
 //!   persist).
 //!
 //! # Memory layout

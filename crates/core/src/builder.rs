@@ -18,10 +18,10 @@
 //! Candidate sets and feature vectors are cached per distinct phrase, so
 //! the cost scales with distinct surface forms rather than mentions.
 //!
-//! There is **one** construction path, [`GraphBuilder::extend`], which
+//! There is **one** construction path, `GraphBuilder::extend`, which
 //! appends a blocking delta to a plan. [`build_graph`] is one extend over
 //! an empty plan with the whole OKB as the delta; the incremental session
-//! (`crate::incremental`) keeps a [`GraphBuilder`] across deltas.
+//! (`crate::incremental`) keeps a `GraphBuilder` across deltas.
 //!
 //! Construction is **sharded**: the expensive per-distinct-key work
 //! (candidate retrieval, similarity features, two-level tables) is split
@@ -299,6 +299,10 @@ impl GraphPlan {
                     potential.table_len()
                 )));
             }
+            let slots: usize = vars.iter().map(|&v| graph.cardinality(v) as usize).sum();
+            if u32::try_from(graph.arena_len() + slots).is_err() {
+                return Err(r.corrupt("factor graph outgrows u32 message-arena offsets"));
+            }
             graph.add_factor(&vars, potential, class);
         }
         let (init, groups) = init_params(config);
@@ -476,7 +480,7 @@ pub fn transitivity_scores() -> Vec<f64> {
 }
 
 /// Build the factor graph for `config.variant`: one
-/// [`GraphBuilder::extend`] pass over an empty plan, with the whole
+/// `GraphBuilder::extend` pass over an empty plan, with the whole
 /// `blocking` as the delta. The result is identical for any worker
 /// count. The plan's parameters are
 /// `config.pretrained_params` when set.
@@ -1584,5 +1588,34 @@ mod tests {
             let payload = caught.expect_err("the panic must reach the caller");
             assert_eq!(payload.downcast_ref::<String>(), Some(&format!("item {bad} exploded")));
         }
+    }
+
+    /// A plan snapshot whose factors would outgrow the `u32` offsets of
+    /// the LBP message arena is a typed error, not a panic: two factors
+    /// over one variable with 2^31 states need 2^32 arena slots, though
+    /// their two-level tables store no rows.
+    #[test]
+    fn import_rejects_a_plan_that_outgrows_the_message_arena() {
+        let mut w = jocl_kb::snap::SnapWriter::new();
+        w.tag("PLAN");
+        w.usize(1);
+        w.u32(1 << 31);
+        w.u64(0);
+        w.usize(2);
+        for _ in 0..2 {
+            w.u64(0);
+            w.u32_slice_packed(&[0]);
+            w.u64(2);
+            w.usize(0);
+            w.usize(1 << 31);
+            w.u32_slice_delta(&[]);
+            w.f64(1.0);
+            w.f64(0.0);
+        }
+        w.f64_slice(&[0.0; 8]);
+        let bytes = w.into_bytes();
+        let mut r = jocl_kb::snap::SnapReader::new(&bytes);
+        let err = GraphPlan::import_state(&mut r, &JoclConfig::default()).err().expect("rejected");
+        assert!(err.to_string().contains("message-arena offsets"), "{err}");
     }
 }

@@ -2,7 +2,7 @@
 //! replicas follow.
 //!
 //! The networked serving plane has exactly one writer. Every delta it
-//! commits — one [`DeltaOp`] batch per [`IncrementalJocl::apply_ops`]
+//! commits — one [`DeltaOp`] batch per [`crate::IncrementalJocl::apply_ops`]
 //! call, or a manual compaction — is appended here as a framed record,
 //! and a replica that warm-restored the writer's snapshot replays the
 //! records *after* the snapshot's feed offset to catch up. Because the

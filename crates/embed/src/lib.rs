@@ -16,7 +16,7 @@
 //!   vectors with phrase embedding by word averaging ("for a NP which
 //!   contains several words, we average the vectors of all the single
 //!   words in the phrase", §3.1.3) and cosine similarity.
-//! * [`retrofit`] — Faruqui-style retrofitting of vectors toward a
+//! * [`retrofit`](mod@retrofit) — Faruqui-style retrofitting of vectors toward a
 //!   semantic lexicon, the mechanism our CESI baseline uses to inject
 //!   side information into embeddings.
 //! * [`vector`] — the small dense-vector kernel (dot, norm, cosine, axpy).

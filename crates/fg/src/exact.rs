@@ -4,7 +4,7 @@
 //! property tests (LBP is exact on trees and approximate on loopy
 //! graphs).
 
-use crate::graph::{FactorGraph, VarId};
+use crate::graph::{FactorGraph, FactorId, VarId};
 use crate::lbp::Marginals;
 use crate::logspace::logsumexp;
 use crate::params::Params;
@@ -16,7 +16,7 @@ const MAX_CONFIGS: usize = 1 << 22;
 /// Compute exact marginals, optionally conditioning on clamped variables.
 ///
 /// # Panics
-/// Panics if the joint space exceeds [`MAX_CONFIGS`] configurations.
+/// Panics if the joint space exceeds `MAX_CONFIGS` (2^22) configurations.
 pub fn exact_marginals(graph: &FactorGraph, params: &Params, clamps: &[(VarId, u32)]) -> Marginals {
     let n = graph.num_vars();
     let cards: Vec<usize> = (0..n).map(|v| graph.cardinality(VarId(v as u32)) as usize).collect();
@@ -40,12 +40,11 @@ pub fn exact_marginals(graph: &FactorGraph, params: &Params, clamps: &[(VarId, u
         let consistent = clamp_map.iter().all(|(&v, &s)| state[v] == s);
         if consistent {
             let mut lw = 0.0;
-            for (fi, fd) in graph.factors.iter().enumerate() {
-                let flat = graph.flat_index(
-                    crate::graph::FactorId(fi as u32),
-                    &fd.vars.iter().map(|v| state[v.idx()]).collect::<Vec<_>>(),
-                );
-                lw += fd.potential.log_phi(params, flat);
+            for f in 0..graph.num_factors() {
+                let f = FactorId(f as u32);
+                let states: Vec<u32> =
+                    graph.factor_vars(f).iter().map(|v| state[v.idx()]).collect();
+                lw += graph.factor_potential(f).log_phi(params, graph.flat_index(f, &states));
             }
             for v in 0..n {
                 log_weights[v][state[v] as usize].push(lw);

@@ -210,29 +210,56 @@ fn dot(w: &[f64], f: &[f64]) -> f64 {
     w.iter().zip(f).map(|(wi, fi)| wi * fi).sum()
 }
 
+/// A discrete factor graph, and the one edge index that message passing
+/// runs over.
+///
+/// An **edge** is one (factor, slot) pair. Edges are numbered
+/// factor-major in slot order as factors are added, so appending
+/// factors never renumbers an existing edge; factor `f`'s edges are
+/// `factor_edge_start[f]..factor_edge_start[f + 1]`. Each edge owns a
+/// run of `card(var)` slots in the LBP message arenas, at `edge_offset`.
+/// Each variable lists its edge ids ascending, so every per-variable sum
+/// over incoming messages adds in the same order however the graph grew.
 #[derive(Debug, Clone)]
-pub(crate) struct FactorData {
-    pub vars: Vec<VarId>,
-    pub potential: Potential,
-    pub class: u8,
-    pub strides: Vec<usize>,
-    pub table_size: usize,
-}
-
-/// A discrete factor graph.
-#[derive(Debug, Clone, Default)]
 pub struct FactorGraph {
     cards: Vec<u32>,
     var_classes: Vec<u8>,
-    pub(crate) factors: Vec<FactorData>,
-    /// Per-variable adjacency: `(factor index, slot within factor)`.
-    pub(crate) var_adj: Vec<Vec<(u32, u32)>>,
+    factor_classes: Vec<u8>,
+    potentials: Vec<Potential>,
+    /// First edge of each factor, then the edge count
+    /// (`num_factors + 1` entries).
+    factor_edge_start: Vec<u32>,
+    /// Variable of each edge; a factor's run is its variable list.
+    pub(crate) edge_var: Vec<VarId>,
+    /// Factor of each edge.
+    pub(crate) edge_factor: Vec<FactorId>,
+    /// Arena offset of each edge, then the arena length
+    /// (`num_edges + 1` entries).
+    edge_offset: Vec<u32>,
+    /// Edge ids of each variable, ascending.
+    pub(crate) var_edges: Vec<Vec<u32>>,
+}
+
+impl Default for FactorGraph {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FactorGraph {
     /// Empty graph.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            cards: Vec::new(),
+            var_classes: Vec::new(),
+            factor_classes: Vec::new(),
+            potentials: Vec::new(),
+            factor_edge_start: vec![0],
+            edge_var: Vec::new(),
+            edge_factor: Vec::new(),
+            edge_offset: vec![0],
+            var_edges: Vec::new(),
+        }
     }
 
     /// Add a variable with `cardinality` states and scheduling class 0.
@@ -248,45 +275,44 @@ impl FactorGraph {
         let id = VarId(u32::try_from(self.cards.len()).expect("too many variables"));
         self.cards.push(cardinality);
         self.var_classes.push(class);
-        self.var_adj.push(Vec::new());
+        self.var_edges.push(Vec::new());
         id
     }
 
     /// Add a factor over `vars` (distinct) with the given potential and
-    /// scheduling class.
+    /// scheduling class, appending one edge per variable.
     ///
     /// # Panics
-    /// Panics if a variable repeats, a variable id is out of range, or the
+    /// Panics if a variable repeats, a variable id is out of range, the
     /// potential's table length does not equal the product of the
-    /// variables' cardinalities.
+    /// variables' cardinalities, or the message arena would outgrow `u32`
+    /// offsets.
     pub fn add_factor(&mut self, vars: &[VarId], potential: Potential, class: u8) -> FactorId {
         assert!(!vars.is_empty(), "factors need at least one variable");
         for (i, v) in vars.iter().enumerate() {
             assert!(v.idx() < self.cards.len(), "unknown variable {v:?}");
             assert!(!vars[..i].contains(v), "repeated variable {v:?} in factor");
         }
-        let mut strides = Vec::with_capacity(vars.len());
-        let mut size = 1usize;
-        for v in vars {
-            strides.push(size);
-            size *= self.cards[v.idx()] as usize;
-        }
+        let size: usize = vars.iter().map(|v| self.cards[v.idx()] as usize).product();
         assert_eq!(
             potential.table_len(),
             size,
             "potential table length must equal the joint configuration count"
         );
-        let fid = FactorId(u32::try_from(self.factors.len()).expect("too many factors"));
-        for (slot, v) in vars.iter().enumerate() {
-            self.var_adj[v.idx()].push((fid.0, slot as u32));
+        let fid = FactorId(u32::try_from(self.potentials.len()).expect("too many factors"));
+        // Every edge has at least one slot, so this also bounds edge ids.
+        let slots: usize = vars.iter().map(|v| self.cards[v.idx()] as usize).sum();
+        u32::try_from(self.arena_len() + slots).expect("LBP message arena exceeds u32 offsets");
+        for v in vars {
+            let end = self.arena_len() + self.cards[v.idx()] as usize;
+            self.var_edges[v.idx()].push(self.edge_var.len() as u32);
+            self.edge_var.push(*v);
+            self.edge_factor.push(fid);
+            self.edge_offset.push(end as u32);
         }
-        self.factors.push(FactorData {
-            vars: vars.to_vec(),
-            potential,
-            class,
-            strides,
-            table_size: size,
-        });
+        self.factor_edge_start.push(self.num_edges() as u32);
+        self.potentials.push(potential);
+        self.factor_classes.push(class);
         fid
     }
 
@@ -302,14 +328,14 @@ impl FactorGraph {
     /// but the factor graph is append-only (node ids are load-bearing
     /// for warm-started message passing), so the factor is down-weighted
     /// to nothing instead of being deleted. Structure (variables, class,
-    /// table size, adjacency) is untouched; the O(table) feature/score
+    /// table size, edges) is untouched; the O(table) feature/score
     /// payload is dropped, so a tombstoned graph also *shrinks* in
     /// memory. Idempotent.
     pub fn neutralize_factor(&mut self, f: FactorId) {
-        let fd = &mut self.factors[f.idx()];
-        fd.potential = Potential::TwoLevelScores {
-            group: fd.potential.group(),
-            size: fd.table_size,
+        let potential = &mut self.potentials[f.idx()];
+        *potential = Potential::TwoLevelScores {
+            group: potential.group(),
+            size: potential.table_len(),
             high_configs: Vec::new(),
             high: 0.0,
             low: 0.0,
@@ -317,14 +343,16 @@ impl FactorGraph {
     }
 
     /// Pre-size the node stores for `extra_vars` more variables and
-    /// `extra_factors` more factors (adjacency lists grow on demand).
+    /// `extra_factors` more factors (edge lists grow on demand).
     /// Sharded builders call this once per merge so the insert loop never
     /// reallocates.
     pub fn reserve(&mut self, extra_vars: usize, extra_factors: usize) {
         self.cards.reserve(extra_vars);
         self.var_classes.reserve(extra_vars);
-        self.var_adj.reserve(extra_vars);
-        self.factors.reserve(extra_factors);
+        self.var_edges.reserve(extra_vars);
+        self.factor_classes.reserve(extra_factors);
+        self.potentials.reserve(extra_factors);
+        self.factor_edge_start.reserve(extra_factors);
     }
 
     /// Number of variables.
@@ -334,12 +362,23 @@ impl FactorGraph {
 
     /// Number of factors.
     pub fn num_factors(&self) -> usize {
-        self.factors.len()
+        self.potentials.len()
     }
 
-    /// Resident heap bytes of the graph structure: cardinalities,
-    /// classes, adjacency, factor metadata and potential tables
-    /// (capacity-based — what the allocator actually holds).
+    /// Number of edges (factor-slot pairs).
+    pub fn num_edges(&self) -> usize {
+        self.edge_var.len()
+    }
+
+    /// Message slots one LBP arena needs: the summed cardinality of
+    /// every edge's variable.
+    pub fn arena_len(&self) -> usize {
+        self.edge_offset[self.num_edges()] as usize
+    }
+
+    /// Resident heap bytes of the graph: cardinalities, classes, the
+    /// edge index and potential tables (capacity-based — what the
+    /// allocator actually holds).
     pub fn heap_bytes(&self) -> usize {
         let potential = |p: &Potential| match p {
             Potential::Features { feats, .. } => {
@@ -349,16 +388,18 @@ impl FactorGraph {
             Potential::Scores { scores, .. } => scores.capacity() * 8,
             Potential::TwoLevelScores { high_configs, .. } => high_configs.capacity() * 4,
         };
-        self.cards.capacity() * 4
+        let u32s = self.cards.capacity()
+            + self.factor_edge_start.capacity()
+            + self.edge_var.capacity()
+            + self.edge_factor.capacity()
+            + self.edge_offset.capacity();
+        u32s * 4
             + self.var_classes.capacity()
-            + self.factors.capacity() * std::mem::size_of::<FactorData>()
-            + self
-                .factors
-                .iter()
-                .map(|f| f.vars.capacity() * 4 + f.strides.capacity() * 8 + potential(&f.potential))
-                .sum::<usize>()
-            + self.var_adj.capacity() * std::mem::size_of::<Vec<(u32, u32)>>()
-            + self.var_adj.iter().map(|a| a.capacity() * 8).sum::<usize>()
+            + self.factor_classes.capacity()
+            + self.potentials.capacity() * std::mem::size_of::<Potential>()
+            + self.potentials.iter().map(potential).sum::<usize>()
+            + self.var_edges.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self.var_edges.iter().map(|a| a.capacity() * 4).sum::<usize>()
     }
 
     /// Cardinality of variable `v`.
@@ -373,54 +414,72 @@ impl FactorGraph {
 
     /// Scheduling class of factor `f`.
     pub fn factor_class(&self, f: FactorId) -> u8 {
-        self.factors[f.idx()].class
+        self.factor_classes[f.idx()]
     }
 
     /// The variables of factor `f`, in slot order.
     pub fn factor_vars(&self, f: FactorId) -> &[VarId] {
-        &self.factors[f.idx()].vars
+        &self.edge_var[self.factor_edges(f.idx())]
     }
 
     /// The potential of factor `f`.
     pub fn factor_potential(&self, f: FactorId) -> &Potential {
-        &self.factors[f.idx()].potential
+        &self.potentials[f.idx()]
     }
 
-    /// Factors adjacent to variable `v` as `(FactorId, slot)` pairs.
+    /// Factors adjacent to variable `v` as `(FactorId, slot)` pairs, in
+    /// the order they were added.
     pub fn var_factors(&self, v: VarId) -> impl Iterator<Item = (FactorId, usize)> + '_ {
-        self.var_adj[v.idx()].iter().map(|&(f, s)| (FactorId(f), s as usize))
+        self.var_edges[v.idx()].iter().map(|&e| {
+            let f = self.edge_factor[e as usize];
+            (f, e as usize - self.factor_edge_start[f.idx()] as usize)
+        })
     }
 
     /// Degree (number of adjacent factors) of variable `v`.
     pub fn var_degree(&self, v: VarId) -> usize {
-        self.var_adj[v.idx()].len()
+        self.var_edges[v.idx()].len()
+    }
+
+    /// Edge ids of factor `f`, in slot order.
+    #[inline]
+    pub(crate) fn factor_edges(&self, f: usize) -> std::ops::Range<usize> {
+        self.factor_edge_start[f] as usize..self.factor_edge_start[f + 1] as usize
+    }
+
+    /// Arena slots of edge `e`: one per state of its variable.
+    #[inline]
+    pub(crate) fn edge_slots(&self, e: usize) -> std::ops::Range<usize> {
+        self.edge_offset[e] as usize..self.edge_offset[e + 1] as usize
     }
 
     /// Flatten a per-slot state assignment of factor `f` into a table
     /// index.
     pub fn flat_index(&self, f: FactorId, states: &[u32]) -> usize {
-        let fd = &self.factors[f.idx()];
-        debug_assert_eq!(states.len(), fd.vars.len());
-        states.iter().zip(&fd.strides).map(|(&s, &st)| s as usize * st).sum()
+        let vars = self.factor_vars(f);
+        debug_assert_eq!(states.len(), vars.len());
+        // Slot 0 varies fastest: Horner's rule from the last slot.
+        let card = |v: &VarId| self.cards[v.idx()] as usize;
+        states.iter().zip(vars).rev().fold(0, |flat, (&s, v)| flat * card(v) + s as usize)
     }
 
     /// Recover the state of slot `slot` from a flat table index of `f`.
     #[inline]
     pub fn state_of_slot(&self, f: FactorId, flat: usize, slot: usize) -> u32 {
-        let fd = &self.factors[f.idx()];
-        let card = self.cards[fd.vars[slot].idx()] as usize;
-        ((flat / fd.strides[slot]) % card) as u32
+        let vars = self.factor_vars(f);
+        let stride: usize = vars[..slot].iter().map(|v| self.cards[v.idx()] as usize).product();
+        ((flat / stride) % self.cards[vars[slot].idx()] as usize) as u32
     }
 
     /// Table size (number of joint configurations) of factor `f`.
     pub fn table_size(&self, f: FactorId) -> usize {
-        self.factors[f.idx()].table_size
+        self.potentials[f.idx()].table_len()
     }
 
     /// Sum of table sizes over all factors (a proxy for LBP iteration
     /// cost).
     pub fn total_table_size(&self) -> usize {
-        self.factors.iter().map(|f| f.table_size).sum()
+        self.potentials.iter().map(Potential::table_len).sum()
     }
 }
 
@@ -514,10 +573,10 @@ mod tests {
     }
 
     /// The append-safe growth contract the incremental pipeline relies
-    /// on: adding vars/factors never renumbers existing nodes, never
-    /// reorders existing adjacency, and leaves existing potentials
-    /// untouched — the grown graph is the two-stage build of the same
-    /// final structure.
+    /// on: adding vars/factors never renumbers existing nodes or edges,
+    /// never moves an edge's arena slots, never reorders existing
+    /// adjacency, and leaves existing potentials untouched — the grown
+    /// graph is the two-stage build of the same final structure.
     #[test]
     fn append_preserves_existing_structure() {
         let stage1 = |g: &mut FactorGraph| {
@@ -548,6 +607,28 @@ mod tests {
         let adj_b: Vec<_> = grown.var_factors(VarId(1)).collect();
         assert_eq!(adj_b, vec![(FactorId(1), 1)]);
         assert!(before.len() < format!("{grown:?}").len());
+        // Old edges keep their ids, variables, factors and arena offsets…
+        assert_eq!((prefix.num_edges(), grown.num_edges()), (3, 5));
+        for e in 0..prefix.num_edges() {
+            assert_eq!(grown.edge_var[e], prefix.edge_var[e], "edge {e}");
+            assert_eq!(grown.edge_factor[e], prefix.edge_factor[e], "edge {e}");
+            assert_eq!(grown.edge_slots(e), prefix.edge_slots(e), "edge {e}");
+        }
+        assert_eq!(grown.arena_len(), prefix.arena_len() + 2 + 2);
+        // …every edge list stays ascending, and the two directions of
+        // the index agree.
+        for v in 0..grown.num_vars() {
+            assert!(grown.var_edges[v].windows(2).all(|w| w[0] < w[1]), "var {v}");
+            for (f, slot) in grown.var_factors(VarId(v as u32)) {
+                assert_eq!(grown.factor_vars(f)[slot], VarId(v as u32));
+            }
+        }
+        for f in 0..grown.num_factors() {
+            let f = FactorId(f as u32);
+            for (slot, &v) in grown.factor_vars(f).iter().enumerate() {
+                assert!(grown.var_factors(v).any(|adj| adj == (f, slot)), "{f:?} slot {slot}");
+            }
+        }
     }
 
     /// The tombstone primitive: a neutralized factor scores 0 on every

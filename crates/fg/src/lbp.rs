@@ -51,8 +51,8 @@
 //!
 //! Two **update-selection modes** ([`ScheduleMode`]) sit on top of the
 //! schedule: `Residual` — a bucketed max-residual priority queue over
-//! factor blocks with dirty propagation through the CSR variable
-//! adjacency, the serving schedule and the only one warm resumes run —
+//! factor blocks with dirty propagation through each variable's edge
+//! list, the serving schedule and the only one warm resumes run —
 //! and `Synchronous` full sweeps, kept as the cold reference oracle. The
 //! residual drain reaches the sweeps' fixed point within `tol` while
 //! recomputing only the messages whose inputs still change
@@ -60,14 +60,17 @@
 //! modes update factors through the same fused compute-and-commit batch.
 //!
 //! **Owned state, borrowed graph.** An [`LbpEngine`] is a graph borrow
-//! plus an owned [`LbpState`]: the message arenas, the edge index (arena
-//! offsets, edge→variable, edge→factor, the CSR variable adjacency), the
-//! schedule masks, the residual priorities and queue, and the set of
-//! variables whose incoming messages were written. Batch runs and
-//! learning build one from empty ([`LbpEngine::new`]). A serving session
-//! keeps the state across deltas and lends it the grown graph
-//! ([`LbpEngine::with_state`] / [`LbpEngine::into_state`]); growth
-//! appends the new edges with uniform messages, and a warm
+//! plus an owned [`LbpState`]. The graph holds all structure: its edge
+//! index (factor→edges, edge→variable, edge→factor, arena offsets and
+//! each variable's ascending edge list) grows as factors are added. The
+//! state holds only what a run writes: the message arenas, the
+//! variable totals, the clamps, the schedule masks, the residual
+//! priorities and queue, and the set of variables whose incoming
+//! messages were written. Batch runs and learning build one from empty
+//! ([`LbpEngine::new`]). A serving session keeps the state across
+//! deltas and lends it the grown graph ([`LbpEngine::with_state`] /
+//! [`LbpEngine::into_state`]); growth extends the arenas over the new
+//! edges with uniform messages, and a warm
 //! [`LbpEngine::resume`] costs O(dirty) to set up. Afterwards
 //! [`LbpEngine::refresh_marginals`] recomputes only the marginals whose
 //! inputs were written.
@@ -285,8 +288,9 @@ impl Marginals {
     }
 }
 
-/// The owned half of an LBP engine: everything a run reads or writes
-/// except the graph. An [`LbpEngine`] pairs it with a graph borrow, so a
+/// The owned half of an LBP engine: everything a run writes. The graph
+/// owns the structure — the edge index, arena offsets and adjacency —
+/// and an [`LbpEngine`] pairs this state with a borrow of it, so a
 /// long-lived owner (the serving session) keeps one state across graph
 /// growth and lends it the grown graph per delta
 /// ([`LbpEngine::with_state`] / [`LbpEngine::into_state`]); batch runs
@@ -294,8 +298,9 @@ impl Marginals {
 ///
 /// The state only grows: a graph handed to it must extend the one it was
 /// last grown to, which is what appending variables and factors
-/// guarantees (edges are enumerated factor-major by slot, and existing
-/// variables keep their cardinalities). The new edges start from uniform
+/// guarantees (the graph numbers edges in the order factors are added,
+/// and existing variables keep their cardinalities). The arenas cover a
+/// prefix of the graph's edges; the new edges start from uniform
 /// messages, exactly as [`LbpEngine::reset_messages`] writes them.
 ///
 /// Between runs the residual priorities are all 0.0 and the queue is
@@ -304,22 +309,8 @@ impl Marginals {
 /// its messages take the same trajectory.
 #[derive(Clone)]
 pub struct LbpState {
-    /// Arena offset of each edge, then the arena length
-    /// (`num_edges + 1` entries).
-    edge_offset: Vec<u32>,
-    /// Variable of each edge.
-    edge_var: Vec<u32>,
-    /// Factor of each edge.
-    edge_factor: Vec<u32>,
-    /// First edge of each factor, then the edge count
-    /// (`num_factors + 1` entries).
-    factor_edge_start: Vec<u32>,
-    /// CSR adjacency, rebuilt when edges are appended: the edge ids of
-    /// variable `v` are `var_edges[var_edge_start[v]..var_edge_start[v+1]]`,
-    /// ascending — every per-variable sum of incoming messages adds in
-    /// this order, so growth keeps the bits.
-    var_edge_start: Vec<u32>,
-    var_edges: Vec<u32>,
+    /// Edges the message arenas cover (the graph's first `edges`).
+    edges: usize,
     /// factor→variable messages (log domain, normalized).
     fv: Vec<f64>,
     /// variable→factor messages (log domain, normalized).
@@ -334,10 +325,11 @@ pub struct LbpState {
     clamps: Vec<Option<u32>>,
     /// The schedule's class masks and the per-node scheduled flags.
     masks: ScheduleMasks,
-    /// Residual priorities and queue.
+    /// Residual priorities and queue, sized to the factors covered.
     drain: Drain,
     /// Variables whose incoming (factor→variable) messages were written
-    /// since the last [`LbpEngine::refresh_marginals`].
+    /// since the last [`LbpEngine::refresh_marginals`], sized to the
+    /// variables covered.
     touched: IdSet,
 }
 
@@ -351,12 +343,7 @@ impl LbpState {
     /// An empty state: no edges, no messages.
     pub fn new() -> Self {
         Self {
-            edge_offset: vec![0],
-            edge_var: Vec::new(),
-            edge_factor: Vec::new(),
-            factor_edge_start: vec![0],
-            var_edge_start: vec![0],
-            var_edges: Vec::new(),
+            edges: 0,
             fv: Vec::new(),
             vf: Vec::new(),
             scratch: Scratch::default(),
@@ -368,67 +355,16 @@ impl LbpState {
         }
     }
 
-    /// Number of edges (factor-slot pairs) the state covers.
-    fn num_edges(&self) -> usize {
-        self.edge_var.len()
-    }
-
-    fn num_factors(&self) -> usize {
-        self.factor_edge_start.len() - 1
-    }
-
-    fn num_vars(&self) -> usize {
-        self.var_edge_start.len() - 1
-    }
-
-    /// Edge ids of variable `v`, ascending.
-    #[inline]
-    fn var_adj(&self, v: usize) -> &[u32] {
-        &self.var_edges[self.var_edge_start[v] as usize..self.var_edge_start[v + 1] as usize]
-    }
-
     #[inline]
     fn clamp(&self, v: usize) -> Option<u32> {
         self.clamps.get(v).copied().flatten()
     }
 
-    /// Rebuild the CSR adjacency over `num_vars` variables by a counting
-    /// sort of `edge_var`, in place: each variable's edges ascending.
-    fn rebuild_var_adjacency(&mut self, num_vars: usize) {
-        let (start, edges) = (&mut self.var_edge_start, &mut self.var_edges);
-        start.clear();
-        start.resize(num_vars + 1, 0);
-        for &v in &self.edge_var {
-            start[v as usize + 1] += 1;
-        }
-        for i in 1..start.len() {
-            start[i] += start[i - 1];
-        }
-        // `start[v + 1]` is the end of `v`'s run; filling backwards
-        // moves it down to the run's first slot.
-        edges.resize(self.edge_var.len(), 0);
-        for (e, &v) in self.edge_var.iter().enumerate().rev() {
-            start[v as usize + 1] -= 1;
-            edges[start[v as usize + 1] as usize] = e as u32;
-        }
-        start.copy_within(1.., 0);
-        start[num_vars] = self.edge_var.len() as u32;
-    }
-
-    /// Message slots of one arena.
-    fn arena_len(&self) -> usize {
-        self.edge_offset[self.num_edges()] as usize
-    }
-
-    #[inline]
-    fn edge_range(&self, e: usize) -> std::ops::Range<usize> {
-        self.edge_offset[e] as usize..self.edge_offset[e + 1] as usize
-    }
-
-    /// Edge ids of factor `f` in slot order.
-    #[inline]
-    fn factor_edges(&self, f: usize) -> std::ops::Range<usize> {
-        self.factor_edge_start[f] as usize..self.factor_edge_start[f + 1] as usize
+    /// Whether the message arenas are resident (not released). Every
+    /// edge has at least one slot, so only a released state with edges
+    /// has empty arenas.
+    fn messages_resident(&self) -> bool {
+        self.edges == 0 || !self.fv.is_empty()
     }
 
     /// Encode the current messages under the given committed-arena
@@ -439,38 +375,36 @@ impl LbpState {
     /// # Panics
     /// Panics if the messages were released.
     pub fn export_messages(&self, store: MessageStore) -> LbpMessages {
-        assert_eq!(
-            self.fv.len(),
-            self.arena_len(),
-            "LBP messages were released; import them first"
-        );
+        assert!(self.messages_resident(), "LBP messages were released; import them first");
         LbpMessages {
             fv: MessageArena::encode(&self.fv, store),
             vf: MessageArena::encode(&self.vf, store),
-            edges: self.num_edges(),
+            edges: self.edges,
         }
     }
 
     /// Replace every message with `messages`, which must cover exactly
     /// this state's edges (export from the same graph, or a state grown
-    /// to it). Clears the touched set: the imported messages are the
-    /// committed ones, and marginals cached against them stay current.
+    /// to it) — and, while this state's arenas are resident, exactly
+    /// their slots. Clears the touched set: the imported messages are
+    /// the committed ones, and marginals cached against them stay
+    /// current.
     ///
     /// # Panics
     /// Panics if the snapshot does not cover exactly this state's edges
     /// (e.g. the graph was rebuilt rather than grown by appending).
     pub fn import_messages(&mut self, messages: &LbpMessages) {
-        let arena = self.arena_len();
+        let slots = if self.messages_resident() { self.fv.len() } else { messages.fv.len() };
         assert!(
-            messages.edges == self.num_edges() && messages.fv.len() == arena,
+            messages.edges == self.edges && messages.fv.len() == slots,
             "message snapshot ({} edges, {} slots) must cover exactly the state's {} edges and \
-             {arena} slots: graphs only grow by appending",
+             {slots} slots: graphs only grow by appending",
             messages.edges,
             messages.fv.len(),
-            self.num_edges()
+            self.edges
         );
-        self.fv.resize(arena, 0.0);
-        self.vf.resize(arena, 0.0);
+        self.fv.resize(slots, 0.0);
+        self.vf.resize(slots, 0.0);
         messages.fv.decode_into(&mut self.fv);
         messages.vf.decode_into(&mut self.vf);
         self.touched.clear();
@@ -489,17 +423,10 @@ impl LbpState {
         (self.fv.capacity() + self.vf.capacity()) * 8
     }
 
-    /// Heap bytes of the whole state: the arenas plus the edge index,
-    /// variable adjacency, schedule masks and residual queue.
+    /// Heap bytes of the whole state: the arenas plus the clamps,
+    /// touched set, schedule masks and residual queue.
     pub fn heap_bytes(&self) -> usize {
-        let u32s = self.edge_offset.capacity()
-            + self.edge_var.capacity()
-            + self.edge_factor.capacity()
-            + self.factor_edge_start.capacity()
-            + self.var_edge_start.capacity()
-            + self.var_edges.capacity();
         self.message_heap_bytes()
-            + u32s * 4
             + self.clamps.capacity() * std::mem::size_of::<Option<u32>>()
             + self.touched.heap_bytes()
             + self.masks.heap_bytes()
@@ -646,9 +573,10 @@ impl<'g> LbpEngine<'g> {
     /// touched.
     ///
     /// # Panics
-    /// Panics if `graph` has fewer variables or factors than the state
-    /// covers, or if edges must be appended to a state whose messages
-    /// were released.
+    /// Panics if `graph` has fewer variables, factors or edges than the
+    /// state covers, if the resident messages do not fill exactly the
+    /// arena slots of the edges the state covers, or if edges must be
+    /// appended to a state whose messages were released.
     pub fn with_state(graph: &'g FactorGraph, state: LbpState) -> Self {
         let mut eng = Self { graph, s: state };
         eng.grow();
@@ -663,7 +591,7 @@ impl<'g> LbpEngine<'g> {
     fn grow(&mut self) {
         let graph = self.graph;
         let s = &mut self.s;
-        let (nf0, nv0) = (s.num_factors(), s.num_vars());
+        let (nf0, nv0) = (s.drain.prio.len(), s.touched.member.len());
         let (nf, nv) = (graph.num_factors(), graph.num_vars());
         assert!(
             nf >= nf0 && nv >= nv0,
@@ -672,26 +600,14 @@ impl<'g> LbpEngine<'g> {
         );
         s.touched.grow(nv);
         s.drain.grow(nf);
-        if nf == nf0 {
-            let edges = s.num_edges() as u32;
-            s.var_edge_start.resize(nv + 1, edges);
-            return;
-        }
-        assert_eq!(s.fv.len(), s.arena_len(), "LBP messages were released; import them first");
-        let new_edges: usize = (nf0..nf).map(|f| graph.factor_vars(FactorId(f as u32)).len()).sum();
-        let new_slots: usize = (nf0..nf)
-            .flat_map(|f| graph.factor_vars(FactorId(f as u32)))
-            .map(|&v| graph.cardinality(v) as usize)
-            .sum();
-        for v in [&mut s.edge_offset, &mut s.edge_var, &mut s.edge_factor] {
-            v.reserve(new_edges);
-        }
-        s.factor_edge_start.reserve(nf - nf0);
-        s.fv.reserve(new_slots);
-        s.vf.reserve(new_slots);
-        for f in nf0..nf {
-            for &v in graph.factor_vars(FactorId(f as u32)) {
-                let card = graph.cardinality(v) as usize;
+        if graph.num_edges() > s.edges {
+            assert!(s.messages_resident(), "LBP messages were released; import them first");
+            let new_slots = graph.arena_len().saturating_sub(s.fv.len());
+            s.fv.reserve(new_slots);
+            s.vf.reserve(new_slots);
+            for e in s.edges..graph.num_edges() {
+                let v = graph.edge_var[e];
+                let card = graph.edge_slots(e).len();
                 let uniform = -(card as f64).ln();
                 s.fv.resize(s.fv.len() + card, uniform);
                 match s.clamp(v.idx()) {
@@ -702,15 +618,13 @@ impl<'g> LbpEngine<'g> {
                         )
                     }
                 }
-                let end = u32::try_from(s.fv.len()).expect("LBP message arena exceeds u32 offsets");
-                s.edge_offset.push(end);
-                s.edge_var.push(v.0);
-                s.edge_factor.push(f as u32);
                 s.touched.insert(v.0);
             }
-            s.factor_edge_start.push(s.edge_var.len() as u32);
+            s.edges = graph.num_edges();
         }
-        s.rebuild_var_adjacency(nv);
+        let fits = s.edges == graph.num_edges()
+            && (!s.messages_resident() || s.fv.len() == graph.arena_len());
+        assert!(fits, "the LBP state's messages do not cover a prefix of the graph's edges");
     }
 
     /// Warm-started run from the resident messages: converge with only
@@ -749,8 +663,8 @@ impl<'g> LbpEngine<'g> {
         let var_active = &self.s.masks.var_active;
         let mut vars: Vec<u32> = dirty
             .iter()
-            .flat_map(|&f| self.s.factor_edges(f as usize))
-            .map(|e| self.s.edge_var[e])
+            .flat_map(|&f| self.graph.factor_vars(FactorId(f)))
+            .map(|v| v.0)
             .filter(|&v| var_active[v as usize])
             .collect();
         vars.sort_unstable();
@@ -774,23 +688,23 @@ impl<'g> LbpEngine<'g> {
     /// re-derives them for every variable a dirty factor touches.
     pub fn reset_factor_messages(&mut self, factors: &[u32]) {
         for &f in factors {
-            for e in self.s.factor_edges(f as usize) {
-                let r = self.s.edge_range(e);
+            for e in self.graph.factor_edges(f as usize) {
+                let r = self.graph.edge_slots(e);
                 let uniform = -(r.len() as f64).ln();
                 self.s.fv[r].fill(uniform);
-                self.s.touched.insert(self.s.edge_var[e]);
+                self.s.touched.insert(self.graph.edge_var[e].0);
             }
         }
     }
 
     /// Reset all messages to uniform (keeps clamps).
     pub fn reset_messages(&mut self) {
-        for e in 0..self.s.num_edges() {
-            let r = self.s.edge_range(e);
+        for e in 0..self.graph.num_edges() {
+            let r = self.graph.edge_slots(e);
             let uniform = -(r.len() as f64).ln();
             self.s.fv[r.clone()].fill(uniform);
             self.s.vf[r].fill(uniform);
-            self.s.touched.insert(self.s.edge_var[e]);
+            self.s.touched.insert(self.graph.edge_var[e].0);
         }
         // Re-apply clamp evidence to vf messages.
         let clamped: Vec<(usize, u32)> =
@@ -808,7 +722,7 @@ impl<'g> LbpEngine<'g> {
         if let Some(s) = state {
             assert!(s < self.graph.cardinality(v), "clamp state out of range");
         }
-        self.s.clamps.resize(self.s.num_vars(), None);
+        self.s.clamps.resize(self.graph.num_vars(), None);
         self.s.clamps[v.idx()] = state;
     }
 
@@ -817,8 +731,7 @@ impl<'g> LbpEngine<'g> {
     /// the nodes appended since the last run.
     fn sync_schedule(&mut self, schedule: &Schedule) {
         let graph = self.graph;
-        let s = &mut self.s;
-        let m = &mut s.masks;
+        let m = &mut self.s.masks;
         if m.schedule.as_ref() != Some(schedule) {
             let masks = |phases: &[Vec<u8>]| -> Vec<[bool; 256]> {
                 phases
@@ -845,7 +758,7 @@ impl<'g> LbpEngine<'g> {
             let active = scheduled(&m.factor_phases, graph.factor_class(FactorId(f as u32)));
             m.factor_active.push(active);
             if active {
-                m.sweep_messages += (s.factor_edge_start[f + 1] - s.factor_edge_start[f]) as u64;
+                m.sweep_messages += graph.factor_edges(f).len() as u64;
             }
         }
         for v in m.var_active.len()..graph.num_vars() {
@@ -872,7 +785,7 @@ impl<'g> LbpEngine<'g> {
     /// Factor→variable messages recomputed by one update of factor `f`.
     #[inline]
     fn factor_message_count(&self, f: usize) -> u64 {
-        self.s.factor_edges(f).len() as u64
+        self.graph.factor_edges(f).len() as u64
     }
 
     /// Run LBP to convergence (or `max_iters`) from uniform messages.
@@ -999,8 +912,8 @@ impl<'g> LbpEngine<'g> {
                 factors.dedup();
                 let mut vars: Vec<u32> = factors
                     .iter()
-                    .flat_map(|&f| self.s.factor_edges(f as usize))
-                    .map(|e| self.s.edge_var[e])
+                    .flat_map(|&f| graph.factor_vars(FactorId(f)))
+                    .map(|v| v.0)
                     .collect();
                 vars.sort_unstable();
                 vars.dedup();
@@ -1066,10 +979,9 @@ impl<'g> LbpEngine<'g> {
             // mode).
             dirty_vars.clear();
             for &f in &batch {
-                for e in self.s.factor_edges(f as usize) {
-                    let v = self.s.edge_var[e];
-                    if self.s.masks.var_active[v as usize] {
-                        dirty_vars.push(v);
+                for v in graph.factor_vars(FactorId(f)) {
+                    if self.s.masks.var_active[v.idx()] {
+                        dirty_vars.push(v.0);
                     }
                 }
             }
@@ -1103,25 +1015,15 @@ impl<'g> LbpEngine<'g> {
         if self.s.clamp(v as usize).is_some() {
             return;
         }
-        let card = self.graph.cardinality(VarId(v)) as usize;
+        let graph = self.graph;
         let s = &mut self.s;
-        let (edge_factor, active, drain) = (&s.edge_factor, &s.masks.factor_active, &mut s.drain);
-        let adj = &s.var_edges
-            [s.var_edge_start[v as usize] as usize..s.var_edge_start[v as usize + 1] as usize];
-        var_messages_kernel(
-            adj,
-            card,
-            &s.edge_offset,
-            &s.fv,
-            &mut s.vf,
-            &mut s.var_total,
-            |e, d| {
-                let g = edge_factor[e];
-                if d > 0.0 && active[g as usize] {
-                    drain.raise(g, d);
-                }
-            },
-        );
+        let (active, drain) = (&s.masks.factor_active, &mut s.drain);
+        var_messages_kernel(graph, VarId(v), &s.fv, &mut s.vf, &mut s.var_total, |e, d| {
+            let g = graph.edge_factor[e];
+            if d > 0.0 && active[g.idx()] {
+                drain.raise(g.0, d);
+            }
+        });
     }
 
     /// Fused compute + commit of a batch of factor blocks — one
@@ -1146,15 +1048,15 @@ impl<'g> LbpEngine<'g> {
             self.factor_messages_kernel(params, f as usize, &mut scratch);
             let mut residual = 0.0f64;
             let mut at = 0;
-            for e in self.s.factor_edges(f as usize) {
-                let r = self.s.edge_range(e);
+            for e in self.graph.factor_edges(f as usize) {
+                let r = self.graph.edge_slots(e);
                 let raw = &scratch.acc[at..at + r.len()];
                 at += r.len();
                 let delta = normalize_into(&mut self.s.fv[r], |i, old| {
                     lambda * old + (1.0 - lambda) * raw[i]
                 });
                 residual = residual.max(delta);
-                self.s.touched.insert(self.s.edge_var[e]);
+                self.s.touched.insert(self.graph.edge_var[e].0);
             }
             residuals.push(residual);
         }
@@ -1189,13 +1091,13 @@ impl<'g> LbpEngine<'g> {
     ///   with `w(c) = exp(log φ(c) − max log φ)` (again `1.0` without an
     ///   `exp` at the maximum).
     fn factor_messages_kernel(&self, params: &Params, f: usize, scratch: &mut Scratch) {
-        let potential = &self.graph.factors[f].potential;
-        let edges = self.s.factor_edges(f);
+        let potential = self.graph.factor_potential(FactorId(f as u32));
+        let edges = self.graph.factor_edges(f);
         if edges.len() == 1 {
             potential.log_phi_into(params, &mut scratch.acc);
             return;
         }
-        scratch.load_incoming(&self.s.vf, edges.clone().map(|e| self.s.edge_range(e)));
+        scratch.load_incoming(&self.s.vf, edges.clone().map(|e| self.graph.edge_slots(e)));
         let sparse = match potential {
             Potential::TwoLevelScores { group, high_configs, high, low, .. } => {
                 let delta = params.group(*group)[0] * (high - low);
@@ -1241,24 +1143,25 @@ impl<'g> LbpEngine<'g> {
             match self.s.clamp(v as usize) {
                 Some(state) => self.write_clamped_var_messages(VarId(v), state),
                 None => {
-                    let card = self.graph.cardinality(VarId(v)) as usize;
                     let s = &mut self.s;
-                    let adj = &s.var_edges[s.var_edge_start[v as usize] as usize
-                        ..s.var_edge_start[v as usize + 1] as usize];
-                    let (offsets, fv, vf) = (&s.edge_offset, &s.fv, &mut s.vf);
-                    var_messages_kernel(adj, card, offsets, fv, vf, &mut s.var_total, |_, _| {});
+                    var_messages_kernel(
+                        self.graph,
+                        VarId(v),
+                        &s.fv,
+                        &mut s.vf,
+                        &mut s.var_total,
+                        |_, _| {},
+                    );
                 }
             }
         }
     }
 
     fn write_clamped_var_messages(&mut self, v: VarId, state: u32) {
-        let card = self.graph.cardinality(v) as usize;
-        let s = &mut self.s;
-        for slot in s.var_edge_start[v.idx()] as usize..s.var_edge_start[v.idx() + 1] as usize {
-            let off = s.edge_offset[s.var_edges[slot] as usize] as usize;
-            for i in 0..card {
-                s.vf[off + i] = if i == state as usize { 0.0 } else { LOG_ZERO };
+        for &e in &self.graph.var_edges[v.idx()] {
+            let r = self.graph.edge_slots(e as usize);
+            for (i, x) in self.s.vf[r].iter_mut().enumerate() {
+                *x = if i == state as usize { 0.0 } else { LOG_ZERO };
             }
         }
     }
@@ -1272,8 +1175,8 @@ impl<'g> LbpEngine<'g> {
         }
         let card = self.graph.cardinality(v) as usize;
         let mut log_b = vec![0.0f64; card];
-        for &e in self.s.var_adj(v.idx()) {
-            let r = self.s.edge_range(e as usize);
+        for &e in &self.graph.var_edges[v.idx()] {
+            let r = self.graph.edge_slots(e as usize);
             for (b, x) in log_b.iter_mut().zip(&self.s.fv[r]) {
                 *b += *x;
             }
@@ -1333,15 +1236,14 @@ impl<'g> LbpEngine<'g> {
         scratch: &mut Scratch,
         out: &mut Vec<f64>,
     ) {
-        let fd = &self.graph.factors[f.idx()];
-        fd.potential.log_phi_into(params, out);
+        self.graph.factor_potential(f).log_phi_into(params, out);
         // Add the incoming messages under a mixed-radix counter over the
         // slots' arena indexes (slot 0 fastest): `starts` holds each
         // slot's first index, `states` its current one.
         scratch.starts.clear();
         scratch.cards.clear();
-        for e in self.s.factor_edges(f.idx()) {
-            let r = self.s.edge_range(e);
+        for e in self.graph.factor_edges(f.idx()) {
+            let r = self.graph.edge_slots(e);
             scratch.starts.push(r.start);
             scratch.cards.push(r.len());
         }
@@ -1361,7 +1263,8 @@ impl<'g> LbpEngine<'g> {
         }
         let z = logsumexp(out);
         if z == f64::NEG_INFINITY {
-            out.fill(1.0 / fd.table_size as f64);
+            let uniform = 1.0 / out.len() as f64;
+            out.fill(uniform);
             return;
         }
         for x in out.iter_mut() {
@@ -1372,31 +1275,30 @@ impl<'g> LbpEngine<'g> {
 
 /// The one variable→factor kernel, shared by the residual drain and the
 /// synchronous sweeps: each outgoing message of an unclamped variable
-/// with cardinality `card` and edges `adj` (ascending) is the per-state
-/// total of its incoming factor→variable messages minus the edge's own,
-/// normalized and written in one [`normalize_into`] pass. `on_edge(e, Δ)`
-/// receives each edge's largest absolute change, in `adj` order.
+/// `v` is the per-state total of its incoming factor→variable messages
+/// minus the edge's own, normalized and written in one
+/// [`normalize_into`] pass. `on_edge(e, Δ)` receives each edge's
+/// largest absolute change, in the variable's (ascending) edge order.
 fn var_messages_kernel(
-    adj: &[u32],
-    card: usize,
-    edge_offset: &[u32],
+    graph: &FactorGraph,
+    v: VarId,
     fv: &[f64],
     vf: &mut [f64],
     total: &mut Vec<f64>,
     mut on_edge: impl FnMut(usize, f64),
 ) {
+    let adj = &graph.var_edges[v.idx()];
     total.clear();
-    total.resize(card, 0.0);
+    total.resize(graph.cardinality(v) as usize, 0.0);
     for &e in adj {
-        let off = edge_offset[e as usize] as usize;
-        for (t, x) in total.iter_mut().zip(&fv[off..off + card]) {
+        for (t, x) in total.iter_mut().zip(&fv[graph.edge_slots(e as usize)]) {
             *t += *x;
         }
     }
     for &e in adj {
-        let off = edge_offset[e as usize] as usize;
-        let fv = &fv[off..off + card];
-        let delta = normalize_into(&mut vf[off..off + card], |i, _| total[i] - fv[i]);
+        let r = graph.edge_slots(e as usize);
+        let fv = &fv[r.clone()];
+        let delta = normalize_into(&mut vf[r], |i, _| total[i] - fv[i]);
         on_edge(e as usize, delta);
     }
 }
@@ -2540,19 +2442,18 @@ mod tests {
     /// over every configuration, excluding each slot's own incoming
     /// message directly.
     fn reference_raw_messages(eng: &LbpEngine, params: &Params, f: usize) -> Vec<Vec<f64>> {
-        let fd = &eng.graph.factors[f];
-        let edges: Vec<usize> = eng.s.factor_edges(f).collect();
+        let (g, fid) = (eng.graph, FactorId(f as u32));
+        let edges: Vec<usize> = g.factor_edges(f).collect();
         let mut out: Vec<Vec<f64>> =
-            edges.iter().map(|&e| vec![f64::NEG_INFINITY; eng.s.edge_range(e).len()]).collect();
-        for flat in 0..fd.table_size {
-            let states: Vec<usize> = (0..edges.len())
-                .map(|k| eng.graph.state_of_slot(FactorId(f as u32), flat, k) as usize)
-                .collect();
-            let log_phi = fd.potential.log_phi(params, flat);
+            edges.iter().map(|&e| vec![f64::NEG_INFINITY; g.edge_slots(e).len()]).collect();
+        for flat in 0..g.table_size(fid) {
+            let states: Vec<usize> =
+                (0..edges.len()).map(|k| g.state_of_slot(fid, flat, k) as usize).collect();
+            let log_phi = g.factor_potential(fid).log_phi(params, flat);
             for k in 0..edges.len() {
                 let mut term = log_phi;
                 for j in (0..edges.len()).filter(|&j| j != k) {
-                    term += eng.s.vf[eng.s.edge_offset[edges[j]] as usize + states[j]];
+                    term += eng.s.vf[g.edge_slots(edges[j]).start + states[j]];
                 }
                 let o = &mut out[k][states[k]];
                 let m = o.max(term);
@@ -2617,8 +2518,8 @@ mod tests {
             };
             g.add_factor(&vars, potential, 0);
             let mut eng = LbpEngine::new(&g);
-            for e in 0..eng.s.num_edges() {
-                let r = eng.s.edge_range(e);
+            for e in 0..g.num_edges() {
+                let r = g.edge_slots(e);
                 let clamp = rng.below(4) == 0;
                 let hot = rng.below(r.len() as u64) as usize;
                 for (i, x) in eng.s.vf[r.clone()].iter_mut().enumerate() {
@@ -2641,7 +2542,7 @@ mod tests {
             let opts = LbpOptions { damping, ..Default::default() };
             eng.update_factor_batch(&params, &[0], &opts);
             for (e, raw) in reference.iter().enumerate() {
-                let r = eng.s.edge_range(e);
+                let r = g.edge_slots(e);
                 let mut want: Vec<f64> =
                     old[r.clone()].iter().zip(raw).map(|(o, x)| damping * o + (1.0 - damping) * x).collect();
                 log_normalize(&mut want);

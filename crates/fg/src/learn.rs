@@ -23,9 +23,10 @@
 //! ones the two halves give when run one after the other.
 //!
 //! Tracing: `train` opens one `learn` span whose count is the number of
-//! epochs run. The clamped half's `lbp_sweep` spans are its children;
-//! the helper thread's free-half `lbp_sweep` spans are roots on that
-//! thread (the span stack is per thread).
+//! epochs run. Each half's epoch is an `lbp_sweep` span followed by an
+//! `expectation` span around the factor-belief walk. The clamped half's
+//! spans are children of `learn`; the free half's are roots on the
+//! epoch's helper thread (the span stack is per thread).
 
 use crate::graph::{FactorGraph, FactorId, Potential, VarId};
 use crate::lbp::{LbpEngine, LbpOptions, Scratch};
@@ -85,9 +86,11 @@ impl<'g> Half<'g> {
     }
 
     /// Run LBP, then return the expected total feature vector
-    /// `Σ_j Σ_c b_j(c) · h_j(c)` under the resulting messages.
+    /// `Σ_j Σ_c b_j(c) · h_j(c)` under the resulting messages, inside an
+    /// `expectation` span.
     fn expectation(&mut self, graph: &FactorGraph, params: &Params, lbp: &LbpOptions) -> Params {
         self.engine.run(params, lbp);
+        let _span = jocl_obs::span!("expectation");
         let mut acc = params.zeros_like();
         for fi in 0..graph.num_factors() {
             let f = FactorId(fi as u32);

@@ -1,6 +1,6 @@
 //! Span tracing: scoped timers recorded into a bounded in-memory ring.
 //!
-//! A span is opened with the [`span!`] macro (or [`span`]) and closed
+//! A span is opened with the [`span!`](crate::span!) macro (or [`span`]) and closed
 //! when its [`SpanGuard`] drops; the completed record carries the span
 //! name, parent linkage (a per-thread stack tracks the innermost open
 //! span), start offset from the process trace epoch, duration, and an
@@ -129,7 +129,7 @@ struct ActiveSpan {
     count: u64,
 }
 
-/// Open a span. Prefer the [`span!`] macro, which reads as a labelled
+/// Open a span. Prefer the [`span!`](crate::span!) macro, which reads as a labelled
 /// scope at the call site.
 pub fn span(name: &'static str) -> SpanGuard {
     if !trace_enabled() {

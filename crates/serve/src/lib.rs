@@ -30,7 +30,7 @@
 //!   answered from a committed [`view::ReadView`] capture of the
 //!   session, on every plane.
 //!
-//! The CKB, the frozen [`Signals`](jocl_core::Signals) and the
+//! The CKB, the frozen [`Signals`] and the
 //! [`JoclConfig`] are shared serving resources provided at open/restore
 //! time, exactly like pretrained weights in the batch serving path; the
 //! snapshot fingerprints the config so a restore under a different

@@ -7,7 +7,7 @@
 //! provided by off-the-shelf NLP tooling. This crate reimplements all of
 //! them from scratch:
 //!
-//! * [`tokenize`] — lowercase word tokenization used everywhere.
+//! * [`tokenize`](mod@tokenize) — lowercase word tokenization used everywhere.
 //! * [`stem`] — a full Porter stemmer ([`stem::porter`]).
 //! * [`normalize`] — morphological normalization used by the Morph Norm
 //!   baseline and by the AMIE rule-miner input ("morphological normalized
