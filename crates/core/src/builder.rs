@@ -230,8 +230,9 @@ impl GraphPlan {
 
     /// Rebuild a plan from [`GraphPlan::export_state`] bytes. The graph
     /// is replayed through `add_var_with_class`/`add_factor` (so
-    /// adjacency and edge enumeration are reconstructed exactly), with
-    /// all structural invariants re-validated as typed errors; parameter
+    /// adjacency and edge enumeration are reconstructed exactly), each
+    /// node first passing the graph's own `check_var`/`check_factor`, so
+    /// a violated invariant is a typed error, not their panic; parameter
     /// shapes are checked against the layout `config.features` implies.
     pub fn import_state(
         r: &mut jocl_kb::snap::SnapReader<'_>,
@@ -243,11 +244,9 @@ impl GraphPlan {
         for _ in 0..num_vars {
             let card = r.u32()?;
             let class = r.u64()?;
-            if card == 0 {
-                return Err(r.corrupt("variable with zero cardinality"));
-            }
             let class = u8::try_from(class)
                 .map_err(|_| r.corrupt(format!("variable class {class} overflows u8")))?;
+            graph.check_var(card).map_err(|why| r.corrupt(why))?;
             graph.add_var_with_class(card, class);
         }
         let num_factors = r.seq_len(24)?;
@@ -255,20 +254,7 @@ impl GraphPlan {
             let class = r.u64()?;
             let class = u8::try_from(class)
                 .map_err(|_| r.corrupt(format!("factor class {class} overflows u8")))?;
-            let raw_vars = r.u32_vec_packed()?;
-            let mut vars = Vec::with_capacity(raw_vars.len());
-            let mut table = 1usize;
-            for v in raw_vars {
-                if v as usize >= num_vars {
-                    return Err(r.corrupt(format!("factor variable {v} out of range")));
-                }
-                let vid = VarId(v);
-                if vars.contains(&vid) {
-                    return Err(r.corrupt(format!("factor repeats variable {v}")));
-                }
-                table = table.saturating_mul(graph.cardinality(vid) as usize);
-                vars.push(vid);
-            }
+            let vars: Vec<VarId> = r.u32_vec_packed()?.into_iter().map(VarId).collect();
             let potential = match r.u64()? {
                 0 => {
                     let group = r.usize()?;
@@ -293,16 +279,7 @@ impl GraphPlan {
                 }
                 k => return Err(r.corrupt(format!("unknown potential kind {k}"))),
             };
-            if potential.table_len() != table {
-                return Err(r.corrupt(format!(
-                    "potential table {} disagrees with joint configuration count {table}",
-                    potential.table_len()
-                )));
-            }
-            let slots: usize = vars.iter().map(|&v| graph.cardinality(v) as usize).sum();
-            if u32::try_from(graph.arena_len() + slots).is_err() {
-                return Err(r.corrupt("factor graph outgrows u32 message-arena offsets"));
-            }
+            graph.check_factor(&vars, &potential).map_err(|why| r.corrupt(why))?;
             graph.add_factor(&vars, potential, class);
         }
         let (init, groups) = init_params(config);
@@ -1617,5 +1594,29 @@ mod tests {
         let mut r = jocl_kb::snap::SnapReader::new(&bytes);
         let err = GraphPlan::import_state(&mut r, &JoclConfig::default()).err().expect("rejected");
         assert!(err.to_string().contains("message-arena offsets"), "{err}");
+    }
+
+    /// A plan snapshot holding a factor over no variables is a typed
+    /// error, not the panic `add_factor` raises for it: one zero-variable
+    /// factor over a one-entry `Scores` table (the empty product).
+    #[test]
+    fn import_rejects_a_factor_without_variables() {
+        let mut w = jocl_kb::snap::SnapWriter::new();
+        w.tag("PLAN");
+        w.usize(1);
+        w.u32(2);
+        w.u64(0);
+        w.usize(1);
+        w.u64(0);
+        w.u32_slice_packed(&[]);
+        w.u64(1);
+        w.usize(0);
+        w.f64_slice_packed(&[0.5]);
+        w.f64_slice(&[0.0; 8]);
+        let bytes = w.into_bytes();
+        let mut r = jocl_kb::snap::SnapReader::new(&bytes);
+        let err = GraphPlan::import_state(&mut r, &JoclConfig::default()).err().expect("rejected");
+        assert!(matches!(err, jocl_kb::KbError::Snapshot { .. }), "{err}");
+        assert!(err.to_string().contains("at least one variable"), "{err}");
     }
 }

@@ -11,7 +11,8 @@
 //! restored state converges to **bitwise-identical** session state (the
 //! PR-5 `snapshot → restore → delta` contract, applied per record).
 //!
-//! Record framing (all little-endian, via [`jocl_kb::snap`]):
+//! Each record is one sealed record of the shared durable layout
+//! ([`jocl_kb::snap::seal`]), all little-endian:
 //!
 //! ```text
 //! ┌────────────────────────────┐
@@ -40,14 +41,17 @@
 //! [`IncrementalJocl`]: crate::IncrementalJocl
 
 use crate::incremental::DeltaOp;
-use jocl_kb::snap::{fnv1a, SnapReader, SnapWriter};
+#[cfg(test)]
+use jocl_kb::snap::fnv1a;
+use jocl_kb::snap::{seal, SnapReader, SnapWriter};
 use jocl_kb::{KbError, Triple};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Record magic; the trailing digit is the format version.
 const MAGIC: &[u8; 4] = b"FDR2";
-/// Bytes before the payload: magic + length + checksum.
+/// Bytes before a record's payload: magic + length + checksum.
+#[cfg(test)]
 const HEADER: usize = 4 + 8 + 8;
 
 /// One replicated event: a delta batch as the writer applied it, or a
@@ -102,50 +106,35 @@ pub fn encode_entry(entry: &FeedEntry) -> Vec<u8> {
             }
         }
     }
-    let payload = w.into_bytes();
-    let mut bytes = Vec::with_capacity(HEADER + payload.len());
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    bytes
+    seal(MAGIC, &w.into_bytes())
 }
 
-fn decode_payload(payload: &[u8], at: usize) -> Result<FeedEntry, KbError> {
-    // Report offsets file-absolute: `at` is where the payload starts.
-    let shift = |e: KbError| match e {
-        KbError::Snapshot { offset, msg } => KbError::Snapshot { offset: offset + at, msg },
-        e => e,
-    };
-    let mut r = SnapReader::new(payload);
-    let entry = (|r: &mut SnapReader<'_>| -> Result<FeedEntry, KbError> {
-        match r.vu64()? {
-            1 => Ok(FeedEntry::Compact),
-            0 => {
-                // Min bytes per op: 1 kind byte + one varint-prefixed
-                // (possibly empty) string per triple slot.
-                let n = r.vseq_len(4)?;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let op = match r.vu64()? {
-                        0 => DeltaOp::Add(read_triple(r)?),
-                        1 => DeltaOp::Retract(read_triple(r)?),
-                        2 => {
-                            let old = read_triple(r)?;
-                            let new = read_triple(r)?;
-                            DeltaOp::Revise { old, new }
-                        }
-                        k => return Err(r.corrupt(format!("unknown op kind {k}"))),
-                    };
-                    ops.push(op);
-                }
-                Ok(FeedEntry::Ops(ops))
+fn decode_payload(r: &mut SnapReader<'_>) -> Result<FeedEntry, KbError> {
+    let entry = match r.vu64()? {
+        1 => FeedEntry::Compact,
+        0 => {
+            // Min bytes per op: 1 kind byte + one varint-prefixed
+            // (possibly empty) string per triple slot.
+            let n = r.vseq_len(4)?;
+            let mut ops = Vec::with_capacity(n);
+            for _ in 0..n {
+                let op = match r.vu64()? {
+                    0 => DeltaOp::Add(read_triple(r)?),
+                    1 => DeltaOp::Retract(read_triple(r)?),
+                    2 => {
+                        let old = read_triple(r)?;
+                        let new = read_triple(r)?;
+                        DeltaOp::Revise { old, new }
+                    }
+                    k => return Err(r.corrupt(format!("unknown op kind {k}"))),
+                };
+                ops.push(op);
             }
-            k => Err(r.corrupt(format!("unknown feed-entry kind {k}"))),
+            FeedEntry::Ops(ops)
         }
-    })(&mut r)
-    .map_err(shift)?;
-    r.expect_end().map_err(shift)?;
+        k => return Err(r.corrupt(format!("unknown feed-entry kind {k}"))),
+    };
+    r.expect_end()?;
     Ok(entry)
 }
 
@@ -194,44 +183,12 @@ pub fn read_entries(path: &Path, offset: u64) -> Result<(Vec<FeedEntry>, u64), K
     file.seek(SeekFrom::Start(offset)).map_err(with_path)?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes).map_err(with_path)?;
-    // `pos` indexes the tail; `start + pos` is the file-absolute offset.
-    let mut pos = 0;
+    let mut r = SnapReader::at(&bytes, start);
     let mut entries = Vec::new();
-    loop {
-        let rest = &bytes[pos..];
-        if rest.len() < HEADER {
-            break; // torn (or exactly-consumed) tail
-        }
-        if &rest[..4] != MAGIC {
-            return Err(corrupt(
-                start + pos,
-                format!(
-                    "bad record magic {:?} (expected {:?}) — cursor desynchronized or log \
-                     corrupted",
-                    String::from_utf8_lossy(&rest[..4]),
-                    String::from_utf8_lossy(MAGIC)
-                ),
-            ));
-        }
-        let len = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes")) as usize;
-        let stored = u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes"));
-        if rest.len() - HEADER < len {
-            break; // torn tail: the writer is mid-append
-        }
-        let payload = &rest[HEADER..HEADER + len];
-        let actual = fnv1a(payload);
-        if stored != actual {
-            return Err(corrupt(
-                start + pos + HEADER,
-                format!(
-                    "record checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-                ),
-            ));
-        }
-        entries.push(decode_payload(payload, start + pos + HEADER).map_err(|e| e.with_path(path))?);
-        pos += HEADER + len;
+    while let Some(mut record) = r.next_record(MAGIC).map_err(|e| e.with_path(path))? {
+        entries.push(decode_payload(&mut record).map_err(|e| e.with_path(path))?);
     }
-    Ok((entries, (start + pos) as u64))
+    Ok((entries, r.offset() as u64))
 }
 
 /// Truncate the log to `offset` bytes — the writer calls this when a

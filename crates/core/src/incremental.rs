@@ -762,9 +762,16 @@ impl<'a> IncrementalJocl<'a> {
     /// bitwise-identical values.
     pub fn export_state(&mut self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        self.okb.export_state(&mut w);
-        self.blocking.export_state(&mut w);
-        self.plan.export_state(&mut w);
+        self.export_state_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`IncrementalJocl::export_state`], appended to `w` (a snapshot
+    /// writes it after its envelope's own sections, without a copy).
+    pub fn export_state_to(&mut self, w: &mut SnapWriter) {
+        self.okb.export_state(w);
+        self.blocking.export_state(w);
+        self.plan.export_state(w);
         w.tag("MSG");
         w.bool(self.warm);
         if self.warm {
@@ -777,8 +784,8 @@ impl<'a> IncrementalJocl<'a> {
                 }
             };
             w.usize(m.num_edges());
-            write_arena(&mut w, m.fv());
-            write_arena(&mut w, m.vf());
+            write_arena(w, m.fv());
+            write_arena(w, m.vf());
         }
         w.tag("SESS");
         w.bool(self.prior_converged);
@@ -795,13 +802,13 @@ impl<'a> IncrementalJocl<'a> {
         w.usize(self.builder.triangle_budget());
         w.bool(self.builder.triangles_skipped());
         w.u64(self.total_message_updates);
-        w.into_bytes()
     }
 
-    /// Rebuild a session from [`IncrementalJocl::export_state`] bytes
-    /// plus the shared serving resources. The restored session holds the
-    /// *bitwise*-identical committed messages and marginals, so its next
-    /// delta behaves exactly like the uninterrupted session's would.
+    /// Rebuild a session from [`IncrementalJocl::export_state`] bytes,
+    /// read from `r` to its end, plus the shared serving resources. The
+    /// restored session holds the *bitwise*-identical committed messages
+    /// and marginals, so its next delta behaves exactly like the
+    /// uninterrupted session's would.
     /// Corruption and cross-state inconsistencies surface as typed
     /// [`KbError`]s, never as panics or silently wrong state.
     ///
@@ -811,17 +818,16 @@ impl<'a> IncrementalJocl<'a> {
     /// `config.pretrained_params` has the wrong shape, as
     /// [`IncrementalJocl::new`] does.
     pub fn import_state(
-        bytes: &[u8],
+        r: &mut SnapReader<'_>,
         config: JoclConfig,
         ckb: &'a Ckb,
         signals: &'a Signals,
     ) -> Result<Self, KbError> {
         assert_paper_schedule(&config);
         assert_residual_schedule(&config);
-        let mut r = SnapReader::new(bytes);
-        let okb = Okb::import_state(&mut r)?;
-        let blocking = BlockingIndex::import_state(&mut r, &config, okb.len())?;
-        let plan = GraphPlan::import_state(&mut r, &config)?;
+        let okb = Okb::import_state(r)?;
+        let blocking = BlockingIndex::import_state(r, &config, okb.len())?;
+        let plan = GraphPlan::import_state(r, &config)?;
         let num_vars = plan.graph.num_vars();
         let num_factors = plan.graph.num_factors();
         // Cross-validate the plan's mention maps against the OKB.
@@ -856,8 +862,8 @@ impl<'a> IncrementalJocl<'a> {
         r.expect_tag("MSG")?;
         let messages = if r.bool()? {
             let edges = r.usize()?;
-            let fv = read_arena(&mut r, &config)?;
-            let vf = read_arena(&mut r, &config)?;
+            let fv = read_arena(r, &config)?;
+            let vf = read_arena(r, &config)?;
             let (expected_edges, expected_arena) = (plan.graph.num_edges(), plan.graph.arena_len());
             if edges != expected_edges || fv.len() != expected_arena {
                 return Err(r.corrupt(format!(
@@ -1161,9 +1167,13 @@ mod tests {
             let mut bytes = resident.export_state();
             let (mut cut_off, mut converged) = (0, 0);
             for (i, ops) in deltas.iter().enumerate() {
-                let mut restored =
-                    IncrementalJocl::import_state(&bytes, config.clone(), &world.ckb, &signals)
-                        .expect("snapshot restores");
+                let mut restored = IncrementalJocl::import_state(
+                    &mut SnapReader::new(&bytes),
+                    config.clone(),
+                    &world.ckb,
+                    &signals,
+                )
+                .expect("snapshot restores");
                 let stats = resident.apply_ops(ops).stats;
                 let restored_stats = restored.apply_ops(ops).stats;
                 assert_eq!(stats.refreshed_vars, restored_stats.refreshed_vars, "delta {i}");
@@ -1229,6 +1239,11 @@ mod tests {
         let ex = crate::example::figure1();
         let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &sgns);
         let bytes = IncrementalJocl::new(ex.config(), &ex.ckb, &signals).export_state();
-        let _ = IncrementalJocl::import_state(&bytes, flooding_config(), &ex.ckb, &signals);
+        let _ = IncrementalJocl::import_state(
+            &mut SnapReader::new(&bytes),
+            flooding_config(),
+            &ex.ckb,
+            &signals,
+        );
     }
 }

@@ -15,10 +15,11 @@ use jocl_kb::tsv::{read_weight_groups, write_weight_groups};
 use jocl_kb::KbError;
 use std::path::Path;
 
-/// Save learned parameters as TSV (one group per line). Failures are
-/// wrapped with the target path ([`KbError::WithPath`]).
+/// Save learned parameters as TSV (one group per line), replacing any
+/// previous file atomically. Failures are wrapped with the target path
+/// ([`KbError::WithPath`]).
 pub fn save_params(params: &Params, path: &Path) -> Result<(), KbError> {
-    write_weight_groups(params.groups(), path).map_err(|e| e.with_path(path))
+    write_weight_groups(params.groups(), path)
 }
 
 /// Load parameters written by [`save_params`]; bit-exact roundtrip.
@@ -53,6 +54,34 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Saving over an existing weight file replaces it through a temp
+    /// file and a rename: no `tmp-` sibling is left behind, and the new
+    /// weights load back bit for bit.
+    #[test]
+    fn save_over_existing_weights_is_atomic() {
+        let dir = std::env::temp_dir().join(format!("jocl-persist-over-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("weights.tsv");
+        let mut old = Params::new();
+        old.add_group_with(vec![1.0, 2.0, 3.0, 4.0]);
+        save_params(&old, &path).unwrap();
+        let mut new = Params::new();
+        new.add_group_with(vec![0.1 + 0.2, -0.0]);
+        new.add_group(2, 1e-300);
+        save_params(&new, &path).unwrap();
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["weights.tsv"], "no tmp- sibling survives the save");
+        let loaded = load_params(&path).unwrap();
+        let bits = |p: &Params| -> Vec<Vec<u64>> {
+            (0..p.num_groups()).map(|g| p.group(g).iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&loaded), bits(&new));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,6 +18,7 @@ use jocl_core::{
 };
 use jocl_datagen::reverb45k_like;
 use jocl_embed::SgnsOptions;
+use jocl_kb::snap::SnapReader;
 use jocl_kb::{Ckb, NpMention, NpSlot, Okb, Triple, TripleId};
 use jocl_rules::ParaphraseStore;
 use proptest::prelude::*;
@@ -87,7 +88,12 @@ fn sessions_reject_the_synchronous_schedule() {
     session.apply_delta(&ex.okb.triples().map(|(_, t)| t.clone()).collect::<Vec<_>>());
     let bytes = session.export_state();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = IncrementalJocl::import_state(&bytes, sync.clone(), &ex.ckb, &signals);
+        let _ = IncrementalJocl::import_state(
+            &mut SnapReader::new(&bytes),
+            sync.clone(),
+            &ex.ckb,
+            &signals,
+        );
     }))
     .unwrap_err();
     assert!(panic_msg(err).contains("lbp.mode"), "restore rejects it too");
@@ -347,7 +353,9 @@ fn export_import_state_roundtrip_is_bitwise_warm() {
     session.apply_ops(&[DeltaOp::Retract(triples[0].clone())]);
     let bytes = session.export_state();
 
-    let mut restored = IncrementalJocl::import_state(&bytes, config, &ex.ckb, &signals).unwrap();
+    let mut restored =
+        IncrementalJocl::import_state(&mut SnapReader::new(&bytes), config, &ex.ckb, &signals)
+            .unwrap();
     assert_eq!(restored.len(), session.len());
     assert_eq!(restored.num_live(), session.num_live());
     assert_eq!(restored.export_state(), bytes, "restored state must re-export identically");

@@ -2,16 +2,12 @@
 //!
 //! Vectors live in one flat `f32` arena; the vocabulary maps words to row
 //! indexes. Phrase embeddings are word averages (paper §3.1.3), and
-//! `Sim_emb` is cosine mapped to `[0, 1]`.
-//!
-//! A compact binary codec (via the `bytes` crate) persists stores so a
-//! trained model can be reused across bench runs.
+//! `Sim_emb` is cosine mapped to `[0, 1]`. Stores are rebuilt from the
+//! seeded training run that produced them, never persisted.
 
 use crate::vector::cosine01;
-use bytes::{Buf, BufMut};
 use jocl_text::fx::FxHashMap;
 use jocl_text::tokenize;
-use std::io::{Read, Write};
 
 /// A word → vector store with phrase-level operations.
 #[derive(Debug, Clone)]
@@ -111,64 +107,6 @@ impl EmbeddingStore {
         }
     }
 
-    /// Serialize into a writer: `dim:u32, n:u32, then per word
-    /// (len:u16, utf8 bytes, dim·f32 little-endian)`.
-    pub fn save<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(8 + self.data.len() * 4);
-        buf.put_u32_le(self.dim as u32);
-        buf.put_u32_le(self.vocab.len() as u32);
-        // Deterministic order: sort words.
-        let mut words: Vec<(&String, &u32)> = self.vocab.iter().collect();
-        words.sort();
-        for (word, &row) in words {
-            let bytes = word.as_bytes();
-            buf.put_u16_le(u16::try_from(bytes.len()).expect("word too long"));
-            buf.put_slice(bytes);
-            let start = row as usize * self.dim;
-            for &x in &self.data[start..start + self.dim] {
-                buf.put_f32_le(x);
-            }
-        }
-        w.write_all(&buf)
-    }
-
-    /// Deserialize from a reader (inverse of [`EmbeddingStore::save`]).
-    pub fn load<R: Read>(r: &mut R) -> std::io::Result<Self> {
-        let mut raw = Vec::new();
-        r.read_to_end(&mut raw)?;
-        let mut buf = raw.as_slice();
-        let fail =
-            |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        if buf.remaining() < 8 {
-            return Err(fail("truncated header"));
-        }
-        let dim = buf.get_u32_le() as usize;
-        let n = buf.get_u32_le() as usize;
-        if dim == 0 {
-            return Err(fail("zero dimension"));
-        }
-        let mut store = EmbeddingStore::new(dim);
-        let mut vec_buf = vec![0.0f32; dim];
-        for _ in 0..n {
-            if buf.remaining() < 2 {
-                return Err(fail("truncated word length"));
-            }
-            let len = buf.get_u16_le() as usize;
-            if buf.remaining() < len + dim * 4 {
-                return Err(fail("truncated record"));
-            }
-            let word = std::str::from_utf8(&buf[..len])
-                .map_err(|_| fail("invalid utf8 word"))?
-                .to_string();
-            buf.advance(len);
-            for x in vec_buf.iter_mut() {
-                *x = buf.get_f32_le();
-            }
-            store.insert(&word, &vec_buf);
-        }
-        Ok(store)
-    }
-
     /// Deterministic pseudo-random store for tests and fallbacks: each
     /// word's vector is derived from a hash of the word and `seed`.
     pub fn hashed(dim: usize, words: &[&str], seed: u64) -> Self {
@@ -247,28 +185,6 @@ mod tests {
         let x = s.sim("maryland university", "virginia university");
         assert!((0.0..=1.0).contains(&x));
         assert_eq!(s.sim("unknownword", "maryland"), 0.5);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let s = store();
-        let mut bytes = Vec::new();
-        s.save(&mut bytes).unwrap();
-        let loaded = EmbeddingStore::load(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded.len(), s.len());
-        assert_eq!(loaded.dim(), s.dim());
-        for (w, v) in s.iter() {
-            assert_eq!(loaded.get(w), Some(v));
-        }
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        assert!(EmbeddingStore::load(&mut &b"xx"[..]).is_err());
-        let mut bytes = Vec::new();
-        store().save(&mut bytes).unwrap();
-        bytes.truncate(bytes.len() - 3);
-        assert!(EmbeddingStore::load(&mut bytes.as_slice()).is_err());
     }
 
     #[test]

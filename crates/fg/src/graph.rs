@@ -270,39 +270,45 @@ impl FactorGraph {
     /// Add a variable with an explicit scheduling `class` (used by the
     /// paper's phased message schedule, e.g. canonicalization vs linking
     /// variables).
+    ///
+    /// # Panics
+    /// Panics with the reason [`FactorGraph::check_var`] gives.
     pub fn add_var_with_class(&mut self, cardinality: u32, class: u8) -> VarId {
-        assert!(cardinality >= 1, "variables need at least one state");
-        let id = VarId(u32::try_from(self.cards.len()).expect("too many variables"));
+        if let Err(why) = self.check_var(cardinality) {
+            panic!("{why}");
+        }
+        let id = VarId(self.cards.len() as u32);
         self.cards.push(cardinality);
         self.var_classes.push(class);
         self.var_edges.push(Vec::new());
         id
     }
 
+    /// Why a variable with `cardinality` states cannot be added, if it
+    /// cannot: zero states, or no `u32` id left. The one statement of
+    /// [`FactorGraph::add_var_with_class`]'s preconditions, so a snapshot
+    /// import can report a violation as a typed error.
+    pub fn check_var(&self, cardinality: u32) -> Result<(), String> {
+        if cardinality == 0 {
+            return Err("variables need at least one state".to_string());
+        }
+        if u32::try_from(self.cards.len()).is_err() {
+            return Err("too many variables for u32 ids".to_string());
+        }
+        Ok(())
+    }
+
     /// Add a factor over `vars` (distinct) with the given potential and
     /// scheduling class, appending one edge per variable.
     ///
     /// # Panics
-    /// Panics if a variable repeats, a variable id is out of range, the
-    /// potential's table length does not equal the product of the
-    /// variables' cardinalities, or the message arena would outgrow `u32`
-    /// offsets.
+    /// Panics with the reason [`FactorGraph::check_factor`] gives.
     pub fn add_factor(&mut self, vars: &[VarId], potential: Potential, class: u8) -> FactorId {
-        assert!(!vars.is_empty(), "factors need at least one variable");
-        for (i, v) in vars.iter().enumerate() {
-            assert!(v.idx() < self.cards.len(), "unknown variable {v:?}");
-            assert!(!vars[..i].contains(v), "repeated variable {v:?} in factor");
+        if let Err(why) = self.check_factor(vars, &potential) {
+            panic!("{why}");
         }
-        let size: usize = vars.iter().map(|v| self.cards[v.idx()] as usize).product();
-        assert_eq!(
-            potential.table_len(),
-            size,
-            "potential table length must equal the joint configuration count"
-        );
-        let fid = FactorId(u32::try_from(self.potentials.len()).expect("too many factors"));
-        // Every edge has at least one slot, so this also bounds edge ids.
-        let slots: usize = vars.iter().map(|v| self.cards[v.idx()] as usize).sum();
-        u32::try_from(self.arena_len() + slots).expect("LBP message arena exceeds u32 offsets");
+        // The arena bound of `check_factor` also bounds factor ids.
+        let fid = FactorId(self.potentials.len() as u32);
         for v in vars {
             let end = self.arena_len() + self.cards[v.idx()] as usize;
             self.var_edges[v.idx()].push(self.edge_var.len() as u32);
@@ -314,6 +320,39 @@ impl FactorGraph {
         self.potentials.push(potential);
         self.factor_classes.push(class);
         fid
+    }
+
+    /// Why a factor over `vars` with `potential` cannot be added, if it
+    /// cannot: no variables, an unknown or repeated variable, a table
+    /// length other than the joint configuration count, or a message
+    /// arena that would outgrow `u32` offsets. The one statement of
+    /// [`FactorGraph::add_factor`]'s preconditions, so a snapshot import
+    /// can report a violation as a typed error.
+    pub fn check_factor(&self, vars: &[VarId], potential: &Potential) -> Result<(), String> {
+        if vars.is_empty() {
+            return Err("factors need at least one variable".to_string());
+        }
+        for (i, v) in vars.iter().enumerate() {
+            if v.idx() >= self.cards.len() {
+                return Err(format!("unknown variable {v:?}"));
+            }
+            if vars[..i].contains(v) {
+                return Err(format!("repeated variable {v:?} in factor"));
+            }
+        }
+        let cards = vars.iter().map(|v| self.cards[v.idx()] as usize);
+        let size = cards.clone().fold(1usize, usize::saturating_mul);
+        if potential.table_len() != size {
+            return Err(format!(
+                "potential table length {} must equal the joint configuration count {size}",
+                potential.table_len()
+            ));
+        }
+        // Every edge has at least one slot, so this also bounds edge ids.
+        if u32::try_from(self.arena_len() + cards.sum::<usize>()).is_err() {
+            return Err("factor graph outgrows u32 message-arena offsets".to_string());
+        }
+        Ok(())
     }
 
     /// Replace factor `f`'s potential with the **neutral** one: a sparse

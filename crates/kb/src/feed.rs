@@ -1,15 +1,14 @@
 //! Feed-cursor files: the typed sidecar that pins a serving process's
 //! position in a replication feed.
 //!
-//! PR 5's `serve` bin persisted its generator-feed position as a bare
-//! decimal string next to the snapshot (`session.snap.cursor`). With the
-//! networked serving plane that sidecar became load-bearing — a read
-//! replica resumes **both** the generator feed and the writer's delta
-//! feed from it — so the ad-hoc string grew into a real codec: magic +
-//! two offsets + checksum, written atomically, every failure a typed
-//! [`KbError`] naming the file. A half-written or hand-edited cursor
-//! must fail loudly at open time, not silently replay (or skip) part of
-//! the feed.
+//! A read replica resumes **both** the generator feed and the writer's
+//! delta feed from this sidecar, so it is a typed file, not a bare
+//! number: one sealed record ([`crate::snap::seal`]: magic `JOCLCUR2`,
+//! payload length, checksum, then the `CURS` section with the two
+//! offsets), written through [`crate::snap::write_atomic`], every
+//! failure a typed [`KbError`] naming the file. A half-written or
+//! hand-edited cursor must fail loudly at open time, not silently
+//! replay (or skip) part of the feed.
 //!
 //! The cursor deliberately stays a *sidecar* of the snapshot rather
 //! than a section inside it: the snapshot payload is transport-agnostic
@@ -18,11 +17,11 @@
 //! nothing about.
 
 use crate::error::KbError;
-use crate::snap::{fnv1a, SnapReader, SnapWriter};
+use crate::snap::{seal, unseal, write_atomic, SnapWriter};
 use std::path::Path;
 
 /// File magic; the trailing digit is the format version.
-const MAGIC: &[u8; 8] = b"JOCLCUR1";
+const MAGIC: &[u8; 8] = b"JOCLCUR2";
 
 /// A serving process's position in its input feeds at snapshot time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,47 +36,18 @@ pub struct FeedCursor {
 }
 
 impl FeedCursor {
-    /// Serialize to sidecar-file bytes (magic + payload + checksum).
+    /// Serialize to sidecar-file bytes (one sealed record).
     pub fn to_bytes(self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.tag("CURS");
         w.u64(self.pool_cursor);
         w.u64(self.feed_offset);
-        let payload = w.into_bytes();
-        let mut bytes = Vec::with_capacity(MAGIC.len() + payload.len() + 8);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes
+        seal(MAGIC, &w.into_bytes())
     }
 
     /// Parse sidecar-file bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, KbError> {
-        let corrupt = |offset: usize, msg: String| KbError::Snapshot { offset, msg };
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(corrupt(0, format!("cursor file of {} bytes is too short", bytes.len())));
-        }
-        let (magic, rest) = bytes.split_at(MAGIC.len());
-        if magic != MAGIC {
-            return Err(corrupt(
-                0,
-                format!(
-                    "bad magic {:?} (expected {:?} — not a cursor file, or a different version)",
-                    String::from_utf8_lossy(magic),
-                    String::from_utf8_lossy(MAGIC)
-                ),
-            ));
-        }
-        let (payload, sum) = rest.split_at(rest.len() - 8);
-        let stored = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
-        let actual = fnv1a(payload);
-        if stored != actual {
-            return Err(corrupt(
-                MAGIC.len() + payload.len(),
-                format!("checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"),
-            ));
-        }
-        let mut r = SnapReader::new(payload);
+        let mut r = unseal(bytes, MAGIC)?;
         r.expect_tag("CURS")?;
         let pool_cursor = r.u64()?;
         let feed_offset = r.u64()?;
@@ -85,25 +55,9 @@ impl FeedCursor {
         Ok(Self { pool_cursor, feed_offset })
     }
 
-    /// Write the cursor to `path` atomically (unique temp file + rename,
-    /// like snapshot files: a crash mid-write never leaves a torn cursor
-    /// under the final name). Failures name the file.
+    /// Write the cursor to `path` atomically. Failures name the file.
     pub fn save(self, path: &Path) -> Result<(), KbError> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = path.with_extension(format!(
-            "tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = || -> Result<(), std::io::Error> {
-            std::fs::write(&tmp, self.to_bytes())?;
-            std::fs::rename(&tmp, path)
-        };
-        write().map_err(|e| {
-            std::fs::remove_file(&tmp).ok();
-            KbError::from(e).with_path(path)
-        })
+        write_atomic(path, &self.to_bytes())
     }
 
     /// Read a cursor from `path`. Every failure — I/O, bad magic,
@@ -141,9 +95,9 @@ mod tests {
         bad[0] = b'X';
         assert!(FeedCursor::from_bytes(&bad).unwrap_err().to_string().contains("magic"));
 
-        // Flipped payload bit.
+        // Flipped payload bit, past the length and checksum words.
         let mut bad = bytes.clone();
-        bad[MAGIC.len() + 4] ^= 1;
+        bad[MAGIC.len() + 16 + 4] ^= 1;
         assert!(FeedCursor::from_bytes(&bad).unwrap_err().to_string().contains("checksum"));
 
         // Truncation.
@@ -151,7 +105,7 @@ mod tests {
         bad.truncate(10);
         assert!(FeedCursor::from_bytes(&bad).unwrap_err().to_string().contains("short"));
 
-        // Trailing garbage shifts the checksum window.
+        // Trailing garbage after the record.
         let mut bad = bytes;
         bad.push(0);
         assert!(FeedCursor::from_bytes(&bad).is_err());

@@ -31,8 +31,20 @@
 //! `Result<_, KbError>` and never panics on malformed input — corrupt
 //! snapshots are an *operational* condition (killed writer, wrong file),
 //! not a programming error.
+//!
+//! Every durable byte is framed here, once. A **sealed record**
+//! ([`seal`]) is a magic, the payload length, the payload's FNV-1a
+//! checksum and the payload. A snapshot file and a feed-cursor file are
+//! one record each ([`unseal`]); the feed log is a run of them
+//! ([`SnapReader::next_record`], which tells a torn tail from
+//! corruption). A payload reader reports file offsets, so an error
+//! points at the byte to hexdump. Whole files are replaced through
+//! [`write_atomic`] (temp file + rename), the one place a future
+//! `fsync` of a replaced file would go.
 
 use crate::error::KbError;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Serializer half of the codec: appends to an owned byte buffer.
 #[derive(Debug, Default)]
@@ -218,22 +230,31 @@ fn varint_len(v: u64) -> usize {
 }
 
 /// Deserializer half: a cursor over a byte slice. Every accessor checks
-/// bounds and reports the failing offset.
+/// bounds and reports the failing offset. A reader over a sealed
+/// record's payload ([`SnapReader::next_record`], [`unseal`]) reports
+/// offsets in the file that holds the record.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// File offset of `buf[0]`.
+    base: usize,
 }
 
 impl<'a> SnapReader<'a> {
-    /// Cursor at the start of `buf`.
+    /// Cursor at the start of `buf`, which starts at file offset 0.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self::at(buf, 0)
     }
 
-    /// Current byte offset (for error context).
+    /// Cursor at the start of `buf`, which starts at file offset `base`.
+    pub fn at(buf: &'a [u8], base: usize) -> Self {
+        Self { buf, pos: 0, base }
+    }
+
+    /// Current file offset (for error context).
     pub fn offset(&self) -> usize {
-        self.pos
+        self.base + self.pos
     }
 
     /// True when every byte has been consumed.
@@ -243,7 +264,7 @@ impl<'a> SnapReader<'a> {
 
     /// Error constructor pinned to the current offset.
     pub fn corrupt(&self, msg: impl Into<String>) -> KbError {
-        KbError::Snapshot { offset: self.pos, msg: msg.into() }
+        KbError::Snapshot { offset: self.offset(), msg: msg.into() }
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], KbError> {
@@ -260,7 +281,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read and verify a four-byte section tag.
     pub fn expect_tag(&mut self, tag: &str) -> Result<(), KbError> {
-        let at = self.pos;
+        let at = self.offset();
         let got = self.take(4, "section tag")?;
         let mut want = [b' '; 4];
         for (dst, src) in want.iter_mut().zip(tag.bytes()) {
@@ -283,7 +304,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read one `usize` (written as `u64`).
     pub fn usize(&mut self) -> Result<usize, KbError> {
-        let at = self.pos;
+        let at = self.offset();
         let v = self.u64()?;
         usize::try_from(v)
             .map_err(|_| KbError::Snapshot { offset: at, msg: format!("{v} overflows usize") })
@@ -291,7 +312,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read one `u32` (written widened).
     pub fn u32(&mut self) -> Result<u32, KbError> {
-        let at = self.pos;
+        let at = self.offset();
         let v = self.u64()?;
         u32::try_from(v)
             .map_err(|_| KbError::Snapshot { offset: at, msg: format!("{v} overflows u32") })
@@ -299,7 +320,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read one bool (0/1).
     pub fn bool(&mut self) -> Result<bool, KbError> {
-        let at = self.pos;
+        let at = self.offset();
         match self.u64()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -316,7 +337,7 @@ impl<'a> SnapReader<'a> {
     /// (`min_elem_bytes` per element) so corrupt lengths fail here rather
     /// than in an allocation.
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, KbError> {
-        let at = self.pos;
+        let at = self.offset();
         let n = self.usize()?;
         let left = self.buf.len() - self.pos;
         if n.saturating_mul(min_elem_bytes.max(1)) > left {
@@ -331,7 +352,7 @@ impl<'a> SnapReader<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, KbError> {
         let n = self.seq_len(1)?;
-        let at = self.pos;
+        let at = self.offset();
         let b = self.take(n, "string payload")?;
         String::from_utf8(b.to_vec())
             .map_err(|e| KbError::Snapshot { offset: at, msg: format!("invalid utf-8: {e}") })
@@ -340,7 +361,7 @@ impl<'a> SnapReader<'a> {
     /// Read a varint-length-prefixed UTF-8 string.
     pub fn vstr(&mut self) -> Result<String, KbError> {
         let n = self.vseq_len(1)?;
-        let at = self.pos;
+        let at = self.offset();
         let b = self.take(n, "string payload")?;
         String::from_utf8(b.to_vec())
             .map_err(|e| KbError::Snapshot { offset: at, msg: format!("invalid utf-8: {e}") })
@@ -354,7 +375,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read one LEB128 varint `u64`.
     pub fn vu64(&mut self) -> Result<u64, KbError> {
-        let at = self.pos;
+        let at = self.offset();
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let b = self.take(1, "varint byte")?[0];
@@ -376,7 +397,7 @@ impl<'a> SnapReader<'a> {
     /// Read a packed-sequence length (varint), sanity-capped against the
     /// remaining bytes at `min_elem_bytes` per element.
     pub fn vseq_len(&mut self, min_elem_bytes: usize) -> Result<usize, KbError> {
-        let at = self.pos;
+        let at = self.offset();
         let v = self.vu64()?;
         let n = usize::try_from(v)
             .map_err(|_| KbError::Snapshot { offset: at, msg: format!("{v} overflows usize") })?;
@@ -395,7 +416,7 @@ impl<'a> SnapReader<'a> {
         let n = self.vseq_len(1)?;
         (0..n)
             .map(|_| {
-                let at = self.pos;
+                let at = self.offset();
                 let v = self.vu64()?;
                 u32::try_from(v).map_err(|_| KbError::Snapshot {
                     offset: at,
@@ -412,7 +433,7 @@ impl<'a> SnapReader<'a> {
         let mut out = Vec::with_capacity(n);
         let mut prev = 0u64;
         for i in 0..n {
-            let at = self.pos;
+            let at = self.offset();
             let d = self.vu64()?;
             let v = if i == 0 { d } else { prev + d };
             if v > u32::MAX as u64 {
@@ -429,7 +450,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read a packed `f64` vector ([`SnapWriter::f64_slice_packed`]).
     pub fn f64_vec_packed(&mut self) -> Result<Vec<f64>, KbError> {
-        let at = self.pos;
+        let at = self.offset();
         let mode = self.take(1, "f64 slice mode byte")?[0];
         match mode {
             0 => {
@@ -468,7 +489,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read a bitset-packed bool vector ([`SnapWriter::bool_slice_packed`]).
     pub fn bool_vec_packed(&mut self) -> Result<Vec<bool>, KbError> {
-        let at = self.pos;
+        let at = self.offset();
         let v = self.vu64()?;
         let n = usize::try_from(v)
             .map_err(|_| KbError::Snapshot { offset: at, msg: format!("{v} overflows usize") })?;
@@ -484,7 +505,7 @@ impl<'a> SnapReader<'a> {
                 ),
             });
         }
-        let at = self.pos;
+        let at = self.offset();
         let bytes = self.take(nb, "bool bitset")?;
         if !n.is_multiple_of(8) && bytes[nb - 1] >> (n % 8) != 0 {
             return Err(KbError::Snapshot {
@@ -507,10 +528,100 @@ impl<'a> SnapReader<'a> {
             )))
         }
     }
+
+    /// Read the sealed record ([`seal`]) at the cursor and return a
+    /// reader over its payload, or `None` for a **torn** record — fewer
+    /// bytes than its header and payload length promise, as a writer
+    /// killed (or still busy) mid-append leaves — without moving the
+    /// cursor. A wrong magic is an error at the record's start, a payload
+    /// whose checksum disagrees an error at the payload's start.
+    pub fn next_record(&mut self, magic: &[u8]) -> Result<Option<SnapReader<'a>>, KbError> {
+        let rest = &self.buf[self.pos..];
+        if rest.len() < magic.len() {
+            return Ok(None);
+        }
+        if &rest[..magic.len()] != magic {
+            return Err(self.corrupt(format!(
+                "bad magic {:?} (expected {:?}: a different file or format version, or a \
+                 desynchronized offset)",
+                String::from_utf8_lossy(&rest[..magic.len()]),
+                String::from_utf8_lossy(magic)
+            )));
+        }
+        let header = magic.len() + 16;
+        if rest.len() < header {
+            return Ok(None);
+        }
+        let word = |at: usize| u64::from_le_bytes(rest[at..at + 8].try_into().expect("8 bytes"));
+        let (len, stored) = (word(magic.len()), word(magic.len() + 8));
+        if len > (rest.len() - header) as u64 {
+            return Ok(None);
+        }
+        let payload = &rest[header..header + len as usize];
+        let record = SnapReader::at(payload, self.offset() + header);
+        let actual = fnv1a(payload);
+        if stored != actual {
+            return Err(record.corrupt(format!(
+                "checksum mismatch (stored {stored:#018x}, computed {actual:#018x}): torn or \
+                 corrupted write"
+            )));
+        }
+        self.pos += header + payload.len();
+        Ok(Some(record))
+    }
 }
 
-/// FNV-1a checksum over a byte slice — cheap integrity guard appended to
-/// snapshot files so a torn write fails loudly at restore time.
+/// Frame `payload` as one **sealed record**, the layout of every durable
+/// file (snapshot, feed cursor, each feed-log entry):
+///
+/// ```text
+/// magic | payload length (u64 LE) | FNV-1a of payload (u64 LE) | payload
+/// ```
+///
+/// The fixed-width header lets a reader tell a torn record from a
+/// corrupt one before it trusts a payload byte.
+pub fn seal(magic: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(magic.len() + 16 + payload.len());
+    bytes.extend_from_slice(magic);
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// Open a file that holds exactly one sealed record: a reader over its
+/// payload, with file offsets. A torn record and trailing bytes are
+/// errors here, unlike in a log ([`SnapReader::next_record`]).
+pub fn unseal<'a>(bytes: &'a [u8], magic: &[u8]) -> Result<SnapReader<'a>, KbError> {
+    let mut r = SnapReader::new(bytes);
+    let record = r.next_record(magic)?.ok_or_else(|| {
+        r.corrupt(format!(
+            "truncated: the {}-byte file is shorter than the record it starts",
+            bytes.len()
+        ))
+    })?;
+    r.expect_end()?;
+    Ok(record)
+}
+
+/// Write `bytes` to `path` atomically: a temp file beside it, unique per
+/// process and call (process id plus a counter, so concurrent writers
+/// never share one), then a rename over `path`. A crash mid-write never
+/// leaves a torn file under the final name, and a failed write removes
+/// its temp file. Errors name `path`.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), KbError> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".tmp-{}-{}", std::process::id(), TMP_SEQ.fetch_add(1, Ordering::Relaxed)));
+    let tmp = path.with_file_name(name);
+    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path)).map_err(|e| {
+        std::fs::remove_file(&tmp).ok();
+        KbError::from(e).with_path(path)
+    })
+}
+
+/// FNV-1a checksum over a byte slice — the integrity word of a sealed
+/// record, so a torn or corrupted write fails loudly on read.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -721,6 +832,121 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes[..bytes.len() - 2]);
         assert!(r.f32_vec().unwrap_err().to_string().contains("exceeds"));
+    }
+
+    fn sample_record(magic: &[u8]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.tag("TEST");
+        w.u64(7);
+        w.vstr("payload");
+        seal(magic, &w.into_bytes())
+    }
+
+    fn snapshot_error(e: KbError) -> (usize, String) {
+        match e {
+            KbError::Snapshot { offset, msg } => (offset, msg),
+            other => panic!("expected a snapshot error, got {other}"),
+        }
+    }
+
+    /// A sealed record round-trips, alone and in a log, and its payload
+    /// reader reports file offsets.
+    #[test]
+    fn sealed_record_roundtrips() {
+        let one = sample_record(b"REC1");
+        let header = 4 + 16;
+        let mut r = unseal(&one, b"REC1").unwrap();
+        assert_eq!(r.offset(), header);
+        r.expect_tag("TEST").unwrap();
+        assert_eq!(r.u64().unwrap(), 7);
+        assert_eq!(r.vstr().unwrap(), "payload");
+        r.expect_end().unwrap();
+        let mut r = unseal(&one, b"REC1").unwrap();
+        let (offset, _) = snapshot_error(r.expect_tag("NOPE").unwrap_err());
+        assert_eq!(offset, header);
+
+        let log = [one.clone(), one.clone()].concat();
+        let mut r = SnapReader::new(&log);
+        let second = r.next_record(b"REC1").unwrap().unwrap();
+        assert_eq!(second.offset(), header);
+        let second = r.next_record(b"REC1").unwrap().unwrap();
+        assert_eq!(second.offset(), one.len() + header);
+        assert!(r.next_record(b"REC1").unwrap().is_none());
+        assert_eq!(r.offset(), log.len());
+    }
+
+    /// Every proper prefix of a record is torn: `None` from
+    /// `next_record` (cursor unmoved), a truncation error from `unseal`.
+    #[test]
+    fn torn_record_is_none_in_a_log_and_an_error_for_a_file() {
+        let record = sample_record(b"REC1");
+        for cut in 0..record.len() {
+            let torn = &record[..cut];
+            let mut r = SnapReader::at(torn, 100);
+            assert!(r.next_record(b"REC1").unwrap().is_none(), "cut {cut}");
+            assert_eq!(r.offset(), 100);
+            let msg = unseal(torn, b"REC1").unwrap_err().to_string();
+            assert!(msg.contains("truncated") && msg.contains("short"), "cut {cut}: {msg}");
+        }
+    }
+
+    /// A wrong magic fails at the record's start, a flipped payload byte
+    /// at the checksum, at the end of the header, and trailing bytes
+    /// after a sealed file are an error.
+    #[test]
+    fn sealed_record_corruption_is_typed() {
+        let record = sample_record(b"REC1");
+        let (offset, msg) = snapshot_error(unseal(&record, b"REC2").err().unwrap());
+        assert_eq!(offset, 0);
+        assert!(msg.contains("bad magic") && msg.contains("REC1") && msg.contains("REC2"), "{msg}");
+        let mut r = SnapReader::at(&record, 64);
+        let (offset, _) = snapshot_error(r.next_record(b"REC2").err().unwrap());
+        assert_eq!(offset, 64);
+
+        let mut flipped = record.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        let (offset, msg) = snapshot_error(unseal(&flipped, b"REC1").err().unwrap());
+        assert_eq!(offset, 4 + 16);
+        assert!(msg.contains("checksum"), "{msg}");
+
+        let mut trailing = record;
+        trailing.push(0);
+        let msg = unseal(&trailing, b"REC1").err().unwrap().to_string();
+        assert!(msg.contains("1 trailing bytes"), "{msg}");
+    }
+
+    /// `write_atomic` replaces a file and leaves no temp file behind,
+    /// whether it succeeds or fails; a failure names the target.
+    #[test]
+    fn write_atomic_replaces_and_cleans_up() {
+        let dir = std::env::temp_dir().join(format!("jocl-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let names = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let path = dir.join("state.bin");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        assert_eq!(names(), ["state.bin"]);
+
+        // The rename fails over a directory; the temp file is removed.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir_all(blocked.join("inner")).unwrap();
+        let msg = write_atomic(&blocked, b"x").unwrap_err().to_string();
+        assert!(msg.contains("blocked"), "{msg}");
+        assert_eq!(names(), ["blocked", "state.bin"]);
+        // The temp write itself fails in a missing directory.
+        let missing = dir.join("missing").join("state.bin");
+        let msg = write_atomic(&missing, b"x").unwrap_err().to_string();
+        assert!(msg.contains("missing"), "{msg}");
+        assert_eq!(names(), ["blocked", "state.bin"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

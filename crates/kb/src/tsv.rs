@@ -170,17 +170,20 @@ pub fn read_okb(path: &Path) -> Result<Okb, KbError> {
 /// Write learned weight groups (e.g. factor-graph parameters) as TSV:
 /// one line per group, first column the weight count, then the weights.
 /// `f64` values are written with Rust's shortest-roundtrip formatting,
-/// so [`read_weight_groups`] restores them bit-exactly.
+/// so [`read_weight_groups`] restores them bit-exactly. The file is
+/// replaced atomically ([`crate::snap::write_atomic`]), so a crash
+/// mid-save leaves the previous weights whole; failures name the file.
 pub fn write_weight_groups(groups: &[Vec<f64>], path: &Path) -> Result<(), KbError> {
-    let mut w = BufWriter::new(fs::File::create(path)?);
+    let mut out = String::new();
     for g in groups {
-        write!(w, "{}", g.len())?;
+        out.push_str(&g.len().to_string());
         for x in g {
-            write!(w, "\t{x}")?;
+            out.push('\t');
+            out.push_str(&x.to_string());
         }
-        writeln!(w)?;
+        out.push('\n');
     }
-    Ok(())
+    crate::snap::write_atomic(path, out.as_bytes())
 }
 
 /// Read weight groups written by [`write_weight_groups`].

@@ -3,7 +3,7 @@
 //! The unified observability subsystem (ROADMAP "metrics before the
 //! remaining serving work can be measured rather than assumed"):
 //! zero-dependency counters, gauges and log-bucketed histograms with
-//! **sharded-atomic hot-path recording**, plus lightweight **span
+//! **atomic hot-path recording**, plus lightweight **span
 //! tracing** for the pipeline phases and a process-wide [`registry`]
 //! whose [`MetricsSnapshot`] iterates deterministically (sorted keys)
 //! so the serving plane can expose it as byte-stable `metrics.v1`
@@ -16,11 +16,11 @@
 //!   metrics on, off, or across writer/replica. Metrics are never
 //!   serialized into snapshots or the replication feed.
 //! * **No locks on the hot path.** Recording into a [`Counter`] or
-//!   [`Histogram`] is one relaxed `fetch_add` on a per-thread shard
-//!   ([`metrics`] module docs); the registry mutex is touched only at
+//!   [`Histogram`] is one relaxed `fetch_add` per cell ([`metrics`]
+//!   module docs); the registry mutex is touched only at
 //!   handle-registration time (once per metric, at engine/bin startup)
 //!   and on [`Registry::snapshot`]. LBP sweeps and socket readers never
-//!   contend.
+//!   block.
 //! * **Deterministic read-out.** [`Registry::snapshot`] returns entries
 //!   sorted by canonical key; two snapshots of an idle process are
 //!   identical, which is what makes the `metrics` wire frames

@@ -1,17 +1,17 @@
-//! Metrics core: sharded-atomic counters, gauges, log-bucketed
-//! histograms, and the process-wide registry.
+//! Metrics core: atomic counters, gauges, log-bucketed histograms, and
+//! the process-wide registry.
 //!
-//! ## Sharding
+//! ## Recording
 //!
-//! Hot-path recording must not serialize the LBP worker threads or the
-//! socket reader threads, so [`Counter`] and [`Histogram`] keep
-//! `SHARDS` cache-line-padded atomic cells. Each thread hashes to a
-//! fixed shard (assigned round-robin on first use) and records with a
-//! relaxed `fetch_add`; readers merge all shards. Relaxed ordering is
-//! fine because metrics are observational — a snapshot is allowed to
-//! miss in-flight increments, it only has to be internally consistent
-//! enough for monitoring (and exact once the process is idle, which is
-//! what the byte-stability gate relies on).
+//! A [`Counter`] is one atomic cell and a [`Histogram`] one array of
+//! bucket cells plus count and sum; every record is a relaxed
+//! `fetch_add`. Recording happens a few times per operation (each LBP
+//! run is serial), so contention is negligible and per-thread shards
+//! would buy nothing. Relaxed ordering is fine because metrics are
+//! observational — a snapshot is allowed to miss in-flight increments,
+//! it only has to be internally consistent enough for monitoring (and
+//! exact once the process is idle, which is what the byte-stability
+//! gate relies on).
 //!
 //! ## Buckets
 //!
@@ -30,29 +30,12 @@
 //! process are identical.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Number of per-metric atomic cells. Eight covers the worker counts
-/// this pipeline runs (LBP workers default to available parallelism,
-/// capped well below this on CI machines) without bloating idle
-/// metrics.
-pub const SHARDS: usize = 8;
 
 /// Number of log-base-2 histogram buckets (upper bounds `2^0 .. 2^41`,
 /// last bucket is the overflow catch-all).
 pub const BUCKETS: usize = 42;
-
-/// One cache line per atomic so shards on different threads do not
-/// false-share. 64 bytes matches every target this workspace builds on.
-#[repr(align(64))]
-struct PaddedAtomic(AtomicU64);
-
-impl PaddedAtomic {
-    const fn new() -> Self {
-        PaddedAtomic(AtomicU64::new(0))
-    }
-}
 
 /// Global kill switch, default ON (`JOCL_METRICS=off` clears it via
 /// `jocl_bench::env`). Checked with a relaxed load at the top of every
@@ -71,17 +54,6 @@ pub fn set_metrics_enabled(on: bool) {
 /// Whether metrics recording is currently enabled.
 pub fn metrics_enabled() -> bool {
     METRICS_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Round-robin shard assignment: each thread takes the next index on
-/// first use and keeps it for its lifetime. This spreads concurrent
-/// recorders across cells without any per-record hashing.
-fn shard_index() -> usize {
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SHARD.with(|s| *s)
 }
 
 /// Map a recorded value to its log-base-2 bucket.
@@ -109,23 +81,23 @@ pub fn bucket_le(i: usize) -> Option<u64> {
     }
 }
 
-/// Monotonic event counter with sharded recording.
+/// Monotonic event counter.
 pub struct Counter {
-    shards: [PaddedAtomic; SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
     fn new() -> Self {
-        Counter { shards: [const { PaddedAtomic::new() }; SHARDS] }
+        Counter { value: AtomicU64::new(0) }
     }
 
-    /// Add `n` to the counter. One relaxed `fetch_add` on this thread's
-    /// shard; no-op while metrics are disabled.
+    /// Add `n` to the counter. One relaxed `fetch_add`; no-op while
+    /// metrics are disabled.
     pub fn add(&self, n: u64) {
         if !metrics_enabled() {
             return;
         }
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increment by one.
@@ -133,9 +105,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Merged total across all shards.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -186,64 +158,47 @@ impl Gauge {
     }
 }
 
-/// A histogram shard: one cell per bucket plus count and sum.
-struct HistShard {
+/// Log-bucketed histogram: one cell per bucket plus count and sum.
+/// Values are plain `u64` — nanoseconds for latencies, bytes for sizes,
+/// counts for batch shapes; the unit lives in the metric name (`*_ns`,
+/// `*_bytes`).
+pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-impl HistShard {
+impl Histogram {
     fn new() -> Self {
-        HistShard {
+        Histogram {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
-}
 
-/// Log-bucketed histogram with sharded recording. Values are plain
-/// `u64` — nanoseconds for latencies, bytes for sizes, counts for
-/// batch shapes; the unit lives in the metric name (`*_ns`, `*_bytes`).
-pub struct Histogram {
-    shards: Vec<HistShard>,
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Histogram { shards: (0..SHARDS).map(|_| HistShard::new()).collect() }
-    }
-
-    /// Record one observation: three relaxed `fetch_add`s on this
-    /// thread's shard; no-op while metrics are disabled.
+    /// Record one observation: three relaxed `fetch_add`s; no-op while
+    /// metrics are disabled.
     pub fn record(&self, v: u64) {
         if !metrics_enabled() {
             return;
         }
-        let shard = &self.shards[shard_index()];
-        shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Merge all shards into a point-in-time snapshot.
+    /// Point-in-time snapshot of every cell.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for shard in &self.shards {
-            for (acc, b) in buckets.iter_mut().zip(shard.buckets.iter()) {
-                *acc += b.load(Ordering::Relaxed);
-            }
-            count += shard.count.load(Ordering::Relaxed);
-            sum += shard.sum.load(Ordering::Relaxed);
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
         }
-        HistogramSnapshot { buckets, count, sum }
     }
 }
 
-/// Merged histogram state at one point in time.
+/// Histogram state at one point in time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) observation counts.
@@ -500,8 +455,8 @@ mod tests {
 
     #[test]
     fn concurrent_counter_merge_equals_sequential_sum() {
-        // The core sharding invariant: N threads adding concurrently
-        // merge to exactly the sequential total.
+        // N threads adding concurrently reach exactly the sequential
+        // total.
         let reg = Registry::new();
         let c = reg.counter("conc_total", &[]);
         let threads = 8;

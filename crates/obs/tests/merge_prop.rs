@@ -1,5 +1,5 @@
-//! Property tests for the sharded metrics: whatever the shape of a
-//! concurrent workload, merged reads equal the sequential total.
+//! Property tests for the atomic metrics: whatever the shape of a
+//! concurrent workload, reads equal the sequential total.
 
 use jocl_obs::metrics::Registry;
 use proptest::prelude::*;
@@ -7,9 +7,9 @@ use std::sync::Arc;
 use std::thread;
 
 proptest! {
-    /// Concurrent sharded-counter merge: split an arbitrary workload
-    /// across threads, and the merged counter equals the sum a single
-    /// sequential loop would produce.
+    /// Concurrent counter: split an arbitrary workload across threads,
+    /// and the counter equals the sum a single sequential loop would
+    /// produce.
     #[test]
     fn concurrent_counter_merge_equals_sequential(
         per_thread in proptest::collection::vec(
@@ -39,7 +39,7 @@ proptest! {
         prop_assert_eq!(counter.get(), expected);
     }
 
-    /// Same invariant for histograms: concurrent recording merges to
+    /// Same invariant for histograms: concurrent recording reaches
     /// the sequential count/sum, and bucket totals equal the count.
     #[test]
     fn concurrent_histogram_merge_equals_sequential(

@@ -19,8 +19,9 @@
 //!   triggered it reports [`jocl_core::DeltaStats::compacted`];
 //! * **warm snapshots** — [`ServeSession::snapshot_to`] /
 //!   [`ServeSession::restore_from`] persist the entire session through
-//!   the [`snapshot`] envelope (magic + config fingerprint + checksum
-//!   around `IncrementalJocl::{export,import}_state`), so a restarted
+//!   the [`snapshot`] envelope (one sealed record: magic, length and
+//!   checksum around the config fingerprint and
+//!   `IncrementalJocl::{export,import}_state`), so a restarted
 //!   process resumes with **bitwise-identical** LBP messages instead of
 //!   a cold rebuild;
 //! * **queries** — [`ServeSession::live_view`] exposes the decoded

@@ -3,15 +3,22 @@
 //!
 //! ```text
 //! ┌──────────────────────────────┐
-//! │ magic  "JOCLSNP2"            │  8 bytes — format + version in one
+//! │ magic  "JOCLSNP3"            │  8 bytes — format + version in one
+//! │ payload length (u64)         │
+//! │ FNV-1a of payload (u64)      │  torn/corrupt writes fail loudly
+//! ├──────────────────────────────┤  payload:
 //! │ config fingerprint section   │  named scalars, checked field by field
-//! │ payload length + payload     │  IncrementalJocl::export_state bytes
-//! │ FNV-1a checksum of payload   │  torn/corrupt writes fail loudly
+//! │ session state                │  IncrementalJocl::export_state bytes
 //! └──────────────────────────────┘
 //! ```
 //!
+//! The file is one sealed record of the shared durable layout
+//! ([`jocl_kb::snap::seal`]), written through
+//! [`jocl_kb::snap::write_atomic`]; the checksum covers the fingerprint
+//! as well as the session state.
+//!
 //! Restore failures are **operational** errors: every one is a typed
-//! [`KbError`] wrapped with the offending file's path
+//! [`KbError`] at a file offset, wrapped with the offending file's path
 //! ([`KbError::WithPath`], the same pattern `jocl_core::persist` uses
 //! for weight files), so an operator greps the path out of the error —
 //! never a panic, never silently wrong state. The config fingerprint
@@ -22,12 +29,12 @@
 //! exercise.
 
 use jocl_core::{IncrementalJocl, JoclConfig, Signals};
-use jocl_kb::snap::{fnv1a, SnapReader, SnapWriter};
+use jocl_kb::snap::{fnv1a, seal, unseal, write_atomic, SnapWriter};
 use jocl_kb::{Ckb, KbError};
 use std::path::Path;
 
 /// File magic; the trailing digit is the format version.
-const MAGIC: &[u8; 8] = b"JOCLSNP2";
+const MAGIC: &[u8; 8] = b"JOCLSNP3";
 
 /// The config scalars a snapshot is only valid under, as named values.
 /// Floats are fingerprinted by bit pattern: "almost the same tolerance"
@@ -106,9 +113,8 @@ fn fingerprint(config: &JoclConfig) -> Vec<(&'static str, u64)> {
     ]
 }
 
-/// Serialize a session into snapshot-file bytes (envelope + payload).
+/// Serialize a session into snapshot-file bytes (one sealed record).
 pub fn session_to_bytes(session: &mut IncrementalJocl<'_>) -> Vec<u8> {
-    let payload = session.export_state();
     let mut w = SnapWriter::new();
     w.tag("FPRT");
     let fp = fingerprint(session.config());
@@ -117,13 +123,8 @@ pub fn session_to_bytes(session: &mut IncrementalJocl<'_>) -> Vec<u8> {
         w.str(name);
         w.u64(value);
     }
-    w.usize(payload.len());
-    let mut bytes = Vec::with_capacity(MAGIC.len() + w.len() + payload.len() + 8);
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&w.into_bytes());
-    bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    bytes
+    session.export_state_to(&mut w);
+    seal(MAGIC, &w.into_bytes())
 }
 
 /// Rebuild a session from snapshot-file bytes under `config`.
@@ -133,104 +134,40 @@ pub fn session_from_bytes<'a>(
     ckb: &'a Ckb,
     signals: &'a Signals,
 ) -> Result<IncrementalJocl<'a>, KbError> {
-    let corrupt = |offset: usize, msg: String| KbError::Snapshot { offset, msg };
-    // Sub-readers report offsets relative to the slice they were handed;
-    // shift them so every reported offset is **file-absolute** (the
-    // number an operator can hexdump at).
-    let shift = |e: KbError, by: usize| match e {
-        KbError::Snapshot { offset, msg } => KbError::Snapshot { offset: offset + by, msg },
-        e => e,
-    };
-    if bytes.len() < MAGIC.len() {
-        return Err(corrupt(0, "file shorter than the magic header".into()));
+    let mut r = unseal(bytes, MAGIC)?;
+    r.expect_tag("FPRT")?;
+    let expected = fingerprint(&config);
+    let n = r.seq_len(16)?;
+    if n != expected.len() {
+        return Err(r.corrupt(format!(
+            "fingerprint has {n} fields, this build expects {}",
+            expected.len()
+        )));
     }
-    let (magic, rest) = bytes.split_at(MAGIC.len());
-    if magic != MAGIC {
-        return Err(corrupt(
-            0,
-            format!(
-                "bad magic {:?} (expected {:?} — not a snapshot, or a different format version)",
-                String::from_utf8_lossy(magic),
-                String::from_utf8_lossy(MAGIC)
-            ),
-        ));
-    }
-    let mut r = SnapReader::new(rest);
-    let envelope = (|r: &mut SnapReader<'_>| -> Result<usize, KbError> {
-        r.expect_tag("FPRT")?;
-        let expected = fingerprint(&config);
-        let n = r.seq_len(16)?;
-        if n != expected.len() {
+    for (name, value) in &expected {
+        let got_name = r.str()?;
+        let got_value = r.u64()?;
+        if got_name != *name {
+            return Err(
+                r.corrupt(format!("fingerprint field {got_name:?} where {name:?} was expected"))
+            );
+        }
+        if got_value != *value {
             return Err(r.corrupt(format!(
-                "fingerprint has {n} fields, this build expects {}",
-                expected.len()
+                "config mismatch on {name}: snapshot has {got_value}, the supplied config has \
+                 {value} — restore under the configuration the session was running"
             )));
         }
-        for (name, value) in &expected {
-            let got_name = r.str()?;
-            let got_value = r.u64()?;
-            if got_name != *name {
-                return Err(r.corrupt(format!(
-                    "fingerprint field {got_name:?} where {name:?} was expected"
-                )));
-            }
-            if got_value != *value {
-                return Err(r.corrupt(format!(
-                    "config mismatch on {name}: snapshot has {got_value}, the supplied config \
-                     has {value} — restore under the configuration the session was running"
-                )));
-            }
-        }
-        r.seq_len(1)
-    })(&mut r)
-    .map_err(|e| shift(e, MAGIC.len()))?;
-    let payload_len = envelope;
-    let payload_start = MAGIC.len() + r.offset();
-    let payload_end = payload_start + payload_len;
-    if payload_end + 8 != bytes.len() {
-        return Err(corrupt(
-            payload_start,
-            format!(
-                "payload of {payload_len} bytes + checksum does not fill the file ({} bytes)",
-                bytes.len()
-            ),
-        ));
     }
-    let payload = &bytes[payload_start..payload_end];
-    let stored = u64::from_le_bytes(bytes[payload_end..].try_into().expect("8 bytes"));
-    let actual = fnv1a(payload);
-    if stored != actual {
-        return Err(corrupt(
-            payload_end,
-            format!("checksum mismatch (stored {stored:#018x}, computed {actual:#018x}) — torn or corrupted write"),
-        ));
-    }
-    IncrementalJocl::import_state(payload, config, ckb, signals)
-        .map_err(|e| shift(e, payload_start))
+    IncrementalJocl::import_state(&mut r, config, ckb, signals)
 }
 
-/// Write a session snapshot to `path` (atomically: unique temp file +
-/// rename, so a crash mid-write never leaves a half-snapshot under the
-/// final name, and concurrent writers — other processes or other
-/// sessions in this one — never share a temp file). Returns the byte
-/// size. Failures name the file.
+/// Write a session snapshot to `path` atomically
+/// ([`jocl_kb::snap::write_atomic`]). Returns the byte size. Failures
+/// name the file.
 pub fn save_session(session: &mut IncrementalJocl<'_>, path: &Path) -> Result<u64, KbError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let bytes = session_to_bytes(session);
-    let tmp = path.with_extension(format!(
-        "tmp-{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let write = || -> Result<(), std::io::Error> {
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)
-    };
-    write().map_err(|e| {
-        std::fs::remove_file(&tmp).ok();
-        KbError::from(e).with_path(path)
-    })?;
+    write_atomic(path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 
@@ -244,10 +181,5 @@ pub fn load_session<'a>(
     signals: &'a Signals,
 ) -> Result<IncrementalJocl<'a>, KbError> {
     let bytes = std::fs::read(path).map_err(|e| KbError::from(e).with_path(path))?;
-    session_from_bytes(&bytes, config, ckb, signals).map_err(|e| match e {
-        // Already wrapped (shouldn't happen from byte-level parsing, but
-        // don't double-wrap defensively).
-        e @ KbError::WithPath { .. } => e,
-        e => e.with_path(path),
-    })
+    session_from_bytes(&bytes, config, ckb, signals).map_err(|e| e.with_path(path))
 }

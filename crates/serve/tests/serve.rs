@@ -434,14 +434,14 @@ fn snapshot_file_errors_name_the_file() {
     // An intact snapshot of the previous format version dies at the
     // magic, naming both versions, not deep inside a payload section.
     let mut old_version = full.clone();
-    old_version[..8].copy_from_slice(b"JOCLSNP1");
+    old_version[..8].copy_from_slice(b"JOCLSNP2");
     std::fs::write(&path, &old_version).unwrap();
     let msg = assert_named(
         snapshot::load_session(&path, config.clone(), &ex.ckb, &signals).unwrap_err(),
         "old format version",
     );
     assert!(
-        msg.contains("bad magic") && msg.contains("JOCLSNP1") && msg.contains("JOCLSNP2"),
+        msg.contains("bad magic") && msg.contains("JOCLSNP2") && msg.contains("JOCLSNP3"),
         "{msg}"
     );
 
@@ -466,6 +466,41 @@ fn snapshot_file_errors_name_the_file() {
     );
     assert!(msg.contains("pretrained_params"), "{msg}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The config fingerprint sits inside the checksummed payload: a
+/// flipped byte in it is a checksum mismatch at the payload's first
+/// byte, naming the file, before any field is compared.
+#[test]
+fn flipped_fingerprint_byte_is_a_checksum_mismatch() {
+    let ex = figure1();
+    let signals = build_signals(&ex.okb, &ex.ckb, &ex.ppdb, &ex.corpus, &ex.config().sgns);
+    let config = ex.config();
+    let dir = std::env::temp_dir().join(format!("jocl-serve-fprt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("session.snap");
+    let triples: Vec<Triple> = ex.okb.triples().map(|(_, t)| t.clone()).collect();
+    let mut session = ServeSession::open(config.clone(), ServeConfig::default(), &ex.ckb, &signals);
+    session.add_all(&triples);
+    session.snapshot_to(&path).unwrap();
+
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Past the header (magic, length and checksum words), the FPRT tag,
+    // the field count and the first name's length: its first letter.
+    let header = 24;
+    assert_eq!(&bytes[header..header + 4], b"FPRT");
+    bytes[header + 4 + 8 + 8] ^= 0x20;
+    std::fs::write(&path, &bytes).unwrap();
+    let err = snapshot::load_session(&path, config, &ex.ckb, &signals).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("session.snap") && msg.contains("checksum mismatch"), "{msg}");
+    match err {
+        KbError::WithPath { source, .. } => {
+            assert!(matches!(*source, KbError::Snapshot { offset: 24, .. }), "{source}")
+        }
+        other => panic!("expected a path-annotated error, got {other}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -16,7 +16,11 @@
 #                     times, add, revise and retract of one triple,
 #                     retract by id, snapshot + restore, one more
 #                     ingest 8) with query / link frames after each,
-#                     then compact
+#                     then compact; then a second serve process on the
+#                     same JOCL_SNAPSHOT_DIR runs `restore` and the
+#                     query / link lines that follow `restore` in the
+#                     first script, so a snapshot written by one process
+#                     is read by another
 #   stream            JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_STREAM_BATCH=4
 #
 # and compares each stdout with `cmp`. For `serve` only the `query.v1` /
@@ -85,6 +89,9 @@ compact
 link tarrazu group
 link jocl://np/3
 quit'
+restore_script="restore
+$(printf '%s\n' "$serve_script" | sed -n '/^restore$/,$p' | grep -E '^(query|link) ')
+quit"
 
 run() { # <side> <bin dir>
     JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_TRAIN_EPOCHS=2 "$2/release/table1" >"$work/$1.table1"
@@ -93,6 +100,9 @@ run() { # <side> <bin dir>
     printf '%s\n' "$serve_script" |
         JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_SNAPSHOT_DIR="$work/snap" "$2/release/serve" |
         grep -E '^(query\.v1|mention |link\.v1|np |rp )' >"$work/$1.serve"
+    printf '%s\n' "$restore_script" |
+        JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_SNAPSHOT_DIR="$work/snap" "$2/release/serve" |
+        grep -E '^(query\.v1|mention |link\.v1|np |rp )' >>"$work/$1.serve"
     # The stream bin exits 1 on a parity mismatch; its PARITY line is
     # part of the comparison either way.
     { JOCL_SCALE=0.02 JOCL_SEED=42 JOCL_STREAM_BATCH=4 "$2/release/stream" || true; } |
